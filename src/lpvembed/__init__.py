@@ -23,7 +23,6 @@ from .model import (
     Dims,
     LpvModel,
     NlfrModel,
-    dims,
     load_lpv,
     load_model,
     load_nlfr,
@@ -37,10 +36,8 @@ from .offset import (
     DcGains,
     OffsetSolution,
     check_hurwitz,
-    correct_inputs,
-    correct_outputs,
     dc_gains,
-    restore_outputs,
+    matching_start,
     solve_offsets,
 )
 from .sim import (
@@ -66,7 +63,6 @@ __all__ = [
     "Dims",
     "NlfrModel",
     "LpvModel",
-    "dims",
     "validate_nlfr",
     "validate_lpv",
     "serialize_nlfr",
@@ -84,9 +80,7 @@ __all__ = [
     "dc_gains",
     "check_hurwitz",
     "solve_offsets",
-    "correct_inputs",
-    "correct_outputs",
-    "restore_outputs",
+    "matching_start",
     "embed",
     "assemble",
     "scheduling_from_state",

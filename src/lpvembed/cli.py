@@ -42,7 +42,7 @@ from .model import (
     save_model,
     validate_nlfr,
 )
-from .offset import check_hurwitz, dc_gains, solve_offsets
+from .offset import check_hurwitz, dc_gains, matching_start, solve_offsets
 from .sim import (
     COMPARE_TOL,
     compare,
@@ -300,7 +300,7 @@ def cmd_compare(args) -> int:
     lpv = load_lpv(args.lpv)
     u = _build_input(cfg, nlfr.dims.n_u)
     traj_nlfr = simulate_nlfr(nlfr, u, dt=cfg.dt)
-    traj_lpv = simulate_lpv_self(lpv, u, dt=cfg.dt)
+    traj_lpv = simulate_lpv_self(lpv, u, x0=matching_start(lpv), dt=cfg.dt)
     report = compare(traj_nlfr, traj_lpv, tol=cfg.tol)
 
     (out / "compare_report.txt").write_text(str(report) + "\n")

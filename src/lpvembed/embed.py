@@ -1,11 +1,12 @@
 """Assembly of the affine LPV model from a validated nonlinear-LFR model.
 
 The pipeline is: extract the constant offset, propagate it to input/output
-corrections when nonzero, factorize the remainder into a scheduling map,
-and build one basis quadruple per retained (nonzero) scheduling entry.
-The scheduling vector is the flattened nonzero part of the n_w x n_z map,
-row-major over (r, i); structurally zero entries contribute nothing and are
-pruned.  The assembled matrices
+corrections when nonzero, and factorize the remainder into a scheduling
+map.  Each nonzero scheduling entry is one channel, whose basis quadruple
+the LPV model derives from its structural matrices.  The scheduling vector
+is the flattened nonzero part of the n_w x n_z map, row-major over (r, i);
+structurally zero entries contribute nothing and are pruned.  The
+assembled matrices
 
     A(p) = A + sum_k p_k Ak,   B(p) = Bu + sum_k p_k Bk,
     C(p) = Cy + sum_k p_k Ck,  D(p) = Dyu + sum_k p_k Dk
@@ -23,7 +24,7 @@ import numpy as np
 from .errors import ChannelCountMismatch, EmbeddingDegenerate
 from .expr import DEFAULT_GUARD_TAU
 from .factorize import extract_offset, factorize
-from .model import BasisChannel, LpvModel, NlfrModel
+from .model import LpvModel, NlfrModel, core_matrices
 from .offset import solve_offsets_for
 
 __all__ = ["embed", "assemble", "scheduling_from_state", "LfrView", "lpv_lfr_view"]
@@ -39,42 +40,12 @@ def embed(
     sol = solve_offsets_for(model, c)
     schedule = factorize(f_tilde, ordering, c=c, tau=tau)
 
-    basis = []
-    for r, i in schedule.channels():
-        bw = model.Bw[:, r - 1]
-        cz = model.Cz[i - 1, :]
-        dzu = model.Dzu[i - 1, :]
-        dyw = model.Dyw[:, r - 1]
-        quads = (
-            np.outer(bw, cz),
-            np.outer(bw, dzu),
-            np.outer(dyw, cz),
-            np.outer(dyw, dzu),
-        )
-        for q in quads:
-            q.setflags(write=False)
-        basis.append(BasisChannel(r, i, *quads))
-
-    if not basis and not all(row.is_constant() for row in f_tilde):
+    if not schedule.channels() and not all(row.is_constant() for row in f_tilde):
         raise EmbeddingDegenerate(
             "every scheduling entry was pruned although the nonlinearity "
             "depends on z; factorization is internally inconsistent"
         )
-
-    return LpvModel(
-        A=model.A,
-        Bw=model.Bw,
-        Bu=model.Bu,
-        Cz=model.Cz,
-        Cy=model.Cy,
-        Dzu=model.Dzu,
-        Dyw=model.Dyw,
-        Dyu=model.Dyu,
-        basis=tuple(basis),
-        schedule=schedule,
-        d=sol.d,
-        y0=sol.y0,
-    )
+    return LpvModel(schedule=schedule, d=sol.d, y0=sol.y0, **core_matrices(model))
 
 
 def assemble(lpv: LpvModel, p):
@@ -168,14 +139,7 @@ class LfrView:
 def lpv_lfr_view(lpv: LpvModel) -> LfrView:
     """Structural re-labeling of the LPV model as an LFR with gain block p."""
     return LfrView(
-        A=lpv.A,
-        Bw=lpv.Bw,
-        Bu=lpv.Bu,
-        Cz=lpv.Cz,
-        Cy=lpv.Cy,
-        Dzu=lpv.Dzu,
-        Dyw=lpv.Dyw,
-        Dyu=lpv.Dyu,
         gain_shape=(lpv.Bw.shape[1], lpv.Cz.shape[0]),
         channels=lpv.channels,
+        **core_matrices(lpv),
     )

@@ -54,7 +54,7 @@ class NonzeroDzw(LpvEmbedError):
 
 
 class NonFiniteEntry(LpvEmbedError):
-    """A matrix or vector contains NaN or infinity."""
+    """A matrix, vector or expression coefficient is NaN or infinite."""
 
 
 class ExpressionArityMismatch(LpvEmbedError):

@@ -41,6 +41,7 @@ from .errors import (
     ArityMismatch,
     NegativeExponent,
     NonAffineFunctionArgument,
+    NonFiniteEntry,
     ParseError,
     UnsupportedFunction,
 )
@@ -187,8 +188,13 @@ def _canonical_terms(terms: Iterable[Term], n_vars: int) -> tuple[Term, ...]:
         coeff = t.coeff
         kept = []
         for f in t.factors:
+            if not all(map(math.isfinite, f.weights)) or not math.isfinite(f.bias):
+                raise NonFiniteEntry(f"function factor {f} is not finite")
             if all(w == 0.0 for w in f.weights):
-                coeff *= FUNCTIONS[f.name](f.bias)
+                try:
+                    coeff *= FUNCTIONS[f.name](f.bias)
+                except OverflowError:
+                    raise NonFiniteEntry(f"constant {f} overflows") from None
             else:
                 kept.append(f)
         if coeff == 0.0:
@@ -200,6 +206,9 @@ def _canonical_terms(terms: Iterable[Term], n_vars: int) -> tuple[Term, ...]:
     out = [
         Term(coeff, *reps[key]) for key, coeff in acc.items() if coeff != 0.0
     ]
+    for t in out:
+        if not math.isfinite(t.coeff):
+            raise NonFiniteEntry(f"expression coefficient {t.coeff} is not finite")
     out.sort(key=Term.key)
     return tuple(out)
 

@@ -7,13 +7,14 @@ A nonlinear-LFR model is an LTI core in feedback with a static nonlinearity:
     y    = Cy x + Dyw w + Dyu u
     w    = f(z)
 
-An LPV model keeps the nominal matrices plus one basis quadruple per
-retained scheduling channel (r, i):
+An LPV model keeps the nominal matrices, the scheduling map and the
+constant input/output corrections (d, y0).  Its basis quadruple per
+retained scheduling channel (r, i) is derived, not stored:
 
     Ak = Bw E_ri Cz,  Bk = Bw E_ri Dzu,  Ck = Dyw E_ri Cz,  Dk = Dyw E_ri Dzu
 
-where E_ri has a single 1 at row r, column i, together with the scheduling
-map and the constant input/output corrections (d, y0).
+where E_ri has a single 1 at row r, column i.  The file still carries the
+quadruples, and the loader checks them against the derived ones.
 
 Both live on disk as a single self-describing JSON document with named
 matrices stored as row-major arrays of arrays.  Matrices round-trip
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -46,7 +48,6 @@ __all__ = [
     "NlfrModel",
     "BasisChannel",
     "LpvModel",
-    "dims",
     "validate_nlfr",
     "serialize_nlfr",
     "validate_lpv",
@@ -71,6 +72,9 @@ _MATRIX_SHAPES = {
     "Dzw": ("n_z", "n_w"),
 }
 
+#: The eight stored core matrices; Dzw is structurally zero and not kept.
+_CORE = tuple(name for name in _MATRIX_SHAPES if name != "Dzw")
+
 
 @dataclass(frozen=True)
 class Dims:
@@ -84,12 +88,13 @@ class Dims:
     n_p: int = 0
 
     def __post_init__(self):
-        for name in _DIM_KEYS:
+        for name in (*_DIM_KEYS, "n_p"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
-                raise DimensionMismatch(f"dimension {name} must be >= 1, got {v}")
-        if not isinstance(self.n_p, int) or self.n_p < 0:
-            raise DimensionMismatch(f"dimension n_p must be >= 0, got {self.n_p}")
+            low = 0 if name == "n_p" else 1
+            if isinstance(v, bool) or not isinstance(v, int) or v < low:
+                raise DimensionMismatch(
+                    f"dimension {name} must be an integer >= {low}, got {v!r}"
+                )
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -97,57 +102,59 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _as_matrix(name: str, raw, rows: int, cols: int) -> np.ndarray:
+def _as_array(name: str, raw, shape: tuple[int, ...]) -> np.ndarray:
+    kind = "vector" if len(shape) == 1 else "matrix"
     try:
         m = np.array(raw, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise ModelFormatError(f"matrix {name} is not numeric: {exc}") from exc
-    if m.shape != (rows, cols):
-        raise DimensionMismatch(
-            f"matrix {name} has shape {m.shape}, expected ({rows}, {cols})"
-        )
+        raise ModelFormatError(f"{kind} {name} is not numeric: {exc}") from exc
+    if m.shape != shape:
+        raise DimensionMismatch(f"{kind} {name} has shape {m.shape}, expected {shape}")
     if not np.all(np.isfinite(m)):
-        raise NonFiniteEntry(f"matrix {name} contains non-finite entries")
+        raise NonFiniteEntry(f"{kind} {name} contains non-finite entries")
     return _freeze(m)
 
 
-def _as_vector(name: str, raw, length: int) -> np.ndarray:
-    try:
-        v = np.array(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ModelFormatError(f"vector {name} is not numeric: {exc}") from exc
-    if v.shape != (length,):
-        raise DimensionMismatch(
-            f"vector {name} has shape {v.shape}, expected ({length},)"
-        )
-    if not np.all(np.isfinite(v)):
-        raise NonFiniteEntry(f"vector {name} contains non-finite entries")
-    return _freeze(v)
-
-
-def _read_dims(raw: Mapping) -> dict:
+def _read_dims(raw: Mapping) -> Dims:
     if "dims" not in raw:
         raise ModelFormatError("model file is missing the 'dims' block")
     d = raw["dims"]
-    out = {}
     for key in _DIM_KEYS:
         if key not in d:
             raise ModelFormatError(f"dims block is missing {key}")
-        v = d[key]
-        if not isinstance(v, int) or v < 1:
-            raise DimensionMismatch(f"dimension {key} must be >= 1, got {v}")
-        out[key] = v
-    return out
+    return Dims(**{key: d[key] for key in _DIM_KEYS})
 
 
-def _shape(dd: Mapping, name: str) -> tuple[int, int]:
-    r, c = _MATRIX_SHAPES[name]
-    return dd[r], dd[c]
+def _read_core(raw: Mapping) -> tuple[Dims, dict]:
+    """Dimensions and the eight core matrices, with the Dzw = 0 rule."""
+    dims = _read_dims(raw)
+    mats = {}
+    for name, (rows, cols) in _MATRIX_SHAPES.items():
+        if name in raw:
+            shape = (getattr(dims, rows), getattr(dims, cols))
+            mats[name] = _as_array(name, raw[name], shape)
+        elif name != "Dzw":
+            raise ModelFormatError(f"model file is missing matrix {name}")
+    if np.any(mats.pop("Dzw", 0.0) != 0.0):
+        raise NonzeroDzw(
+            "Dzw has nonzero entries; the nonlinearity must be explicit "
+            "(no w -> z feedthrough)"
+        )
+    return dims, mats
+
+
+def _core_raw(model, dim_keys) -> dict:
+    """The file's dims block and core matrices, in file key order."""
+    d = model.dims
+    return {
+        "dims": {k: getattr(d, k) for k in dim_keys},
+        **{name: m.tolist() for name, m in core_matrices(model).items()},
+    }
 
 
 @dataclass(frozen=True, eq=False)
-class NlfrModel:
-    """Validated nonlinear-LFR model; immutable after construction."""
+class _Core:
+    """The LTI core shared by both model kinds (Dzw = 0 implied)."""
 
     A: np.ndarray
     Bw: np.ndarray
@@ -157,7 +164,9 @@ class NlfrModel:
     Dzu: np.ndarray
     Dyw: np.ndarray
     Dyu: np.ndarray
-    f: tuple[Expression, ...]
+
+    #: Retained scheduling channels; a nonlinear model has none.
+    n_p = 0
 
     @property
     def dims(self) -> Dims:
@@ -167,8 +176,23 @@ class NlfrModel:
             n_y=self.Cy.shape[0],
             n_w=self.Bw.shape[1],
             n_z=self.Cz.shape[0],
-            n_p=0,
+            n_p=self.n_p,
         )
+
+
+def core_matrices(model) -> dict:
+    """The eight core matrices of a model or LFR view, by name."""
+    return {name: getattr(model, name) for name in _CORE}
+
+
+@dataclass(frozen=True, eq=False)
+class NlfrModel(_Core):
+    """Validated nonlinear-LFR model; immutable after construction."""
+
+    f: tuple[Expression, ...]
+
+
+_QUADRUPLE = ("Ak", "Bk", "Ck", "Dk")
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,53 +207,47 @@ class BasisChannel:
     Dk: np.ndarray
 
 
+def _basis_quadruple(core: _Core, r: int, i: int) -> BasisChannel:
+    bw = core.Bw[:, r - 1]
+    cz = core.Cz[i - 1, :]
+    dzu = core.Dzu[i - 1, :]
+    dyw = core.Dyw[:, r - 1]
+    quads = (
+        np.outer(bw, cz),
+        np.outer(bw, dzu),
+        np.outer(dyw, cz),
+        np.outer(dyw, dzu),
+    )
+    return BasisChannel(r, i, *(_freeze(q) for q in quads))
+
+
 @dataclass(frozen=True, eq=False)
-class LpvModel:
+class LpvModel(_Core):
     """Affine LPV model: nominal LTI part + scheduling basis + offsets.
 
     The structural matrices Bw, Cz, Dzu, Dyw are retained so the scheduling
     input z = Cz x + Dzu u_corrected can be formed during self-scheduled
-    simulation and so every basis quadruple stays verifiable by
-    recomputation.
+    simulation.  The basis quadruples are not stored: they follow from the
+    structural matrices and the schedule's nonzero entries.
     """
 
-    A: np.ndarray
-    Bw: np.ndarray
-    Bu: np.ndarray
-    Cz: np.ndarray
-    Cy: np.ndarray
-    Dzu: np.ndarray
-    Dyw: np.ndarray
-    Dyu: np.ndarray
-    basis: tuple[BasisChannel, ...]
     schedule: SchedulingMap
     d: np.ndarray
     y0: np.ndarray
 
     @property
     def n_p(self) -> int:
-        return len(self.basis)
+        return len(self.channels)
 
     @property
     def channels(self) -> tuple[tuple[int, int], ...]:
         """(r, i) of each retained channel, in basis order (row-major)."""
-        return tuple((b.r, b.i) for b in self.basis)
+        return self.schedule.channels()
 
-    @property
-    def dims(self) -> Dims:
-        return Dims(
-            n_x=self.A.shape[0],
-            n_u=self.Bu.shape[1],
-            n_y=self.Cy.shape[0],
-            n_w=self.Bw.shape[1],
-            n_z=self.Cz.shape[0],
-            n_p=len(self.basis),
-        )
-
-
-def dims(model) -> Dims:
-    """Dimension record of a validated model (n_p = 0 for NLFR models)."""
-    return model.dims
+    @cached_property
+    def basis(self) -> tuple[BasisChannel, ...]:
+        """One quadruple per channel, built on first use and then kept."""
+        return tuple(_basis_quadruple(self, r, i) for r, i in self.channels)
 
 
 # --- NLFR validation ---------------------------------------------------------
@@ -242,43 +260,22 @@ def validate_nlfr(raw: Mapping) -> NlfrModel:
     rejects any nonzero Dzw, rejects non-finite entries, and parses the
     nonlinearity rows, enforcing their count and arity.
     """
-    dd = _read_dims(raw)
-    mats = {}
-    for name in ("A", "Bw", "Bu", "Cz", "Cy", "Dzu", "Dyw", "Dyu"):
-        if name not in raw:
-            raise ModelFormatError(f"model file is missing matrix {name}")
-        mats[name] = _as_matrix(name, raw[name], *_shape(dd, name))
-    if "Dzw" in raw:
-        dzw = _as_matrix("Dzw", raw["Dzw"], *_shape(dd, "Dzw"))
-        if np.any(dzw != 0.0):
-            raise NonzeroDzw(
-                "Dzw has nonzero entries; the nonlinearity must be explicit "
-                "(no w -> z feedthrough)"
-            )
+    dd, mats = _read_core(raw)
     if "f" not in raw:
         raise ModelFormatError("model file is missing the nonlinearity 'f'")
     f_raw = raw["f"]
-    if not isinstance(f_raw, (list, tuple)) or len(f_raw) != dd["n_w"]:
+    if not isinstance(f_raw, (list, tuple)) or len(f_raw) != dd.n_w:
         raise ExpressionArityMismatch(
-            f"nonlinearity must have n_w = {dd['n_w']} rows, "
+            f"nonlinearity must have n_w = {dd.n_w} rows, "
             f"got {len(f_raw) if isinstance(f_raw, (list, tuple)) else type(f_raw).__name__}"
         )
-    f = tuple(parse(text, dd["n_z"]) for text in f_raw)
+    f = tuple(parse(text, dd.n_z) for text in f_raw)
     return NlfrModel(f=f, **mats)
 
 
 def serialize_nlfr(model: NlfrModel) -> dict:
-    d = model.dims
     return {
-        "dims": {k: getattr(d, k) for k in _DIM_KEYS},
-        "A": model.A.tolist(),
-        "Bw": model.Bw.tolist(),
-        "Bu": model.Bu.tolist(),
-        "Cz": model.Cz.tolist(),
-        "Cy": model.Cy.tolist(),
-        "Dzu": model.Dzu.tolist(),
-        "Dyw": model.Dyw.tolist(),
-        "Dyu": model.Dyu.tolist(),
+        **_core_raw(model, _DIM_KEYS),
         "f": [str(row) for row in model.f],
     }
 
@@ -286,119 +283,78 @@ def serialize_nlfr(model: NlfrModel) -> dict:
 # --- LPV validation -----------------------------------------------------------
 
 
-def _basis_quadruple(model_mats: Mapping, r: int, i: int):
-    bw = model_mats["Bw"][:, r - 1]
-    cz = model_mats["Cz"][i - 1, :]
-    dzu = model_mats["Dzu"][i - 1, :]
-    dyw = model_mats["Dyw"][:, r - 1]
-    return (
-        np.outer(bw, cz),
-        np.outer(bw, dzu),
-        np.outer(dyw, cz),
-        np.outer(dyw, dzu),
-    )
-
-
 def validate_lpv(raw: Mapping) -> LpvModel:
     """Validate parsed LPV file content and build an LpvModel.
 
-    Every basis quadruple is recomputed from (Bw, Cz, Dzu, Dyw) and its
-    (r, i) index and must match the stored matrices exactly; the basis list
-    must enumerate the nonzero schedule entries row-major.
+    The stored basis must enumerate the nonzero schedule entries row-major,
+    and every stored quadruple must equal, exactly, the one derived from
+    (Bw, Cz, Dzu, Dyw) at its (r, i) index.
     """
-    dd = _read_dims(raw)
-    mats = {}
-    for name in ("A", "Bw", "Bu", "Cz", "Cy", "Dzu", "Dyw", "Dyu"):
-        if name not in raw:
-            raise ModelFormatError(f"model file is missing matrix {name}")
-        mats[name] = _as_matrix(name, raw[name], *_shape(dd, name))
-    if "Dzw" in raw:
-        dzw = _as_matrix("Dzw", raw["Dzw"], *_shape(dd, "Dzw"))
-        if np.any(dzw != 0.0):
-            raise NonzeroDzw("Dzw has nonzero entries")
+    dd, mats = _read_core(raw)
     for key in ("schedule", "basis", "d", "y0"):
         if key not in raw:
             raise ModelFormatError(f"LPV model file is missing {key!r}")
 
-    schedule = schedule_from_raw(raw["schedule"], dd["n_w"], dd["n_z"])
-    d = _as_vector("d", raw["d"], dd["n_u"])
-    y0 = _as_vector("y0", raw["y0"], dd["n_y"])
+    schedule = schedule_from_raw(raw["schedule"], dd.n_w, dd.n_z)
+    d = _as_array("d", raw["d"], (dd.n_u,))
+    y0 = _as_array("y0", raw["y0"], (dd.n_y,))
 
     basis_raw = raw["basis"]
-    if len(basis_raw) > dd["n_w"] * dd["n_z"]:
+    if len(basis_raw) > dd.n_w * dd.n_z:
         raise DimensionMismatch(
             f"basis has {len(basis_raw)} channels, more than "
-            f"n_w * n_z = {dd['n_w'] * dd['n_z']}"
+            f"n_w * n_z = {dd.n_w * dd.n_z}"
         )
     n_p = raw["dims"].get("n_p")
     if n_p is not None and n_p != len(basis_raw):
         raise DimensionMismatch(
             f"dims.n_p = {n_p} disagrees with {len(basis_raw)} basis channels"
         )
-    basis = []
+    stored = []
     for k, b in enumerate(basis_raw):
         try:
             r, i = int(b["r"]), int(b["i"])
         except (KeyError, TypeError) as exc:
             raise ModelFormatError(f"basis channel {k} malformed: {exc}") from exc
-        if not (1 <= r <= dd["n_w"] and 1 <= i <= dd["n_z"]):
+        if not (1 <= r <= dd.n_w and 1 <= i <= dd.n_z):
             raise ModelFormatError(
                 f"basis channel {k} index ({r},{i}) out of range"
             )
-        quads = {}
-        for name, rows, cols in (
-            ("Ak", dd["n_x"], dd["n_x"]),
-            ("Bk", dd["n_x"], dd["n_u"]),
-            ("Ck", dd["n_y"], dd["n_x"]),
-            ("Dk", dd["n_y"], dd["n_u"]),
-        ):
-            quads[name] = _as_matrix(f"basis[{k}].{name}", b[name], rows, cols)
-        expect = _basis_quadruple(mats, r, i)
-        for name, exp in zip(("Ak", "Bk", "Ck", "Dk"), expect):
-            if not np.array_equal(quads[name], exp):
-                raise ModelFormatError(
-                    f"basis channel {k} matrix {name} does not reconstruct "
-                    f"from (Bw, Cz, Dzu, Dyw) at ({r},{i})"
-                )
-        basis.append(BasisChannel(r=r, i=i, **{k: _freeze(v) for k, v in quads.items()}))
-    stored = tuple((b.r, b.i) for b in basis)
-    if stored != schedule.channels():
+        stored.append((r, i))
+    if tuple(stored) != schedule.channels():
         raise ModelFormatError(
-            f"basis channels {stored} do not match the nonzero schedule "
+            f"basis channels {tuple(stored)} do not match the nonzero schedule "
             f"entries {schedule.channels()} in row-major order"
         )
-    return LpvModel(basis=tuple(basis), schedule=schedule, d=d, y0=y0, **mats)
+    lpv = LpvModel(schedule=schedule, d=d, y0=y0, **mats)
+    for k, (b, expect) in enumerate(zip(basis_raw, lpv.basis)):
+        for name in _QUADRUPLE:
+            exp = getattr(expect, name)
+            got = _as_array(f"basis[{k}].{name}", b[name], exp.shape)
+            if not np.array_equal(got, exp):
+                raise ModelFormatError(
+                    f"basis channel {k} matrix {name} does not reconstruct "
+                    f"from (Bw, Cz, Dzu, Dyw) at ({expect.r},{expect.i})"
+                )
+    return lpv
 
 
 def serialize_lpv(model: LpvModel) -> dict:
-    """LPV model as JSON-ready file content; exact round-trip guaranteed."""
-    d = model.dims
-    out = {
-        "dims": {**{k: getattr(d, k) for k in _DIM_KEYS}, "n_p": d.n_p},
-        "A": model.A.tolist(),
-        "Bw": model.Bw.tolist(),
-        "Bu": model.Bu.tolist(),
-        "Cz": model.Cz.tolist(),
-        "Cy": model.Cy.tolist(),
-        "Dzu": model.Dzu.tolist(),
-        "Dyw": model.Dyw.tolist(),
-        "Dyu": model.Dyu.tolist(),
+    """LPV model as JSON-ready file content; exact round-trip guaranteed.
+
+    The basis quadruples are written for verification only: the loader
+    derives them again and rejects a file whose stored copies differ.
+    """
+    return {
+        **_core_raw(model, (*_DIM_KEYS, "n_p")),
         "basis": [
-            {
-                "r": b.r,
-                "i": b.i,
-                "Ak": b.Ak.tolist(),
-                "Bk": b.Bk.tolist(),
-                "Ck": b.Ck.tolist(),
-                "Dk": b.Dk.tolist(),
-            }
+            {"r": b.r, "i": b.i, **{q: getattr(b, q).tolist() for q in _QUADRUPLE}}
             for b in model.basis
         ],
         "schedule": schedule_to_raw(model.schedule),
         "d": model.d.tolist(),
         "y0": model.y0.tolist(),
     }
-    return out
 
 
 # --- file I/O -------------------------------------------------------------

@@ -35,7 +35,7 @@ from .errors import (
     HurwitzWarning,
     SingularA,
 )
-from .model import NlfrModel
+from .model import LpvModel, NlfrModel
 
 __all__ = [
     "DcGains",
@@ -43,9 +43,7 @@ __all__ = [
     "dc_gains",
     "check_hurwitz",
     "solve_offsets",
-    "correct_inputs",
-    "correct_outputs",
-    "restore_outputs",
+    "matching_start",
 ]
 
 #: Condition number above which A is treated as numerically singular.
@@ -113,6 +111,15 @@ def check_hurwitz(A: np.ndarray, margin: float = HURWITZ_MARGIN):
     return max_re < margin, max_re
 
 
+def _no_offset(n_u: int, n_y: int) -> OffsetSolution:
+    """The exact skip path for c = 0: zero corrections, zero residual."""
+    d = np.zeros(n_u)
+    y0 = np.zeros(n_y)
+    d.setflags(write=False)
+    y0.setflags(write=False)
+    return OffsetSolution(d=d, y0=y0, residual=0.0)
+
+
 def solve_offsets(
     gains: DcGains, c, rel_tol: float = OFFSET_RTOL
 ) -> OffsetSolution:
@@ -124,14 +131,8 @@ def solve_offsets(
     G4_0 c to be outside the column space of G2_0.
     """
     c = np.asarray(c, dtype=float)
-    n_u = gains.G2_0.shape[1]
-    n_y = gains.G1_0.shape[0]
     if not np.any(c != 0.0):
-        d = np.zeros(n_u)
-        y0 = np.zeros(n_y)
-        d.setflags(write=False)
-        y0.setflags(write=False)
-        return OffsetSolution(d=d, y0=y0, residual=0.0)
+        return _no_offset(gains.G2_0.shape[1], gains.G1_0.shape[0])
     target = -gains.G4_0 @ c
     d, *_ = np.linalg.lstsq(gains.G2_0, target, rcond=None)
     unreachable = gains.G2_0 @ d - target
@@ -158,11 +159,7 @@ def solve_offsets_for(model: NlfrModel, c, warn: bool = True) -> OffsetSolution:
     """
     c = np.asarray(c, dtype=float)
     if not np.any(c != 0.0):
-        d = np.zeros(model.Bu.shape[1])
-        y0 = np.zeros(model.Cy.shape[0])
-        d.setflags(write=False)
-        y0.setflags(write=False)
-        return OffsetSolution(d=d, y0=y0, residual=0.0)
+        return _no_offset(model.Bu.shape[1], model.Cy.shape[0])
     gains = dc_gains(model)
     if warn:
         ok, max_re = check_hurwitz(model.A)
@@ -177,16 +174,17 @@ def solve_offsets_for(model: NlfrModel, c, warn: bool = True) -> OffsetSolution:
     return solve_offsets(gains, c)
 
 
-def correct_inputs(u, sol: OffsetSolution) -> np.ndarray:
-    """Samplewise u - d (rows are samples)."""
-    return np.asarray(u, dtype=float) - sol.d
+def matching_start(lpv: LpvModel) -> np.ndarray | None:
+    """LPV start state that matches the nonlinear model started at zero.
 
-
-def correct_outputs(y, sol: OffsetSolution) -> np.ndarray:
-    """Samplewise y - y0: raw outputs into corrected coordinates."""
-    return np.asarray(y, dtype=float) - sol.y0
-
-
-def restore_outputs(y_corrected, sol: OffsetSolution) -> np.ndarray:
-    """Samplewise y_corrected + y0: back to the raw output coordinates."""
-    return np.asarray(y_corrected, dtype=float) + sol.y0
+    The offset-free core runs in coordinates shifted by the constant
+    A^-1 (Bw c + Bu d), so that is where the LPV model starts.  None for
+    c = 0: the shift vanishes and the zero start already matches.
+    """
+    c = lpv.schedule.c
+    if not np.any(c != 0.0):
+        return None
+    try:
+        return np.linalg.solve(lpv.A, lpv.Bw @ c + lpv.Bu @ lpv.d)
+    except np.linalg.LinAlgError as exc:
+        raise SingularA(f"A is singular: {exc}") from exc

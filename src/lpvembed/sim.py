@@ -73,7 +73,8 @@ class Trajectory:
 
 
 class _Diverged(Exception):
-    def __init__(self, step: int, states: np.ndarray):
+    def __init__(self, message: str, step: int, states: np.ndarray):
+        self.message = message
         self.step = step
         self.states = states
 
@@ -114,19 +115,46 @@ def _integrate(field, x0: np.ndarray, ext: np.ndarray, dt: float) -> np.ndarray:
     x = x0
     h2 = 0.5 * dt
     h6 = dt / 6.0
-    for k in range(n_steps):
-        ek = ext[k]
-        em = half[k]
-        en = ext[k + 1]
-        k1 = field(x, ek)
-        k2 = field(x + h2 * k1, em)
-        k3 = field(x + h2 * k2, em)
-        k4 = field(x + dt * k3, en)
-        x = x + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > DIVERGENCE_LIMIT:
-            raise _Diverged(k + 1, states[: k + 1])
-        states[k + 1] = x
+    try:
+        for k in range(n_steps):
+            ek = ext[k]
+            em = half[k]
+            en = ext[k + 1]
+            k1 = field(x, ek)
+            k2 = field(x + h2 * k1, em)
+            k3 = field(x + h2 * k2, em)
+            k4 = field(x + dt * k3, en)
+            x = x + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > DIVERGENCE_LIMIT:
+                raise _Diverged(
+                    f"state exceeded {DIVERGENCE_LIMIT:.0e} at step {k + 1}",
+                    k + 1,
+                    states[: k + 1],
+                )
+            states[k + 1] = x
+    # math.exp and friends raise on overflow, math.sin(inf) on its domain
+    except (OverflowError, ValueError) as exc:
+        raise _Diverged(
+            f"nonlinearity evaluation overflowed at step {k + 1} ({exc})",
+            k + 1,
+            states[: k + 1],
+        ) from None
     return states
+
+
+def _simulate(field, x0: np.ndarray, ext: np.ndarray, dt: float, finish) -> Trajectory:
+    """Integrate and read out; a failed run raises Divergence with its part.
+
+    ``finish`` turns the states of the first n samples into the trajectory,
+    for the whole run or for the part before the failing step.
+    """
+    try:
+        states = _integrate(field, x0, ext, dt)
+    except _Diverged as div:
+        raise Divergence(
+            div.message, step=div.step, trajectory=finish(div.states)
+        ) from None
+    return finish(states)
 
 
 def _eval_rows(rows, Z: np.ndarray) -> np.ndarray:
@@ -148,22 +176,27 @@ def simulate_nlfr(
         w = np.array([row.evaluate(z) for row in f_rows])
         return A @ x + Bu @ uv + Bw @ w
 
-    def finish(states, u_part):
+    def finish(states):
+        u_part = u[: states.shape[0]]
         Z = states @ Cz.T + u_part @ Dzu.T
         W = _eval_rows(f_rows, Z)
         Y = states @ model.Cy.T + u_part @ model.Dyu.T + W @ model.Dyw.T
         return Trajectory(dt, 0.0, u_part, states, Y, Z, W, "w")
 
-    try:
-        states = _integrate(field, x0, u, dt)
-    except _Diverged as div:
-        partial = finish(div.states, u[: div.states.shape[0]])
-        raise Divergence(
-            f"state exceeded {DIVERGENCE_LIMIT:.0e} at step {div.step}",
-            step=div.step,
-            trajectory=partial,
-        ) from None
-    return finish(states, u)
+    return _simulate(field, x0, u, dt, finish)
+
+
+def _lpv_readout(lpv: LpvModel, dt: float, states, u, u_corr, scheduling):
+    """LPV trajectory of the first samples: z, p = scheduling(Z, n), raw y."""
+    n = states.shape[0]
+    uc = u_corr[:n]
+    Z = states @ lpv.Cz.T + uc @ lpv.Dzu.T
+    P = scheduling(Z, n)
+    Y = states @ lpv.Cy.T + uc @ lpv.Dyu.T
+    for k, b in enumerate(lpv.basis):
+        Y = Y + P[:, k : k + 1] * (states @ b.Ck.T + uc @ b.Dk.T)
+    Y = Y + lpv.y0
+    return Trajectory(dt, 0.0, u[:n], states, Y, Z, P, "p")
 
 
 def simulate_lpv_self(lpv: LpvModel, u, x0=None, dt: float = 1e-3) -> Trajectory:
@@ -192,29 +225,15 @@ def simulate_lpv_self(lpv: LpvModel, u, x0=None, dt: float = 1e-3) -> Trajectory
                     dx = dx + pk * (Bk @ uv)
         return dx
 
-    def finish(states, u_corr_part, u_raw_part):
-        Z = states @ Cz.T + u_corr_part @ Dzu.T
-        if lpv.n_p:
-            P = np.column_stack([e.evaluate_batch(Z) for e in entries])
-        else:
-            P = np.zeros((states.shape[0], 0))
-        Y = states @ lpv.Cy.T + u_corr_part @ lpv.Dyu.T
-        for k, b in enumerate(lpv.basis):
-            Y = Y + P[:, k : k + 1] * (states @ b.Ck.T + u_corr_part @ b.Dk.T)
-        Y = Y + lpv.y0
-        return Trajectory(dt, 0.0, u_raw_part, states, Y, Z, P, "p")
+    def scheduling(Z, n):
+        if entries:
+            return _eval_rows(entries, Z)
+        return np.zeros((n, 0))
 
-    try:
-        states = _integrate(field, x0, u_corr, dt)
-    except _Diverged as div:
-        n = div.states.shape[0]
-        partial = finish(div.states, u_corr[:n], u[:n])
-        raise Divergence(
-            f"state exceeded {DIVERGENCE_LIMIT:.0e} at step {div.step}",
-            step=div.step,
-            trajectory=partial,
-        ) from None
-    return finish(states, u_corr, u)
+    def finish(states):
+        return _lpv_readout(lpv, dt, states, u, u_corr, scheduling)
+
+    return _simulate(field, x0, u_corr, dt, finish)
 
 
 def simulate_lpv_exogenous(
@@ -240,7 +259,6 @@ def simulate_lpv_exogenous(
     A, Bu = lpv.A, lpv.Bu
     n_u = d.n_u
     basis = lpv.basis
-    ext = np.hstack([u_corr, p])
 
     def field(x, ev):
         uv = ev[:n_u]
@@ -251,26 +269,10 @@ def simulate_lpv_exogenous(
                 dx = dx + pk * (b.Ak @ x) + pk * (b.Bk @ uv)
         return dx
 
-    def finish(states, n):
-        uc = u_corr[:n]
-        Z = states @ lpv.Cz.T + uc @ lpv.Dzu.T
-        P = p[:n]
-        Y = states @ lpv.Cy.T + uc @ lpv.Dyu.T
-        for k, b in enumerate(basis):
-            Y = Y + P[:, k : k + 1] * (states @ b.Ck.T + uc @ b.Dk.T)
-        Y = Y + lpv.y0
-        return Trajectory(dt, 0.0, u[:n], states, Y, Z, P, "p")
+    def finish(states):
+        return _lpv_readout(lpv, dt, states, u, u_corr, lambda Z, n: p[:n])
 
-    try:
-        states = _integrate(field, x0, ext, dt)
-    except _Diverged as div:
-        partial = finish(div.states, div.states.shape[0])
-        raise Divergence(
-            f"state exceeded {DIVERGENCE_LIMIT:.0e} at step {div.step}",
-            step=div.step,
-            trajectory=partial,
-        ) from None
-    return finish(states, u.shape[0])
+    return _simulate(field, x0, np.hstack([u_corr, p]), dt, finish)
 
 
 # --- comparison ----------------------------------------------------------------

@@ -282,16 +282,19 @@ def test_invalid_dt_rejected(tmp_path, msd_file, capsys):
     assert "error[InvalidConfig]" in err
 
 
-def test_embed_report_offset_diagnostics(tmp_path, capsys):
-    raw = {
+def write_scalar_model(path, f, A=-1.0, Bw=-1.0, Dzu=0.0):
+    path.write_text(json.dumps({
         "dims": {"n_x": 1, "n_u": 1, "n_y": 1, "n_w": 1, "n_z": 1},
-        "A": [[-1.0]], "Bw": [[-1.0]], "Bu": [[1.0]],
+        "A": [[A]], "Bw": [[Bw]], "Bu": [[1.0]],
         "Cz": [[1.0]], "Cy": [[1.0]],
-        "Dzu": [[0.0]], "Dyw": [[0.0]], "Dyu": [[0.0]],
-        "f": ["z1 + 1"],
-    }
-    path = tmp_path / "toy.json"
-    path.write_text(json.dumps(raw))
+        "Dzu": [[Dzu]], "Dyw": [[0.0]], "Dyu": [[0.0]],
+        "f": [f],
+    }))
+    return path
+
+
+def test_embed_report_offset_diagnostics(tmp_path, capsys):
+    path = write_scalar_model(tmp_path / "toy.json", "z1 + 1")
     code, out, err = run(capsys, "embed", "--model", str(path), "--out", str(tmp_path))
     assert code == 0
     report = (tmp_path / "toy_embed_report.txt").read_text()
@@ -327,3 +330,31 @@ def test_compare_reversed_ordering_also_passes(tmp_path, msd_file, capsys):
     )
     assert code == 0, err
     assert "compare PASS" in out
+
+
+def test_compare_offset_model_passes(tmp_path, capsys):
+    # f(0) = 1: the LPV core starts at the shifted state that matches the
+    # nonlinear model's zero start; the direct path u -> z makes that shift
+    # nonzero (it is 0.5 here)
+    path = write_scalar_model(tmp_path / "toy.json", "z1 + 1", Dzu=1.0)
+    run(capsys, "embed", "--model", str(path), "--out", str(tmp_path))
+    code, out, err = run(
+        capsys, "compare", "--model", str(path),
+        "--lpv", str(tmp_path / "toy_lpv.json"), "--out", str(tmp_path),
+        "--t-end", "2",
+    )
+    assert code == 0, err
+    assert "compare PASS" in out
+    report = (tmp_path / "compare_report.csv").read_text().splitlines()
+    assert float(report[1].split(",")[1]) <= 1e-9
+
+
+def test_simulate_evaluation_overflow_is_typed(tmp_path, capsys):
+    path = write_scalar_model(tmp_path / "blowup.json", "exp(z1)", A=1.0, Bw=1.0)
+    code, out, err = run(
+        capsys, "simulate", "--model", str(path), "--out", str(tmp_path),
+        "--t-end", "5",
+    )
+    assert code == 1
+    assert "error[Divergence]" in err
+    assert (tmp_path / "blowup_traj.csv").exists()

@@ -15,10 +15,11 @@ from lpvembed.errors import (
     ArityMismatch,
     NegativeExponent,
     NonAffineFunctionArgument,
+    NonFiniteEntry,
     ParseError,
     UnsupportedFunction,
 )
-from lpvembed.expr import Expression, GuardedQuotient, parse
+from lpvembed.expr import Expression, FuncFactor, GuardedQuotient, Term, parse
 
 MSD_F = "0.1*sin(10*z1)*z2 + 0.2*z2^2 + 10*z1^3"
 
@@ -73,6 +74,20 @@ def test_parse_error_cases():
         parse("z1/2", 1)
     with pytest.raises(ParseError):
         parse("q1 + 1", 1)
+
+
+@pytest.mark.parametrize(
+    "text", ["1e999*z1", "z1*1e308*10", "sin(1e999*z1)", "exp(1000)"]
+)
+def test_parse_rejects_nonfinite_coefficients(text):
+    with pytest.raises(NonFiniteEntry):
+        parse(text, 1)
+
+
+def test_nonfinite_function_factor_rejected():
+    factor = FuncFactor("sin", (math.inf,), 0.0)
+    with pytest.raises(NonFiniteEntry):
+        Expression.from_terms([Term(1.0, (0,), (factor,))], 1)
 
 
 def test_parse_error_carries_position():

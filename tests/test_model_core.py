@@ -1,6 +1,7 @@
 """Model validation, dimension checking, and file-format round trips."""
 
 import copy
+import dataclasses
 import json
 
 import numpy as np
@@ -8,7 +9,6 @@ import pytest
 
 from conftest import random_nlfr_raw
 from lpvembed import (
-    dims,
     embed,
     load_lpv,
     load_nlfr,
@@ -30,12 +30,12 @@ from lpvembed.model import Dims
 
 def test_msd_validates(msd_raw):
     m = validate_nlfr(msd_raw)
-    assert dims(m) == Dims(n_x=4, n_u=2, n_y=2, n_w=1, n_z=2, n_p=0)
+    assert m.dims == Dims(n_x=4, n_u=2, n_y=2, n_w=1, n_z=2, n_p=0)
 
 
 def test_dims_examples(msd_model):
     lpv = embed(msd_model)
-    assert dims(lpv).n_p == 2
+    assert lpv.dims.n_p == 2
     raw = {
         "dims": {"n_x": 1, "n_u": 1, "n_y": 1, "n_w": 1, "n_z": 1},
         "A": [[-1.0]], "Bw": [[1.0]], "Bu": [[1.0]],
@@ -43,7 +43,16 @@ def test_dims_examples(msd_model):
         "Dzu": [[0.0]], "Dyw": [[0.0]], "Dyu": [[0.0]],
         "f": ["z1"],
     }
-    assert dims(validate_nlfr(raw)) == Dims(1, 1, 1, 1, 1, 0)
+    assert validate_nlfr(raw).dims == Dims(1, 1, 1, 1, 1, 0)
+
+
+def test_bool_dimension_rejected(msd_raw):
+    with pytest.raises(DimensionMismatch):
+        Dims(True, 1, 1, 1, 1)
+    raw = copy.deepcopy(msd_raw)
+    raw["dims"]["n_w"] = True  # equals 1, the example's n_w
+    with pytest.raises(DimensionMismatch, match="n_w"):
+        validate_nlfr(raw)
 
 
 def test_wrong_shape_names_offender(msd_raw):
@@ -100,7 +109,7 @@ def test_random_dimension_tuples_consistent():
             n_z=int(rng.integers(1, 6)),
         )
         m = validate_nlfr(raw)
-        d = dims(m)
+        d = m.dims
         assert m.A.shape == (d.n_x, d.n_x)
         assert m.Bw.shape == (d.n_x, d.n_w)
         assert m.Cz.shape == (d.n_z, d.n_x)
@@ -184,7 +193,7 @@ def test_lpv_empty_basis_round_trip(tmp_path):
     save_model(lpv, path)
     again = load_lpv(path)
     assert again.n_p == 0
-    assert dims(again).n_p == 0
+    assert again.dims.n_p == 0
 
 
 def test_basis_reconstruction_enforced(msd_model):
@@ -193,6 +202,23 @@ def test_basis_reconstruction_enforced(msd_model):
     raw = json.loads(json.dumps(raw))
     raw["basis"][0]["Ak"][2][0] = -0.5  # tamper with a stored quadruple
     with pytest.raises(ModelFormatError, match="reconstruct"):
+        validate_lpv(raw)
+
+
+def test_basis_is_derived_once_and_read_only(msd_model):
+    lpv = embed(msd_model)
+    assert "basis" not in {f.name for f in dataclasses.fields(lpv)}
+    assert lpv.basis is lpv.basis
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        lpv.basis = ()
+    with pytest.raises(ValueError):
+        lpv.basis[0].Ak[0, 0] = 1.0
+
+
+def test_stored_channel_order_enforced(msd_model):
+    raw = json.loads(json.dumps(serialize_lpv(embed(msd_model))))
+    raw["basis"].reverse()
+    with pytest.raises(ModelFormatError, match="row-major"):
         validate_lpv(raw)
 
 

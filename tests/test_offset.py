@@ -4,17 +4,25 @@ import numpy as np
 import pytest
 
 from conftest import random_nlfr_raw
-from lpvembed import embed, simulate_lpv_self, simulate_nlfr, validate_nlfr
+from lpvembed import (
+    compare,
+    embed,
+    multisine,
+    simulate_lpv_self,
+    simulate_nlfr,
+    serialize_lpv,
+    validate_lpv,
+    validate_nlfr,
+)
 from lpvembed.errors import ColumnSpaceViolation, Divergence, SingularA
 from lpvembed.offset import (
     DcGains,
     check_hurwitz,
-    correct_inputs,
-    correct_outputs,
     dc_gains,
-    restore_outputs,
+    matching_start,
     solve_offsets,
 )
+from lpvembed.sim import COMPARE_TOL
 
 
 def lti_raw(A, Bw, Bu, Cz, Cy, f_rows, Dzu=None, Dyw=None, Dyu=None):
@@ -150,13 +158,13 @@ def test_correct_inputs_identity_and_constant():
         DcGains(np.eye(1), np.eye(1), np.eye(1), np.eye(1)), [0.0]
     )
     u = np.full((5, 1), 5.0)
-    assert np.array_equal(correct_inputs(u, sol_zero), u)
+    assert np.array_equal(u - sol_zero.d, u)
     g = DcGains(np.eye(1), np.eye(1), np.eye(1), -2.0 * np.eye(1))
     sol = solve_offsets(g, [1.0])  # d = 2
     assert np.array_equal(sol.d, [2.0])
-    assert np.array_equal(correct_inputs(u, sol), np.full((5, 1), 3.0))
+    assert np.array_equal(u - sol.d, np.full((5, 1), 3.0))
     y = np.full((4, 1), 1.5)
-    assert np.array_equal(restore_outputs(correct_outputs(y, sol), sol), y)
+    assert np.array_equal((y - sol.y0) + sol.y0, y)
 
 
 # --- end-to-end equivalence ---------------------------------------------------------
@@ -247,3 +255,46 @@ def test_offset_equivalence_with_guard_and_feedthrough():
             continue
         accepted += 1
         assert np.max(np.abs(ta.y[-1] - tb.y[-1])) <= 1e-6
+
+
+def test_shifted_start_reproduces_whole_trajectory():
+    # started at A^-1 (Bw c + Bu d), the offset-free LPV core reproduces the
+    # nonlinear model's trajectory from zero at every sample, not only at
+    # steady state
+    rng = np.random.default_rng(211)
+    models = [validate_nlfr(offset_toy_raw())]
+    while len(models) < 3:
+        raw = random_nlfr_raw(
+            rng, n_x=3, n_u=2, n_y=2, n_w=1, n_z=2,
+            f_rows=["0.1*sin(z1)*z2 + 0.1*z1^2 + 0.3"],
+        )
+        m = validate_nlfr(raw)
+        if np.max(np.linalg.eigvals(m.A).real) < -0.1:
+            models.append(m)
+    checked = 0
+    for m in models:
+        try:
+            lpv = embed(m, ordering=(2, 1) if m.dims.n_z == 2 else None)
+        except ColumnSpaceViolation:
+            continue  # this draw genuinely cannot absorb the offset
+        checked += 1
+        assert np.any(lpv.d != 0.0)
+        u = multisine(m.dims.n_u, 0.0, 2.0, 0.5, 1e-3, 2000, seed=3)
+        ta = simulate_nlfr(m, u, dt=1e-3)
+        tb = simulate_lpv_self(lpv, u, x0=matching_start(lpv), dt=1e-3)
+        assert compare(ta, tb, tol=COMPARE_TOL).passed
+        assert np.allclose(tb.x - ta.x, matching_start(lpv), rtol=0.0, atol=1e-12)
+    assert checked >= 2
+
+
+def test_matching_start_is_none_without_offset(msd_model):
+    assert matching_start(embed(msd_model)) is None
+
+
+def test_matching_start_singular_a_is_typed():
+    # A is not part of any stored basis quadruple, so an LPV file with a
+    # singular A loads; its offset start then cannot be solved for
+    raw = serialize_lpv(embed(validate_nlfr(offset_toy_raw())))
+    raw["A"] = [[0.0]]
+    with pytest.raises(SingularA):
+        matching_start(validate_lpv(raw))

@@ -118,6 +118,26 @@ def test_divergence_reports_step_and_partial():
     assert np.all(np.isfinite(err.trajectory.x))
 
 
+@pytest.mark.parametrize("f", ["exp(z1)", "z1^5 + sin(z1)"])
+def test_evaluation_overflow_is_divergence(f):
+    # exp overflows, and sin of an infinite stage argument is out of domain,
+    # before the state itself passes the divergence limit
+    raw = copy.deepcopy(first_order_raw())
+    raw["A"] = [[1.0]]
+    raw["Bw"] = [[1.0]]
+    raw["f"] = [f]
+    m = validate_nlfr(raw)
+    u = np.zeros((2001, 1))
+    for run in (lambda: simulate_nlfr(m, u, x0=[1.0], dt=1e-2),
+                lambda: simulate_lpv_self(embed(m), u, x0=[1.0], dt=1e-2)):
+        with pytest.raises(Divergence, match="overflowed") as exc_info:
+            run()
+        err = exc_info.value
+        assert 0 < err.step < 2000
+        assert err.trajectory.x.shape[0] == err.step
+        assert np.all(np.isfinite(err.trajectory.x))
+
+
 # --- NLFR vs LPV equivalence -----------------------------------------------------
 
 
