@@ -312,10 +312,17 @@ def validate_lpv(raw: Mapping) -> LpvModel:
         )
     stored = []
     for k, b in enumerate(basis_raw):
-        try:
-            r, i = int(b["r"]), int(b["i"])
-        except (KeyError, TypeError) as exc:
-            raise ModelFormatError(f"basis channel {k} malformed: {exc}") from exc
+        if not isinstance(b, Mapping) or any(
+            key not in b for key in ("r", "i", *_QUADRUPLE)
+        ):
+            raise ModelFormatError(
+                f"basis channel {k} malformed: needs keys r, i, Ak, Bk, Ck, Dk"
+            )
+        r, i = b["r"], b["i"]
+        if any(isinstance(v, bool) or not isinstance(v, int) for v in (r, i)):
+            raise ModelFormatError(
+                f"basis channel {k} index ({r!r},{i!r}) is not a pair of integers"
+            )
         if not (1 <= r <= dd.n_w and 1 <= i <= dd.n_z):
             raise ModelFormatError(
                 f"basis channel {k} index ({r},{i}) out of range"

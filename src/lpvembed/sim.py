@@ -1,13 +1,15 @@
 """Fixed-step simulation, trajectory comparison, and frequency-domain views.
 
 Both model kinds integrate with classic fourth-order Runge-Kutta on a fixed
-grid, sharing one stepping core so that equivalence residuals measure only
-the difference between the two vector fields, never solver artifacts.
-Inputs are sampled signals with n_steps + 1 samples; stage values at the
-half-steps use linear interpolation between neighboring samples.  In
-self-scheduled LPV simulation the scheduling vector is recomputed from the
-current state and corrected input at every stage, which keeps the LPV
-vector field pointwise equal to the nonlinear one.
+grid, sharing one stepping core and one vector field dx = A x + Bu u + Bw w
+so that equivalence residuals measure only the difference between the rules
+for w (f(z), or the rank-one LPV feedback P(z) z), never solver artifacts.
+Inputs are sampled signals with n_steps + 1 samples; the input drive
+[Bu u; Dzu u] is formed for all samples before the loop and interpolated
+linearly at the half-steps.  In self-scheduled LPV simulation the
+scheduling vector is recomputed from the current state and corrected input
+at every stage, which keeps the LPV vector field pointwise equal to the
+nonlinear one.
 
 Trajectories record the raw input, states, raw outputs, the nonlinearity
 input z, and either w = f(z) (nonlinear runs) or the scheduling vector p
@@ -106,10 +108,10 @@ def _check_samples(u, n_cols: int, name: str) -> np.ndarray:
     return arr
 
 
-def _integrate(field, x0: np.ndarray, ext: np.ndarray, dt: float) -> np.ndarray:
-    """RK4 over the sample grid; ext holds the sampled exogenous signals."""
-    n_steps = ext.shape[0] - 1
-    half = 0.5 * (ext[:-1] + ext[1:])
+def _integrate(field, x0: np.ndarray, drive: np.ndarray, dt: float) -> np.ndarray:
+    """RK4 over the sample grid; drive rows are interpolated at half-steps."""
+    n_steps = drive.shape[0] - 1
+    half = 0.5 * (drive[:-1] + drive[1:])
     states = np.empty((n_steps + 1, x0.shape[0]))
     states[0] = x0
     x = x0
@@ -117,22 +119,24 @@ def _integrate(field, x0: np.ndarray, ext: np.ndarray, dt: float) -> np.ndarray:
     h6 = dt / 6.0
     try:
         for k in range(n_steps):
-            ek = ext[k]
+            ek = drive[k]
             em = half[k]
-            en = ext[k + 1]
+            en = drive[k + 1]
             k1 = field(x, ek)
             k2 = field(x + h2 * k1, em)
             k3 = field(x + h2 * k2, em)
             k4 = field(x + dt * k3, en)
             x = x + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > DIVERGENCE_LIMIT:
+            # one comparison that NaN and inf also fail
+            if not abs(x).max() <= DIVERGENCE_LIMIT:
                 raise _Diverged(
                     f"state exceeded {DIVERGENCE_LIMIT:.0e} at step {k + 1}",
                     k + 1,
                     states[: k + 1],
                 )
             states[k + 1] = x
-    # math.exp and friends raise on overflow, math.sin(inf) on its domain
+    # Python float powers and math.exp raise on overflow, math.sin(inf) on
+    # its domain
     except (OverflowError, ValueError) as exc:
         raise _Diverged(
             f"nonlinearity evaluation overflowed at step {k + 1} ({exc})",
@@ -142,14 +146,43 @@ def _integrate(field, x0: np.ndarray, ext: np.ndarray, dt: float) -> np.ndarray:
     return states
 
 
-def _simulate(field, x0: np.ndarray, ext: np.ndarray, dt: float, finish) -> Trajectory:
-    """Integrate and read out; a failed run raises Divergence with its part.
+def _field(core, rule):
+    """The one field dx = A x + Bu u + Bw w, w = rule(z, e), of all runs.
 
-    ``finish`` turns the states of the first n samples into the trajectory,
-    for the whole run or for the part before the failing step.
+    A drive row e is [Bu u; Dzu u] at the stage, then any played-back p.
     """
+    n_x = core.A.shape[0]
+    AC = np.vstack([core.A, core.Cz])
+    n_s = AC.shape[0]
+    Bw = core.Bw
+
+    def field(x, e):
+        s = AC @ x + e[:n_s]
+        return s[:n_x] + Bw @ rule(s[n_x:].tolist(), e)
+
+    return field
+
+
+def _simulate(core, rule, signals, x0, u, u_c, dt, y0=0.0, played=None):
+    """Integrate the field driven by u_c and any played-back columns.
+
+    signals(Z) gives W, the recorded series and its label for the readout
+    y = Cy x + Dyu u_c + Dyw W + y0.  A failed run raises Divergence.
+    """
+
+    def finish(states):
+        n = states.shape[0]
+        uc = u_c[:n]
+        Z = states @ core.Cz.T + uc @ core.Dzu.T
+        W, rec, label = signals(Z)
+        Y = states @ core.Cy.T + uc @ core.Dyu.T + W @ core.Dyw.T + y0
+        return Trajectory(dt, 0.0, u[:n], states, Y, Z, rec, label)
+
+    drive = u_c @ np.vstack([core.Bu, core.Dzu]).T
+    if played is not None:
+        drive = np.hstack([drive, played])
     try:
-        states = _integrate(field, x0, ext, dt)
+        states = _integrate(_field(core, rule), x0, drive, dt)
     except _Diverged as div:
         raise Divergence(
             div.message, step=div.step, trajectory=finish(div.states)
@@ -158,7 +191,10 @@ def _simulate(field, x0: np.ndarray, ext: np.ndarray, dt: float, finish) -> Traj
 
 
 def _eval_rows(rows, Z: np.ndarray) -> np.ndarray:
-    return np.column_stack([row.evaluate_batch(Z) for row in rows])
+    out = np.empty((Z.shape[0], len(rows)))
+    for k, row in enumerate(rows):
+        out[:, k] = row.evaluate_batch(Z)
+    return out
 
 
 def simulate_nlfr(
@@ -168,35 +204,41 @@ def simulate_nlfr(
     d = model.dims
     u = _check_samples(u, d.n_u, "input")
     x0 = _check_state(x0, d.n_x)
-    A, Bw, Bu, Cz, Dzu = model.A, model.Bw, model.Bu, model.Cz, model.Dzu
     f_rows = model.f
 
-    def field(x, uv):
-        z = Cz @ x + Dzu @ uv
-        w = np.array([row.evaluate(z) for row in f_rows])
-        return A @ x + Bu @ uv + Bw @ w
+    def rule(z, e):
+        return [row.evaluate(z) for row in f_rows]
 
-    def finish(states):
-        u_part = u[: states.shape[0]]
-        Z = states @ Cz.T + u_part @ Dzu.T
+    def signals(Z):
         W = _eval_rows(f_rows, Z)
-        Y = states @ model.Cy.T + u_part @ model.Dyu.T + W @ model.Dyw.T
-        return Trajectory(dt, 0.0, u_part, states, Y, Z, W, "w")
+        return W, W, "w"
 
-    return _simulate(field, x0, u, dt, finish)
+    return _simulate(model, rule, signals, x0, u, u, dt)
 
 
-def _lpv_readout(lpv: LpvModel, dt: float, states, u, u_corr, scheduling):
-    """LPV trajectory of the first samples: z, p = scheduling(Z, n), raw y."""
-    n = states.shape[0]
-    uc = u_corr[:n]
-    Z = states @ lpv.Cz.T + uc @ lpv.Dzu.T
-    P = scheduling(Z, n)
-    Y = states @ lpv.Cy.T + uc @ lpv.Dyu.T
-    for k, b in enumerate(lpv.basis):
-        Y = Y + P[:, k : k + 1] * (states @ b.Ck.T + uc @ b.Dk.T)
-    Y = Y + lpv.y0
-    return Trajectory(dt, 0.0, u[:n], states, Y, Z, P, "p")
+def _simulate_lpv(lpv: LpvModel, u, x0, dt, p_stage, p_samples, played=None):
+    """LPV run on the rank-one feedback w_r = sum over (r, i) of p_ri z_i.
+
+    p_stage(z, e) gives p at a stage and p_samples(Z) at the samples.
+    """
+    d = lpv.dims
+    x0 = _check_state(x0, d.n_x)
+    rows = [[] for _ in range(d.n_w)]
+    for k, (r, i) in enumerate(lpv.channels):
+        rows[r - 1].append((k, i - 1))
+
+    def rule(z, e):
+        p = p_stage(z, e)
+        return [sum([p[k] * z[i] for k, i in row], 0.0) for row in rows]
+
+    def signals(Z):
+        P = p_samples(Z)
+        W = np.zeros((Z.shape[0], d.n_w))
+        for k, (r, i) in enumerate(lpv.channels):
+            W[:, r - 1] += P[:, k] * Z[:, i - 1]
+        return W, P, "p"
+
+    return _simulate(lpv, rule, signals, x0, u, u - lpv.d, dt, lpv.y0, played)
 
 
 def simulate_lpv_self(lpv: LpvModel, u, x0=None, dt: float = 1e-3) -> Trajectory:
@@ -206,34 +248,12 @@ def simulate_lpv_self(lpv: LpvModel, u, x0=None, dt: float = 1e-3) -> Trajectory
     is recomputed from (x, u_corrected) at every integration stage.  Outputs
     are returned in raw coordinates (y0 added back).
     """
-    d = lpv.dims
-    u = _check_samples(u, d.n_u, "input")
-    u_corr = u - lpv.d
-    x0 = _check_state(x0, d.n_x)
-    A, Bu, Cz, Dzu = lpv.A, lpv.Bu, lpv.Cz, lpv.Dzu
+    u = _check_samples(u, lpv.dims.n_u, "input")
     entries = [lpv.schedule.entry(r, i) for r, i in lpv.channels]
-    parts = [(e, b.Ak, b.Bk, np.any(b.Bk != 0.0)) for e, b in zip(entries, lpv.basis)]
-
-    def field(x, uv):
-        z = Cz @ x + Dzu @ uv
-        dx = A @ x + Bu @ uv
-        for entry, Ak, Bk, has_bk in parts:
-            pk = entry.evaluate(z)
-            if pk != 0.0:
-                dx = dx + pk * (Ak @ x)
-                if has_bk:
-                    dx = dx + pk * (Bk @ uv)
-        return dx
-
-    def scheduling(Z, n):
-        if entries:
-            return _eval_rows(entries, Z)
-        return np.zeros((n, 0))
-
-    def finish(states):
-        return _lpv_readout(lpv, dt, states, u, u_corr, scheduling)
-
-    return _simulate(field, x0, u_corr, dt, finish)
+    return _simulate_lpv(
+        lpv, u, x0, dt, lambda z, e: [q.evaluate(z) for q in entries],
+        lambda Z: _eval_rows(entries, Z),
+    )
 
 
 def simulate_lpv_exogenous(
@@ -254,25 +274,10 @@ def simulate_lpv_exogenous(
             f"scheduling samples have shape {p.shape}, "
             f"expected ({u.shape[0]}, {d.n_p})"
         )
-    u_corr = u - lpv.d
-    x0 = _check_state(x0, d.n_x)
-    A, Bu = lpv.A, lpv.Bu
-    n_u = d.n_u
-    basis = lpv.basis
-
-    def field(x, ev):
-        uv = ev[:n_u]
-        pv = ev[n_u:]
-        dx = A @ x + Bu @ uv
-        for pk, b in zip(pv, basis):
-            if pk != 0.0:
-                dx = dx + pk * (b.Ak @ x) + pk * (b.Bk @ uv)
-        return dx
-
-    def finish(states):
-        return _lpv_readout(lpv, dt, states, u, u_corr, lambda Z, n: p[:n])
-
-    return _simulate(field, x0, np.hstack([u_corr, p]), dt, finish)
+    return _simulate_lpv(
+        lpv, u, x0, dt, lambda z, e: e[d.n_x + d.n_z :].tolist(),
+        lambda Z: p[: Z.shape[0]], played=p,
+    )
 
 
 # --- comparison ----------------------------------------------------------------

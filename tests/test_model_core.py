@@ -222,6 +222,19 @@ def test_stored_channel_order_enforced(msd_model):
         validate_lpv(raw)
 
 
+@pytest.mark.parametrize(
+    "tamper",
+    [lambda b: b.pop("Ak"), lambda b: b.update(r="x"), lambda b: b.update(r=1.7),
+     lambda b: b.update(r=True)],
+    ids=["missing-Ak", "r-text", "r-float", "r-bool"],
+)
+def test_malformed_basis_entry_is_typed(msd_model, tamper):
+    raw = json.loads(json.dumps(serialize_lpv(embed(msd_model))))
+    tamper(raw["basis"][0])
+    with pytest.raises(ModelFormatError, match="basis channel 0"):
+        validate_lpv(raw)
+
+
 def test_tampered_schedule_derivative_rejected(msd_model):
     lpv = embed(msd_model, ordering=(2, 1))
     raw = json.loads(json.dumps(serialize_lpv(lpv)))

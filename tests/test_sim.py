@@ -11,6 +11,7 @@ from conftest import random_nlfr_raw
 from lpvembed import (
     compare,
     embed,
+    matching_start,
     multisine,
     simulate_lpv_exogenous,
     simulate_lpv_self,
@@ -234,6 +235,37 @@ def test_exogenous_playback_from_nlfr_trajectory(msd_model):
     # p is linearly interpolated between samples, so the playback run adds
     # O(dt^2) error on top of the (exact) self-scheduled equivalence
     assert float(np.max(np.abs(ta.y - tb.y))) <= 1e-6
+
+
+def test_exogenous_playback_rank_one_with_offset():
+    # two channels in each row, Dzu != 0, Dyw != 0 and an offset (d != 0,
+    # y0 != 0): every term of the rank-one field and readout is exercised
+    rng = np.random.default_rng(5)
+    raw = random_nlfr_raw(
+        rng, n_x=3, n_u=2, n_y=2, n_w=2, n_z=2,
+        f_rows=["0.1*sin(z1) + 0.2*z2^2 + 0.3", "0.2*sin(z1) - 0.1*z2"],
+    )
+    m = validate_nlfr(raw)
+    lpv = embed(m)
+    assert lpv.channels == ((1, 1), (1, 2), (2, 1), (2, 2))
+    assert np.any(m.Dzu != 0.0) and np.any(m.Dyw != 0.0)
+    assert np.any(lpv.d != 0.0) and np.any(lpv.y0 != 0.0)
+    dt, n = 1e-3, 5000
+    u = multisine(2, 0.0, 2.0, 0.5, dt, n, seed=4)
+    ta = simulate_nlfr(m, u, dt=dt)
+    p = np.column_stack(
+        [lpv.schedule.entry(r, i).evaluate_batch(ta.z) for r, i in lpv.channels]
+    )
+    tb = simulate_lpv_exogenous(lpv, u, p, x0=matching_start(lpv), dt=dt)
+    assert float(np.max(np.abs(ta.y - tb.y))) <= 1e-6
+
+
+def test_simulation_builds_no_quadruples(msd_model):
+    lpv = embed(msd_model)
+    u = multisine(2, 0.0, 20.0, 1.0, 1e-3, 200, seed=0)
+    ta = simulate_lpv_self(lpv, u, dt=1e-3)
+    simulate_lpv_exogenous(lpv, u, ta.w_or_p, dt=1e-3)
+    assert "basis" not in lpv.__dict__
 
 
 def test_exogenous_channel_count_checked(msd_model):
