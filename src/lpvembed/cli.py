@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import warnings
@@ -69,10 +70,13 @@ class RunConfig:
     tol: float = COMPARE_TOL
 
     def __post_init__(self):
-        if not self.dt > 0.0:
-            raise InvalidConfig(f"dt must be positive, got {self.dt}")
-        if not self.t_end > 0.0:
-            raise InvalidConfig(f"t-end must be positive, got {self.t_end}")
+        # one comparison each that NaN also fails
+        if not 0.0 < self.dt < math.inf:
+            raise InvalidConfig(f"dt must be positive and finite, got {self.dt}")
+        if not 0.0 < self.t_end < math.inf:
+            raise InvalidConfig(
+                f"t-end must be positive and finite, got {self.t_end}"
+            )
 
     @property
     def n_steps(self) -> int:
@@ -120,21 +124,20 @@ def _load_input_file(path: str, n_u: int, n_steps: int) -> np.ndarray:
             line = line.strip()
             if not line:
                 continue
-            cells = line.split(",")
             try:
-                rows.append([float(v) for v in cells])
+                row = [float(v) for v in line.split(",")]
             except ValueError:
                 if lineno == 1:
                     continue  # header row
                 raise InputFormatError(
                     f"{path}:{lineno}: non-numeric input row"
                 ) from None
+            if len(row) != n_u:
+                raise InputFormatError(
+                    f"{path}:{lineno}: expected {n_u} input columns, got {len(row)}"
+                )
+            rows.append(row)
     data = np.asarray(rows, dtype=float)
-    if data.ndim != 2 or data.shape[1] != n_u:
-        raise InputFormatError(
-            f"{path}: expected {n_u} input columns, got "
-            f"{data.shape[1] if data.ndim == 2 else 'irregular rows'}"
-        )
     if data.shape[0] < n_steps + 1:
         raise InputFormatError(
             f"{path}: need at least {n_steps + 1} samples, got {data.shape[0]}"

@@ -1,11 +1,12 @@
 """Fixed-step simulation, trajectory comparison, and frequency-domain views.
 
 Both model kinds integrate with classic fourth-order Runge-Kutta on a fixed
-grid, sharing one stepping core and one vector field dx = A x + Bu u + Bw w
-so that equivalence residuals measure only the difference between the rules
-for w (f(z), or the rank-one LPV feedback P(z) z), never solver artifacts.
-Inputs are sampled signals with n_steps + 1 samples; the input drive
-[Bu u; Dzu u] is formed for all samples before the loop and interpolated
+grid, sharing one stepping core for the field dx = A x + Bu u + Bw w so that
+equivalence residuals measure only the difference between the rules for w
+(f(z), or the rank-one LPV feedback P(z) z), never solver artifacts.  The
+field is affine in x, u and w, so each RK4 step is unrolled once per run
+into a linear map; the loop evaluates only the rule for w at the four
+stages.  Inputs are sampled signals with n_steps + 1 samples, interpolated
 linearly at the half-steps.  In self-scheduled LPV simulation the
 scheduling vector is recomputed from the current state and corrected input
 at every stage, which keeps the LPV vector field pointwise equal to the
@@ -108,25 +109,66 @@ def _check_samples(u, n_cols: int, name: str) -> np.ndarray:
     return arr
 
 
-def _integrate(field, x0: np.ndarray, drive: np.ndarray, dt: float) -> np.ndarray:
-    """RK4 over the sample grid; drive rows are interpolated at half-steps."""
-    n_steps = drive.shape[0] - 1
-    half = 0.5 * (drive[:-1] + drive[1:])
+def _step_map(core, dt: float):
+    """One classic RK4 step of the field, unrolled into a linear map.
+
+    With v = [u_k; u_k+1] and the input (u_k + u_k+1) / 2 at the half-step,
+    the stage state is x_i = P_i x + (terms in v and w_1, ..., w_i-1), so
+    stage i has z_i = Cz P_i x + K_i v + sum over j < i of H_ij w_j, and the
+    step is the increment D x + K_x v + sum over j of Psi_j w_j.  Returns
+    M = [Cz P_1; ...; Cz P_4; D], K = [K_1; ...; K_4; K_x], the corrections
+    H_i = [H_i1 ... H_i,i-1] of stages 2 to 4 and Psi = [Psi_1 ... Psi_4].
+    """
+    n_x, n_u = core.Bu.shape
+    n_w = core.Bw.shape[1]
+    # columns of the map: x, u_k, u_k+1, w_1, ..., w_4
+    cols = np.eye(n_x + 2 * n_u + 4 * n_w)
+    X0 = cols[:n_x]
+    u_k, u_n = cols[n_x : n_x + n_u], cols[n_x + n_u : n_x + 2 * n_u]
+    u_m = 0.5 * (u_k + u_n)
+    W = cols[n_x + 2 * n_u :].reshape(4, n_w, -1)
+    X, rows, incr = X0, [], 0.0
+    for U, Wi, c, b in zip(
+        (u_k, u_m, u_m, u_n), W, (0.5, 0.5, 1.0, 0.0), (1.0, 2.0, 2.0, 1.0)
+    ):
+        rows.append(core.Cz @ X + core.Dzu @ U)
+        k = core.A @ X + core.Bu @ U + core.Bw @ Wi
+        incr = incr + (b * dt / 6.0) * k
+        X = X0 + (c * dt) * k
+    G = np.vstack(rows + [incr])
+    n_z = core.Cz.shape[0]
+    Gw = G[:, n_x + 2 * n_u :]
+    H = [Gw[i * n_z : (i + 1) * n_z, : i * n_w] for i in (1, 2, 3)]
+    return G[:, :n_x], G[:, n_x : n_x + 2 * n_u], H, Gw[4 * n_z :]
+
+
+def _integrate(step, rule, x0: np.ndarray, u_c: np.ndarray, played) -> np.ndarray:
+    """RK4 over the sample grid; w_i = rule(z_i, p_i) at each stage.
+
+    p_i is the played-back row at the stage time (zero width when nothing
+    is played back), interpolated linearly at the half-steps like the input.
+    """
+    M, K, (H2, H3, H4), Psi = step
+    # s = M x + off[k] holds z_1, ..., z_4 before the w corrections, then
+    # the increment before Psi w
+    n_z = H2.shape[0]
+    z2, z3, z4, z5 = n_z, 2 * n_z, 3 * n_z, 4 * n_z
+    n_steps = u_c.shape[0] - 1
+    off = np.hstack([u_c[:-1], u_c[1:]]) @ K.T
+    half = 0.5 * (played[:-1] + played[1:])
     states = np.empty((n_steps + 1, x0.shape[0]))
     states[0] = x0
     x = x0
-    h2 = 0.5 * dt
-    h6 = dt / 6.0
     try:
         for k in range(n_steps):
-            ek = drive[k]
-            em = half[k]
-            en = drive[k + 1]
-            k1 = field(x, ek)
-            k2 = field(x + h2 * k1, em)
-            k3 = field(x + h2 * k2, em)
-            k4 = field(x + dt * k3, en)
-            x = x + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            s = M @ x + off[k]
+            pm = half[k]
+            w = rule(s[:z2].tolist(), played[k])
+            w += rule((s[z2:z3] + H2.dot(w)).tolist(), pm)
+            w += rule((s[z3:z4] + H3.dot(w)).tolist(), pm)
+            w += rule((s[z4:z5] + H4.dot(w)).tolist(), played[k + 1])
+            # an increment, so its O(dt) terms are not rounded against x
+            x = x + (s[z5:] + Psi.dot(w))
             # one comparison that NaN and inf also fail
             if not abs(x).max() <= DIVERGENCE_LIMIT:
                 raise _Diverged(
@@ -146,25 +188,8 @@ def _integrate(field, x0: np.ndarray, drive: np.ndarray, dt: float) -> np.ndarra
     return states
 
 
-def _field(core, rule):
-    """The one field dx = A x + Bu u + Bw w, w = rule(z, e), of all runs.
-
-    A drive row e is [Bu u; Dzu u] at the stage, then any played-back p.
-    """
-    n_x = core.A.shape[0]
-    AC = np.vstack([core.A, core.Cz])
-    n_s = AC.shape[0]
-    Bw = core.Bw
-
-    def field(x, e):
-        s = AC @ x + e[:n_s]
-        return s[:n_x] + Bw @ rule(s[n_x:].tolist(), e)
-
-    return field
-
-
 def _simulate(core, rule, signals, x0, u, u_c, dt, y0=0.0, played=None):
-    """Integrate the field driven by u_c and any played-back columns.
+    """Integrate the core closed by w = rule(z, p), driven by u_c.
 
     signals(Z) gives W, the recorded series and its label for the readout
     y = Cy x + Dyu u_c + Dyw W + y0.  A failed run raises Divergence.
@@ -178,11 +203,10 @@ def _simulate(core, rule, signals, x0, u, u_c, dt, y0=0.0, played=None):
         Y = states @ core.Cy.T + uc @ core.Dyu.T + W @ core.Dyw.T + y0
         return Trajectory(dt, 0.0, u[:n], states, Y, Z, rec, label)
 
-    drive = u_c @ np.vstack([core.Bu, core.Dzu]).T
-    if played is not None:
-        drive = np.hstack([drive, played])
+    if played is None:
+        played = np.empty((u_c.shape[0], 0))
     try:
-        states = _integrate(_field(core, rule), x0, drive, dt)
+        states = _integrate(_step_map(core, dt), rule, x0, u_c, played)
     except _Diverged as div:
         raise Divergence(
             div.message, step=div.step, trajectory=finish(div.states)
@@ -206,7 +230,7 @@ def simulate_nlfr(
     x0 = _check_state(x0, d.n_x)
     f_rows = model.f
 
-    def rule(z, e):
+    def rule(z, _):
         return [row.evaluate(z) for row in f_rows]
 
     def signals(Z):
@@ -219,7 +243,8 @@ def simulate_nlfr(
 def _simulate_lpv(lpv: LpvModel, u, x0, dt, p_stage, p_samples, played=None):
     """LPV run on the rank-one feedback w_r = sum over (r, i) of p_ri z_i.
 
-    p_stage(z, e) gives p at a stage and p_samples(Z) at the samples.
+    p_stage(z, p_row) gives p at a stage, where p_row is the played-back
+    row, and p_samples(Z) at the samples.
     """
     d = lpv.dims
     x0 = _check_state(x0, d.n_x)
@@ -227,8 +252,8 @@ def _simulate_lpv(lpv: LpvModel, u, x0, dt, p_stage, p_samples, played=None):
     for k, (r, i) in enumerate(lpv.channels):
         rows[r - 1].append((k, i - 1))
 
-    def rule(z, e):
-        p = p_stage(z, e)
+    def rule(z, p_row):
+        p = p_stage(z, p_row)
         return [sum([p[k] * z[i] for k, i in row], 0.0) for row in rows]
 
     def signals(Z):
@@ -251,7 +276,7 @@ def simulate_lpv_self(lpv: LpvModel, u, x0=None, dt: float = 1e-3) -> Trajectory
     u = _check_samples(u, lpv.dims.n_u, "input")
     entries = [lpv.schedule.entry(r, i) for r, i in lpv.channels]
     return _simulate_lpv(
-        lpv, u, x0, dt, lambda z, e: [q.evaluate(z) for q in entries],
+        lpv, u, x0, dt, lambda z, _: [q.evaluate(z) for q in entries],
         lambda Z: _eval_rows(entries, Z),
     )
 
@@ -275,7 +300,7 @@ def simulate_lpv_exogenous(
             f"expected ({u.shape[0]}, {d.n_p})"
         )
     return _simulate_lpv(
-        lpv, u, x0, dt, lambda z, e: e[d.n_x + d.n_z :].tolist(),
+        lpv, u, x0, dt, lambda z, p_row: p_row.tolist(),
         lambda Z: p[: Z.shape[0]], played=p,
     )
 
@@ -431,8 +456,16 @@ def multisine(
 # --- CSV emission ---------------------------------------------------------------
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
+def _csv(header: list[str], columns) -> str:
+    # rows are formatted one at a time from the 2-D columns, with no stacked
+    # copy of them; repr of a Python float is its shortest round-trip text
+    rows = [",".join(header)]
+    for parts in zip(*columns):
+        vals = []
+        for part in parts:
+            vals += part.tolist()
+        rows.append(",".join(map(repr, vals)))
+    return "\n".join(rows) + "\n"
 
 
 def trajectory_csv(traj: Trajectory) -> str:
@@ -446,25 +479,12 @@ def trajectory_csv(traj: Trajectory) -> str:
         + [f"z{k + 1}" for k in range(traj.z.shape[1])]
         + [f"{label}{k + 1}" for k in range(traj.w_or_p.shape[1])]
     )
-    rows = [",".join(header)]
-    times = traj.times
-    for n in range(traj.x.shape[0]):
-        vals = (
-            [times[n]]
-            + list(traj.u[n])
-            + list(traj.x[n])
-            + list(traj.y[n])
-            + list(traj.z[n])
-            + list(traj.w_or_p[n])
-        )
-        rows.append(",".join(_fmt(v) for v in vals))
-    return "\n".join(rows) + "\n"
+    return _csv(
+        header, [traj.times[:, None], traj.u, traj.x, traj.y, traj.z, traj.w_or_p]
+    )
 
 
 def spectrum_csv(spec: Spectrum) -> str:
-    header = ["freq_hz"] + list(spec.names)
-    rows = [",".join(header)]
-    for n in range(spec.freqs_hz.shape[0]):
-        vals = [spec.freqs_hz[n]] + list(spec.magnitude[n])
-        rows.append(",".join(_fmt(v) for v in vals))
-    return "\n".join(rows) + "\n"
+    return _csv(
+        ["freq_hz"] + list(spec.names), [spec.freqs_hz[:, None], spec.magnitude]
+    )

@@ -165,15 +165,21 @@ def test_simulate_input_file(tmp_path, msd_file, capsys):
     assert code == 0, err
 
 
-def test_simulate_input_file_wrong_columns(tmp_path, msd_file, capsys):
+@pytest.mark.parametrize(
+    "text, where",
+    [("u1\n0.0\n0.1\n", "input.csv:2:"), ("1,2\n3\n", "input.csv:2:")],
+    ids=["one-column", "ragged"],
+)
+def test_simulate_input_file_wrong_columns(tmp_path, msd_file, capsys, text, where):
     path = tmp_path / "input.csv"
-    path.write_text("u1\n0.0\n0.1\n")
+    path.write_text(text)
     code, out, err = run(
         capsys, "simulate", "--model", str(msd_file), "--out", str(tmp_path),
         "--t-end", "0.001", "--input", f"file:{path}",
     )
     assert code == 1
     assert "error[InputFormatError]" in err
+    assert where in err
 
 
 def test_compare_pipeline_passes(tmp_path, msd_file, capsys):
@@ -273,10 +279,15 @@ def test_simulate_divergence_flushes_partial(tmp_path, capsys):
     assert len(partial.read_text().splitlines()) > 1
 
 
-def test_invalid_dt_rejected(tmp_path, msd_file, capsys):
+@pytest.mark.parametrize(
+    "option, value",
+    [("--dt", "0"), ("--dt", "inf"), ("--t-end", "inf")],
+    ids=["dt-zero", "dt-inf", "t-end-inf"],
+)
+def test_invalid_dt_rejected(tmp_path, msd_file, capsys, option, value):
     code, out, err = run(
         capsys, "simulate", "--model", str(msd_file), "--out", str(tmp_path),
-        "--dt", "0",
+        option, value,
     )
     assert code == 1
     assert "error[InvalidConfig]" in err

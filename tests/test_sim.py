@@ -103,6 +103,51 @@ def test_energy_drift_undamped_oscillator():
     assert float(np.max(np.abs(energy - energy[0]))) <= 1e-6
 
 
+def textbook_rk4(m, u, x0, dt):
+    """Stage-by-stage classic RK4 of the NLFR field, input linear in time."""
+
+    def field(x, uu):
+        z = m.Cz @ x + m.Dzu @ uu
+        w = np.array([row.evaluate(z.tolist()) for row in m.f])
+        return m.A @ x + m.Bu @ uu + m.Bw @ w
+
+    xs = [np.asarray(x0, dtype=float)]
+    for k in range(u.shape[0] - 1):
+        x, um = xs[-1], 0.5 * (u[k] + u[k + 1])
+        k1 = field(x, u[k])
+        k2 = field(x + 0.5 * dt * k1, um)
+        k3 = field(x + 0.5 * dt * k2, um)
+        k4 = field(x + dt * k3, u[k + 1])
+        xs.append(x + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    return np.array(xs)
+
+
+def test_step_map_matches_textbook_rk4():
+    rng = np.random.default_rng(11)
+    for seed in range(6):
+        m = validate_nlfr(random_nlfr_raw(rng, n_w=2))
+        assert np.any(m.Dzu != 0.0)
+        u = multisine(m.dims.n_u, 0.0, 5.0, 0.7, 1e-2, 500, seed=seed)
+        x0 = rng.uniform(-1.0, 1.0, m.dims.n_x)
+        ref = textbook_rk4(m, u, x0, 1e-2)
+        x = simulate_nlfr(m, u, x0=x0, dt=1e-2).x
+        assert float(np.max(np.abs(x - ref))) <= 1e-13 * float(np.max(np.abs(ref)))
+
+
+def test_equilibrium_held_over_long_run(msd_raw):
+    # the step is applied as an increment; folding the identity into the
+    # map (x+ = (I + D) x + ...) rounds each O(dt) step against x and lets
+    # the state drift away from the equilibrium
+    raw = copy.deepcopy(msd_raw)
+    raw["f"] = ["0"]
+    m = validate_nlfr(raw)
+    u = np.tile([0.7, -0.3], (20001, 1))
+    x_star = -np.linalg.solve(m.A, m.Bu @ u[0])
+    x = simulate_nlfr(m, u, x0=x_star, dt=1e-3).x
+    drift = float(np.max(np.abs(x - x_star))) / float(np.max(np.abs(x_star)))
+    assert drift <= 5e-14
+
+
 def test_divergence_reports_step_and_partial():
     raw = copy.deepcopy(first_order_raw())
     raw["A"] = [[1.0]]
