@@ -15,7 +15,6 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -60,27 +59,25 @@ DEFAULT_T_END = 20.0
 DEFAULT_INPUT = "multisine:0,2,1"
 
 
-@dataclass
-class RunConfig:
-    out: Path
-    dt: float = DEFAULT_DT
-    t_end: float = DEFAULT_T_END
-    seed: int = 0
-    input_spec: str = DEFAULT_INPUT
-    tol: float = COMPARE_TOL
+#: Most integration steps one run may take; larger horizons are refused
+#: before any array is built.
+MAX_STEPS = 10_000_000
 
-    def __post_init__(self):
-        # one comparison each that NaN also fails
-        if not 0.0 < self.dt < math.inf:
-            raise InvalidConfig(f"dt must be positive and finite, got {self.dt}")
-        if not 0.0 < self.t_end < math.inf:
-            raise InvalidConfig(
-                f"t-end must be positive and finite, got {self.t_end}"
-            )
 
-    @property
-    def n_steps(self) -> int:
-        return max(1, round(self.t_end / self.dt))
+def _grid(args) -> tuple[float, int]:
+    """(dt, n_steps) of the run, checked before anything is allocated."""
+    dt, t_end = args.dt, args.t_end
+    # one comparison each that NaN also fails
+    if not 0.0 < dt < math.inf:
+        raise InvalidConfig(f"dt must be positive and finite, got {dt}")
+    if not 0.0 < t_end < math.inf:
+        raise InvalidConfig(f"t-end must be positive and finite, got {t_end}")
+    steps = t_end / dt  # inf when the ratio overflows
+    if not steps <= MAX_STEPS:
+        raise InvalidConfig(
+            f"t-end / dt = {steps:.3e} steps exceeds the limit of {MAX_STEPS}"
+        )
+    return dt, max(1, round(steps))
 
 
 def _parse_ordering(text: str | None) -> tuple[int, ...] | None:
@@ -99,8 +96,8 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _build_input(cfg: RunConfig, n_u: int) -> np.ndarray:
-    spec = cfg.input_spec
+def _build_input(args, n_u: int, dt: float, n_steps: int) -> np.ndarray:
+    spec = args.input
     kind, _, rest = spec.partition(":")
     if kind == "multisine":
         try:
@@ -109,9 +106,9 @@ def _build_input(cfg: RunConfig, n_u: int) -> np.ndarray:
             raise InputFormatError(
                 f"multisine spec must be 'multisine:fmin,fmax,amp', got {spec!r}"
             ) from exc
-        return multisine(n_u, f_min, f_max, amp, cfg.dt, cfg.n_steps, cfg.seed)
+        return multisine(n_u, f_min, f_max, amp, dt, n_steps, args.seed)
     if kind == "file":
-        return _load_input_file(rest, n_u, cfg.n_steps)
+        return _load_input_file(rest, n_u, n_steps)
     raise InputFormatError(
         f"unknown input spec {spec!r}; use 'multisine:fmin,fmax,amp' or 'file:path'"
     )
@@ -259,22 +256,16 @@ def cmd_embed(args) -> int:
 
 def cmd_simulate(args) -> int:
     out = _out_dir(args)
-    cfg = RunConfig(
-        out=out,
-        dt=args.dt,
-        t_end=args.t_end,
-        seed=args.seed,
-        input_spec=args.input,
-    )
+    dt, n_steps = _grid(args)
     model = load_model(args.model)
-    u = _build_input(cfg, model.dims.n_u)
+    u = _build_input(args, model.dims.n_u, dt, n_steps)
     stem = Path(args.model).stem
     csv_path = out / f"{stem}_traj.csv"
     try:
         if isinstance(model, LpvModel):
-            traj = simulate_lpv_self(model, u, dt=cfg.dt)
+            traj = simulate_lpv_self(model, u, dt=dt)
         else:
-            traj = simulate_nlfr(model, u, dt=cfg.dt)
+            traj = simulate_nlfr(model, u, dt=dt)
     except Divergence as div:
         if div.trajectory is not None:
             csv_path.write_text(trajectory_csv(div.trajectory))
@@ -282,7 +273,7 @@ def cmd_simulate(args) -> int:
         raise
     csv_path.write_text(trajectory_csv(traj))
     peak = np.max(np.abs(traj.y), axis=0)
-    print(f"simulated {traj.n_steps} steps at dt = {cfg.dt}")
+    print(f"simulated {traj.n_steps} steps at dt = {dt}")
     for k, v in enumerate(peak, start=1):
         print(f"  max |y{k}| = {v:.6e}")
     print(f"wrote {csv_path}")
@@ -291,20 +282,13 @@ def cmd_simulate(args) -> int:
 
 def cmd_compare(args) -> int:
     out = _out_dir(args)
-    cfg = RunConfig(
-        out=out,
-        dt=args.dt,
-        t_end=args.t_end,
-        seed=args.seed,
-        input_spec=args.input,
-        tol=args.tol,
-    )
+    dt, n_steps = _grid(args)
     nlfr = load_nlfr(args.model)
     lpv = load_lpv(args.lpv)
-    u = _build_input(cfg, nlfr.dims.n_u)
-    traj_nlfr = simulate_nlfr(nlfr, u, dt=cfg.dt)
-    traj_lpv = simulate_lpv_self(lpv, u, x0=matching_start(lpv), dt=cfg.dt)
-    report = compare(traj_nlfr, traj_lpv, tol=cfg.tol)
+    u = _build_input(args, nlfr.dims.n_u, dt, n_steps)
+    traj_nlfr = simulate_nlfr(nlfr, u, dt=dt)
+    traj_lpv = simulate_lpv_self(lpv, u, x0=matching_start(lpv), dt=dt)
+    report = compare(traj_nlfr, traj_lpv, tol=args.tol)
 
     (out / "compare_report.txt").write_text(str(report) + "\n")
     csv_lines = ["channel,max_abs_error,relative_rms"]
@@ -318,7 +302,7 @@ def cmd_compare(args) -> int:
     if not report.passed:
         raise ToleranceExceeded(
             f"max abs output error {max(report.max_abs_error):.3e} exceeds "
-            f"{cfg.tol:.1e}; first offending sample index {report.first_exceed}"
+            f"{args.tol:.1e}; first offending sample index {report.first_exceed}"
         )
     return 0
 
@@ -326,19 +310,18 @@ def cmd_compare(args) -> int:
 # --- entry point ----------------------------------------------------------------
 
 
-def _add_common(p, with_input=True, with_tol=False):
+def _add_common(p, with_tol=False):
     p.add_argument("--out", help="output directory (default: $LPVEMBED_OUT or .)")
     p.add_argument("--dt", type=float, default=DEFAULT_DT, help="step size [s]")
     p.add_argument(
         "--t-end", type=float, default=DEFAULT_T_END, help="simulation horizon [s]"
     )
     p.add_argument("--seed", type=int, default=0, help="excitation seed")
-    if with_input:
-        p.add_argument(
-            "--input",
-            default=DEFAULT_INPUT,
-            help="input spec: multisine:fmin,fmax,amp or file:path",
-        )
+    p.add_argument(
+        "--input",
+        default=DEFAULT_INPUT,
+        help="input spec: multisine:fmin,fmax,amp or file:path",
+    )
     if with_tol:
         p.add_argument(
             "--tol", type=float, default=COMPARE_TOL, help="max abs output tolerance"

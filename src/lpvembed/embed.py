@@ -22,7 +22,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ChannelCountMismatch, EmbeddingDegenerate
-from .expr import DEFAULT_GUARD_TAU
 from .factorize import extract_offset, factorize
 from .model import LpvModel, NlfrModel, core_matrices
 from .offset import solve_offsets_for
@@ -30,15 +29,11 @@ from .offset import solve_offsets_for
 __all__ = ["embed", "assemble", "scheduling_from_state", "LfrView", "lpv_lfr_view"]
 
 
-def embed(
-    model: NlfrModel,
-    ordering: Sequence[int] | None = None,
-    tau: float = DEFAULT_GUARD_TAU,
-) -> LpvModel:
+def embed(model: NlfrModel, ordering: Sequence[int] | None = None) -> LpvModel:
     """Convert a nonlinear-LFR model into an exactly equivalent LPV model."""
     f_tilde, c = extract_offset(model.f)
     sol = solve_offsets_for(model, c)
-    schedule = factorize(f_tilde, ordering, c=c, tau=tau)
+    schedule = factorize(f_tilde, ordering, c=c)
 
     if not schedule.channels() and not all(row.is_constant() for row in f_tilde):
         raise EmbeddingDegenerate(

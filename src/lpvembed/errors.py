@@ -132,7 +132,7 @@ class NyquistViolation(LpvEmbedError):
 # --- CLI -----------------------------------------------------------------
 
 class InvalidConfig(LpvEmbedError):
-    """Run configuration violates a basic constraint (dt > 0, t_end > 0)."""
+    """Run configuration violates a basic constraint (dt, t_end, run size)."""
 
 
 class InputFormatError(LpvEmbedError):

@@ -23,6 +23,7 @@ equally valid scheduling maps; the defining property, checked by
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -65,7 +66,15 @@ def extract_offset(f: Sequence[Expression]):
     return f_tilde, c
 
 
+def _is_index(v) -> bool:
+    """A Python or numpy integer; bool and integral floats are not."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 def _validate_ordering(ordering, n_z: int) -> tuple[int, ...]:
+    ordering = tuple(ordering)
+    if not all(map(_is_index, ordering)):
+        raise InvalidOrdering(f"{ordering} has entries that are not integers")
     ordering = tuple(int(i) for i in ordering)
     if sorted(ordering) != list(range(1, n_z + 1)):
         raise InvalidOrdering(
@@ -148,7 +157,6 @@ def factorize(
     f_tilde: Sequence[Expression],
     ordering: Sequence[int] | None = None,
     c: np.ndarray | None = None,
-    tau: float = DEFAULT_GUARD_TAU,
 ) -> SchedulingMap:
     """Factorize a vanishing-at-zero nonlinearity along a variable ordering.
 
@@ -216,7 +224,7 @@ def factorize(
             else:
                 _check_removable(num, i_orig)
                 row_entries[i_orig - 1] = GuardedQuotient(
-                    num, i_orig, num.partial(i_orig), tau
+                    num, i_orig, num.partial(i_orig), DEFAULT_GUARD_TAU
                 )
         grid.append(tuple(row_entries))
     return SchedulingMap(tuple(grid), ordering, c_arr)
@@ -230,27 +238,23 @@ class ReconstructionReport:
     max_rel_error: float
     row_max_rel_error: tuple[float, ...]
     worst_sample: int
-    rel_tol: float
 
     @property
     def passed(self) -> bool:
-        return self.max_rel_error <= self.rel_tol
+        return self.max_rel_error <= RECONSTRUCTION_RTOL
 
     def __str__(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         rows = ", ".join(f"{v:.3e}" for v in self.row_max_rel_error)
         return (
             f"reconstruction {status}: max abs {self.max_abs_error:.3e}, "
-            f"max rel {self.max_rel_error:.3e} (tol {self.rel_tol:.1e}), "
+            f"max rel {self.max_rel_error:.3e} (tol {RECONSTRUCTION_RTOL:.1e}), "
             f"per-row rel [{rows}], worst sample #{self.worst_sample}"
         )
 
 
 def check_reconstruction(
-    m: SchedulingMap,
-    f: Sequence[Expression],
-    samples,
-    rel_tol: float = RECONSTRUCTION_RTOL,
+    m: SchedulingMap, f: Sequence[Expression], samples
 ) -> ReconstructionReport:
     """Sample |entries(z) @ z + c - f(z)| / (1 + |f(z)|) over the points."""
     Z = np.asarray(samples, dtype=float)
@@ -265,7 +269,6 @@ def check_reconstruction(
         max_rel_error=float(np.max(rel_err)),
         row_max_rel_error=tuple(float(v) for v in np.max(rel_err, axis=0)),
         worst_sample=worst,
-        rel_tol=rel_tol,
     )
 
 
@@ -331,15 +334,18 @@ def schedule_from_raw(raw: dict, n_w: int, n_z: int) -> SchedulingMap:
             elif kind == "quotient":
                 num = parse(cell["numerator"], n_z)
                 der = parse(cell["derivative"], n_z)
-                divisor = int(cell["divisor"])
-                tau = float(cell["tau"])
-                if divisor != i:
+                divisor, tau = cell["divisor"], cell["tau"]
+                if not _is_index(divisor) or divisor != i:
                     raise ModelFormatError(
-                        f"schedule entry ({r + 1},{i}) divides by z{divisor}"
+                        f"schedule entry ({r + 1},{i}) divides by z{divisor!r}"
                     )
-                if not (tau > 0.0 and np.isfinite(tau)):
+                if not (
+                    isinstance(tau, (int, float))
+                    and not isinstance(tau, bool)
+                    and 0.0 < tau < np.inf
+                ):
                     raise ModelFormatError(
-                        f"schedule entry ({r + 1},{i}) has invalid tau {tau}"
+                        f"schedule entry ({r + 1},{i}) has invalid tau {tau!r}"
                     )
                 if der != num.partial(divisor):
                     raise ModelFormatError(
@@ -347,7 +353,7 @@ def schedule_from_raw(raw: dict, n_w: int, n_z: int) -> SchedulingMap:
                         "match the numerator's partial derivative"
                     )
                 _check_removable(num, divisor)
-                row.append(GuardedQuotient(num, divisor, der, tau))
+                row.append(GuardedQuotient(num, i, der, float(tau)))
             else:
                 raise ModelFormatError(
                     f"schedule entry ({r + 1},{i}) has unknown type {kind!r}"

@@ -101,14 +101,14 @@ def dc_gains(model: NlfrModel) -> DcGains:
     return DcGains(G1_0=g1, G2_0=g2, G3_0=g3, G4_0=g4)
 
 
-def check_hurwitz(A: np.ndarray, margin: float = HURWITZ_MARGIN):
+def check_hurwitz(A: np.ndarray):
     """(is_hurwitz, max eigenvalue real part) with a strict numeric margin."""
     try:
         eig = np.linalg.eigvals(np.asarray(A, dtype=float))
     except np.linalg.LinAlgError as exc:
         raise EigenvalueFailure(f"eigenvalue computation failed: {exc}") from exc
     max_re = float(np.max(eig.real))
-    return max_re < margin, max_re
+    return max_re < HURWITZ_MARGIN, max_re
 
 
 def _no_offset(n_u: int, n_y: int) -> OffsetSolution:
@@ -120,9 +120,7 @@ def _no_offset(n_u: int, n_y: int) -> OffsetSolution:
     return OffsetSolution(d=d, y0=y0, residual=0.0)
 
 
-def solve_offsets(
-    gains: DcGains, c, rel_tol: float = OFFSET_RTOL
-) -> OffsetSolution:
+def solve_offsets(gains: DcGains, c) -> OffsetSolution:
     """Solve for the input/output corrections induced by the offset c.
 
     c = 0 takes the exact skip path (zero corrections, zero residual).
@@ -137,7 +135,7 @@ def solve_offsets(
     d, *_ = np.linalg.lstsq(gains.G2_0, target, rcond=None)
     unreachable = gains.G2_0 @ d - target
     residual = float(np.linalg.norm(unreachable))
-    if residual > rel_tol * (1.0 + float(np.linalg.norm(target))):
+    if residual > OFFSET_RTOL * (1.0 + float(np.linalg.norm(target))):
         raise ColumnSpaceViolation(
             f"offset target is outside the column space of the u->z DC gain "
             f"(residual {residual:.3e}, unreachable component {unreachable})",
@@ -150,7 +148,7 @@ def solve_offsets(
     return OffsetSolution(d=d, y0=y0, residual=residual)
 
 
-def solve_offsets_for(model: NlfrModel, c, warn: bool = True) -> OffsetSolution:
+def solve_offsets_for(model: NlfrModel, c) -> OffsetSolution:
     """Full offset pipeline for a model: skip path, gains, stability advisory.
 
     The stability requirement only backs the steady-state interpretation;
@@ -161,16 +159,15 @@ def solve_offsets_for(model: NlfrModel, c, warn: bool = True) -> OffsetSolution:
     if not np.any(c != 0.0):
         return _no_offset(model.Bu.shape[1], model.Cy.shape[0])
     gains = dc_gains(model)
-    if warn:
-        ok, max_re = check_hurwitz(model.A)
-        if not ok:
-            warnings.warn(
-                f"A is not Hurwitz (max eigenvalue real part {max_re:.3e}); "
-                "offset corrections are propagated anyway but their "
-                "steady-state interpretation is not guaranteed",
-                HurwitzWarning,
-                stacklevel=2,
-            )
+    ok, max_re = check_hurwitz(model.A)
+    if not ok:
+        warnings.warn(
+            f"A is not Hurwitz (max eigenvalue real part {max_re:.3e}); "
+            "offset corrections are propagated anyway but their "
+            "steady-state interpretation is not guaranteed",
+            HurwitzWarning,
+            stacklevel=2,
+        )
     return solve_offsets(gains, c)
 
 

@@ -27,6 +27,7 @@ import numpy as np
 from .errors import (
     ChannelCountMismatch,
     Divergence,
+    InvalidConfig,
     NyquistViolation,
     ShapeMismatch,
 )
@@ -51,6 +52,9 @@ DIVERGENCE_LIMIT = 1e12
 
 #: Default comparison tolerance on per-channel max absolute output error.
 COMPARE_TOL = 1e-9
+
+#: Most entries of the (n_steps + 1) x n_lines table a multisine builds.
+MAX_MULTISINE_TABLE = 25_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,6 +303,8 @@ def simulate_lpv_exogenous(
             f"scheduling samples have shape {p.shape}, "
             f"expected ({u.shape[0]}, {d.n_p})"
         )
+    if not np.all(np.isfinite(p)):
+        raise ShapeMismatch("scheduling samples contain non-finite values")
     return _simulate_lpv(
         lpv, u, x0, dt, lambda z, p_row: p_row.tolist(),
         lambda Z: p[: Z.shape[0]], played=p,
@@ -365,33 +371,22 @@ def compare(a: Trajectory, b: Trajectory, tol: float = COMPARE_TOL) -> CompareRe
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """One-sided amplitude spectrum of selected trajectory channels."""
+    """One-sided amplitude spectrum of the output channels."""
 
     freqs_hz: np.ndarray
     magnitude: np.ndarray  # (n_bins, n_channels)
     names: tuple[str, ...]
 
 
-def spectrum(traj: Trajectory, signal: str = "y") -> Spectrum:
-    """Discrete Fourier amplitude spectrum of a trajectory signal.
+def spectrum(traj: Trajectory) -> Spectrum:
+    """Discrete Fourier amplitude spectrum of the trajectory's outputs y.
 
     The final sample is dropped before transforming: on the default grid it
     duplicates the period start, and dropping it lands periodic signals
     exactly on the DFT bins.  Magnitudes are one-sided amplitudes (a unit
     sinusoid on a bin shows magnitude 1 there).
     """
-    signals = {
-        "u": traj.u,
-        "x": traj.x,
-        "y": traj.y,
-        "z": traj.z,
-        traj.w_or_p_label: traj.w_or_p,
-    }
-    if signal not in signals:
-        raise ShapeMismatch(
-            f"unknown signal {signal!r}; trajectory has {sorted(signals)}"
-        )
-    data = signals[signal][:-1]
+    data = traj.y[:-1]
     n = data.shape[0]
     X = np.fft.rfft(data, axis=0)
     mags = np.abs(X) / n
@@ -400,7 +395,7 @@ def spectrum(traj: Trajectory, signal: str = "y") -> Spectrum:
     else:
         mags[1:] *= 2.0
     freqs = np.fft.rfftfreq(n, d=traj.dt)
-    names = tuple(f"{signal}{k + 1}" for k in range(data.shape[1]))
+    names = tuple(f"y{k + 1}" for k in range(data.shape[1]))
     return Spectrum(freqs_hz=freqs, magnitude=mags, names=names)
 
 
@@ -437,6 +432,12 @@ def multisine(
         raise NyquistViolation(
             f"band [{f_min}, {f_max}] Hz contains no DFT grid lines for a "
             f"{period} s period"
+        )
+    n_lines = k_hi - k_lo + 1
+    if (n_steps + 1) * n_lines > MAX_MULTISINE_TABLE:
+        raise InvalidConfig(
+            f"multisine table of {n_steps + 1} samples x {n_lines} lines "
+            f"exceeds {MAX_MULTISINE_TABLE} entries"
         )
     k = np.arange(k_lo, k_hi + 1)
     rng = np.random.default_rng(seed)

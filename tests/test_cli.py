@@ -1,12 +1,13 @@
 """End-to-end command-line tests driving the full pipeline."""
 
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
-from lpvembed.cli import main
+from lpvembed.cli import MAX_STEPS, main
 
 
 def run(capsys, *argv):
@@ -369,3 +370,54 @@ def test_simulate_evaluation_overflow_is_typed(tmp_path, capsys):
     assert code == 1
     assert "error[Divergence]" in err
     assert (tmp_path / "blowup_traj.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "t_end", [f"{(MAX_STEPS + 1) * 1e-3!r}", "1e300"], ids=["one-above", "1e300"]
+)
+def test_run_size_bound_rejected(tmp_path, msd_file, capsys, t_end):
+    code, out, err = run(
+        capsys, "simulate", "--model", str(msd_file), "--out", str(tmp_path),
+        "--t-end", t_end,
+    )
+    assert code == 1
+    assert "error[InvalidConfig]" in err and "exceeds" in err
+    assert not (tmp_path / "msd2dof_nlfr_traj.csv").exists()
+
+
+# sha256 of the text artifacts on msd2dof; a change here is a change of the
+# program's output
+GOLDEN_SHA256 = {
+    "msd2dof_nlfr.json":
+        "0577ff21e952947fbc476cbb3424d463760a3735949570c3220987210e264a16",
+    "validate.txt":
+        "741f06edf90dc40eb372c7577f68576560d894bc2a39572227be8267c1758c3c",
+    "1,2/msd2dof_nlfr_lpv.json":
+        "dde163c6f1675675a93221f7c8fc202b69341336a71b99907d34b76a7b4f21dc",
+    "1,2/msd2dof_nlfr_embed_report.txt":
+        "663db523e8d3e363eb1ee9830ac3137152744b9de60badf3ff367d394eaf4413",
+    "2,1/msd2dof_nlfr_lpv.json":
+        "770f896b3ab4b39584a7a8991b2eacd6bc8fdd80db6a9591912f2b7ecc893a43",
+    "2,1/msd2dof_nlfr_embed_report.txt":
+        "4f191b6447a3335ab5180afced04a5917149b2af9dc829a05b2b3042d43630ec",
+}
+
+
+def test_golden_artifacts(tmp_path, capsys, monkeypatch):
+    # relative paths, so the validate output does not name the directory
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, "example", "msd2dof")[0] == 0
+    code, out, err = run(capsys, "validate", "--model", "msd2dof_nlfr.json")
+    assert code == 0, err
+    (tmp_path / "validate.txt").write_text(out)
+    for ordering in ("1,2", "2,1"):
+        code, out, err = run(
+            capsys, "embed", "--model", "msd2dof_nlfr.json",
+            "--ordering", ordering, "--out", ordering,
+        )
+        assert code == 0, err
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in GOLDEN_SHA256
+    }
+    assert digests == GOLDEN_SHA256

@@ -6,9 +6,15 @@ import pytest
 from conftest import random_nlfr_raw
 from lpvembed import (
     assemble,
+    compare,
     embed,
+    load_lpv,
     lpv_lfr_view,
+    multisine,
+    save_model,
     scheduling_from_state,
+    simulate_lpv_self,
+    simulate_nlfr,
     validate_nlfr,
 )
 from lpvembed.errors import ChannelCountMismatch
@@ -210,3 +216,29 @@ def test_lfr_view_closure_matches_assemble():
         assembled = assemble(lpv, pvec)
         for Mc, Ma in zip(closed, assembled):
             assert np.allclose(Mc, Ma, rtol=1e-14, atol=1e-14)
+
+
+@pytest.mark.parametrize("ordering", [(1, 2), (2, 1)], ids=["1,2", "2,1"])
+def test_rounded_removable_numerator_embeds(tmp_path, ordering):
+    # 0.3 + 0.1 + 0.2 - 0.6 is not 0 in floating point: with ordering 1,2
+    # the numerator of entry (1, 2) restricts to about -5.55e-17*sin(z1) at
+    # z2 = 0 instead of the exact zero, and the removability check must
+    # still accept it
+    raw = random_nlfr_raw(
+        np.random.default_rng(11), n_x=2, n_u=1, n_y=1, n_w=1, n_z=2,
+        f_rows=["0.3*sin(z1 + z2) + 0.1*sin(z1 - z2) + 0.2*sin(z1)"],
+    )
+    m = validate_nlfr(raw)
+    lpv = embed(m, ordering)
+    if ordering == (1, 2):
+        at_zero = lpv.schedule.entry(1, 2).numerator.restrict(1)
+        assert at_zero.terms
+        assert 0.0 < abs(at_zero.terms[0].coeff) < 1e-15
+    save_model(lpv, tmp_path / "lpv.json")
+    back = load_lpv(tmp_path / "lpv.json")
+    assert back.schedule.ordering == ordering
+    u = multisine(1, 0.0, 2.0, 1.0, 1e-3, 2000, seed=0)
+    report = compare(
+        simulate_nlfr(m, u, dt=1e-3), simulate_lpv_self(back, u, dt=1e-3)
+    )
+    assert report.passed, report  # within COMPARE_TOL

@@ -21,6 +21,7 @@ from lpvembed import (
 from lpvembed.errors import (
     DimensionMismatch,
     ExpressionArityMismatch,
+    InvalidOrdering,
     ModelFormatError,
     NonFiniteEntry,
     NonzeroDzw,
@@ -265,3 +266,38 @@ def test_serialize_nlfr_matches_raw(msd_raw, msd_model):
     out = serialize_nlfr(msd_model)
     assert out["dims"] == msd_raw["dims"]
     assert out["A"] == msd_raw["A"]
+
+
+def _tampered_schedule(model, tamper):
+    # ordering 2,1 gives msd2dof a quotient entry at (1, 1)
+    raw = json.loads(json.dumps(serialize_lpv(embed(model, ordering=(2, 1)))))
+    schedule = raw["schedule"]
+    assert schedule["entries"][0][0]["type"] == "quotient"
+    tamper(schedule, schedule["entries"][0][0])
+    validate_lpv(raw)
+
+
+@pytest.mark.parametrize(
+    "act, error",
+    [
+        (lambda m: _tampered_schedule(
+            m, lambda s, q: s.update(ordering=[2.9, 1.2])), InvalidOrdering),
+        (lambda m: _tampered_schedule(
+            m, lambda s, q: q.update(divisor=1.7)), ModelFormatError),
+        (lambda m: _tampered_schedule(
+            m, lambda s, q: q.update(divisor=True)), ModelFormatError),
+        (lambda m: _tampered_schedule(
+            m, lambda s, q: q.update(tau=True)), ModelFormatError),
+        (lambda m: embed(m, (1.7, 2)), InvalidOrdering),
+    ],
+    ids=["ordering-float", "divisor-float", "divisor-bool", "tau-bool",
+         "embed-ordering-float"],
+)
+def test_non_integral_schedule_index_rejected(msd_model, act, error):
+    with pytest.raises(error):
+        act(msd_model)
+
+
+def test_numpy_integer_ordering_accepted(msd_model):
+    lpv = embed(msd_model, np.array([2, 1]))
+    assert lpv.schedule.ordering == (2, 1)

@@ -22,10 +22,11 @@ from lpvembed import (
 from lpvembed.errors import (
     ChannelCountMismatch,
     Divergence,
+    InvalidConfig,
     NyquistViolation,
     ShapeMismatch,
 )
-from lpvembed.sim import Trajectory
+from lpvembed.sim import MAX_MULTISINE_TABLE, Trajectory
 
 
 def first_order_raw():
@@ -469,3 +470,21 @@ def test_wrong_initial_state_rejected(msd_model):
     u = np.zeros((3, 2))
     with pytest.raises(ShapeMismatch):
         simulate_nlfr(msd_model, u, x0=[1.0, 2.0], dt=1e-3)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_exogenous_nonfinite_p_rejected(msd_model, bad):
+    lpv = embed(msd_model)
+    u = np.zeros((11, 2))
+    p = np.zeros((11, 2))
+    p[5, 0] = bad
+    with pytest.raises(ShapeMismatch, match="non-finite"):
+        simulate_lpv_exogenous(lpv, u, p, x0=[0.1, 0.0, 0.0, 0.0], dt=1e-3)
+
+
+def test_multisine_table_bound_is_typed():
+    # 10 000 samples x 2 501 grid lines (k = 1..2501 for f_max = 250.15 Hz
+    # over the 9.999 s period): one line more than the bound allows
+    assert 10_000 * 2_500 == MAX_MULTISINE_TABLE
+    with pytest.raises(InvalidConfig, match="multisine table"):
+        multisine(1, 0.0, 250.15, 1.0, 1e-3, 9_999)
