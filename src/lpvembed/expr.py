@@ -110,13 +110,6 @@ class FuncFactor:
     def key(self):
         return (self.name, self.weights, self.bias)
 
-    def argument(self, z: Sequence[float]) -> float:
-        a = self.bias
-        for w, zv in zip(self.weights, z):
-            if w != 0.0:
-                a += w * zv
-        return a
-
     def __str__(self) -> str:
         parts = [(w, f"z{j + 1}") for j, w in enumerate(self.weights) if w != 0.0]
         if self.bias != 0.0 or not parts:
@@ -135,10 +128,6 @@ class FuncFactor:
             else:
                 out.append((" - " if val < 0 else " + ") + piece)
         return f"{self.name}({''.join(out)})"
-
-
-def _factor_key(f: FuncFactor):
-    return f.key()
 
 
 @dataclass(frozen=True)
@@ -199,7 +188,7 @@ def _canonical_terms(terms: Iterable[Term], n_vars: int) -> tuple[Term, ...]:
                 kept.append(f)
         if coeff == 0.0:
             continue
-        factors = tuple(sorted(kept, key=_factor_key))
+        factors = tuple(sorted(kept, key=FuncFactor.key))
         key = (t.exponents, tuple(f.key() for f in factors))
         acc[key] = acc.get(key, 0.0) + coeff
         reps[key] = (t.exponents, factors)
@@ -229,10 +218,6 @@ class Expression:
     @classmethod
     def from_terms(cls, terms: Iterable[Term], n_vars: int) -> "Expression":
         return cls(_canonical_terms(terms, n_vars), n_vars)
-
-    @classmethod
-    def zero(cls, n_vars: int) -> "Expression":
-        return cls((), n_vars)
 
     @classmethod
     def constant(cls, value: float, n_vars: int) -> "Expression":
@@ -542,20 +527,20 @@ class _Parser:
         return e
 
     def expression(self) -> Expression:
-        sign = 1.0
+        """A signed sum, canonicalized once: merges add in written order."""
+        terms = []
         kind, val, _ = self.peek()
-        if kind == "op" and val in "+-":
-            self.next()
-            sign = -1.0 if val == "-" else 1.0
-        e = self.term().scale(sign)
         while True:
-            kind, val, _ = self.peek()
+            sign = 1.0
             if kind == "op" and val in "+-":
                 self.next()
-                t = self.term()
-                e = e - t if val == "-" else e + t
-            else:
-                return e
+                sign = -1.0 if val == "-" else 1.0
+            terms += (
+                Term(sign * t.coeff, t.exponents, t.factors) for t in self.term().terms
+            )
+            kind, val, _ = self.peek()
+            if kind != "op" or val not in "+-":
+                return Expression.from_terms(terms, self.n_vars)
 
     def term(self) -> Expression:
         e = self.power()
@@ -648,4 +633,6 @@ def parse(text: str, n_vars: int) -> Expression:
     """
     if n_vars < 1:
         raise ValueError("n_vars must be >= 1")
+    if not isinstance(text, str):
+        raise ParseError(f"expression must be text, got {text!r}")
     return _Parser(text, n_vars).parse()

@@ -24,6 +24,7 @@ equally valid scheduling maps; the defining property, checked by
 from __future__ import annotations
 
 import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -303,60 +304,67 @@ def schedule_to_raw(m: SchedulingMap) -> dict:
     }
 
 
+def _field(doc, key: str, kind=object, where: str = "model file"):
+    """``doc[key]``; ModelFormatError unless doc is a JSON object holding key
+    with a value of ``kind``.  A bool is never an int or a number."""
+    if not isinstance(doc, Mapping):
+        raise ModelFormatError(f"{where} is not a JSON object")
+    if key not in doc:
+        raise ModelFormatError(f"{where} is missing {key!r}")
+    value = doc[key]
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not object):
+        raise ModelFormatError(
+            f"{where}: {key!r} must be {kind.__name__}, got {value!r}"
+        )
+    return value
+
+
 def schedule_from_raw(raw: dict, n_w: int, n_z: int) -> SchedulingMap:
     """Rebuild a SchedulingMap from file data, re-validating its structure.
 
     Quotient entries must carry a numerator that vanishes on z_i = 0 and a
     derivative that matches the recomputed symbolic partial exactly.
     """
-    try:
-        ordering = _validate_ordering(raw["ordering"], n_z)
-        c = np.array([float(v) for v in raw["c"]], dtype=float)
-        rows_raw = raw["entries"]
-    except (KeyError, TypeError) as exc:
-        raise ModelFormatError(f"malformed schedule block: {exc}") from exc
-    if c.shape != (n_w,) or not np.all(np.isfinite(c)):
+    ordering = _validate_ordering(_field(raw, "ordering", list, "schedule"), n_z)
+    c = _field(raw, "c", list, "schedule")
+    if len(c) != n_w or not all(
+        isinstance(v, numbers.Real) and np.isfinite(v) for v in c
+    ):
         raise ModelFormatError("schedule offset c has wrong length or bad values")
-    if len(rows_raw) != n_w or any(len(r) != n_z for r in rows_raw):
-        raise ModelFormatError(
-            f"schedule grid is not {n_w} x {n_z}"
-        )
+    c = np.array(c, dtype=float)
+    rows_raw = _field(raw, "entries", list, "schedule")
+    if len(rows_raw) != n_w or any(
+        not isinstance(r, list) or len(r) != n_z for r in rows_raw
+    ):
+        raise ModelFormatError(f"schedule grid is not {n_w} x {n_z}")
     c.setflags(write=False)
     grid = []
     for r, row_raw in enumerate(rows_raw):
         row: list = []
         for i, cell in enumerate(row_raw, start=1):
-            kind = cell.get("type")
+            where = f"schedule entry ({r + 1},{i})"
+            kind = _field(cell, "type", where=where)
             if kind == "zero":
                 row.append(None)
             elif kind == "exact":
-                row.append(parse(cell["expr"], n_z))
+                row.append(parse(_field(cell, "expr", where=where), n_z))
             elif kind == "quotient":
-                num = parse(cell["numerator"], n_z)
-                der = parse(cell["derivative"], n_z)
-                divisor, tau = cell["divisor"], cell["tau"]
-                if not _is_index(divisor) or divisor != i:
+                num = parse(_field(cell, "numerator", where=where), n_z)
+                der = parse(_field(cell, "derivative", where=where), n_z)
+                divisor = _field(cell, "divisor", int, where)
+                if divisor != i:
+                    raise ModelFormatError(f"{where} divides by z{divisor}")
+                tau = _field(cell, "tau", numbers.Real, where)
+                if not 0.0 < tau < np.inf:
+                    raise ModelFormatError(f"{where} has invalid tau {tau!r}")
+                if der != num.partial(i):
                     raise ModelFormatError(
-                        f"schedule entry ({r + 1},{i}) divides by z{divisor!r}"
-                    )
-                if not (
-                    isinstance(tau, (int, float))
-                    and not isinstance(tau, bool)
-                    and 0.0 < tau < np.inf
-                ):
-                    raise ModelFormatError(
-                        f"schedule entry ({r + 1},{i}) has invalid tau {tau!r}"
-                    )
-                if der != num.partial(divisor):
-                    raise ModelFormatError(
-                        f"schedule entry ({r + 1},{i}) derivative does not "
+                        f"{where} derivative does not "
                         "match the numerator's partial derivative"
                     )
-                _check_removable(num, divisor)
+                _check_removable(num, i)
                 row.append(GuardedQuotient(num, i, der, float(tau)))
             else:
-                raise ModelFormatError(
-                    f"schedule entry ({r + 1},{i}) has unknown type {kind!r}"
-                )
+                raise ModelFormatError(f"{where} has unknown type {kind!r}")
         grid.append(tuple(row))
     return SchedulingMap(tuple(grid), ordering, c)

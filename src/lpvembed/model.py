@@ -41,7 +41,7 @@ from .errors import (
     NonzeroDzw,
 )
 from .expr import Expression, parse
-from .factorize import SchedulingMap, schedule_from_raw, schedule_to_raw
+from .factorize import SchedulingMap, _field, schedule_from_raw, schedule_to_raw
 
 __all__ = [
     "Dims",
@@ -115,26 +115,15 @@ def _as_array(name: str, raw, shape: tuple[int, ...]) -> np.ndarray:
     return _freeze(m)
 
 
-def _read_dims(raw: Mapping) -> Dims:
-    if "dims" not in raw:
-        raise ModelFormatError("model file is missing the 'dims' block")
-    d = raw["dims"]
-    for key in _DIM_KEYS:
-        if key not in d:
-            raise ModelFormatError(f"dims block is missing {key}")
-    return Dims(**{key: d[key] for key in _DIM_KEYS})
-
-
 def _read_core(raw: Mapping) -> tuple[Dims, dict]:
     """Dimensions and the eight core matrices, with the Dzw = 0 rule."""
-    dims = _read_dims(raw)
+    d = _field(raw, "dims")
+    dims = Dims(**{key: _field(d, key, where="dims block") for key in _DIM_KEYS})
     mats = {}
     for name, (rows, cols) in _MATRIX_SHAPES.items():
-        if name in raw:
+        if name != "Dzw" or name in raw:
             shape = (getattr(dims, rows), getattr(dims, cols))
-            mats[name] = _as_array(name, raw[name], shape)
-        elif name != "Dzw":
-            raise ModelFormatError(f"model file is missing matrix {name}")
+            mats[name] = _as_array(name, _field(raw, name), shape)
     if np.any(mats.pop("Dzw", 0.0) != 0.0):
         raise NonzeroDzw(
             "Dzw has nonzero entries; the nonlinearity must be explicit "
@@ -261,13 +250,10 @@ def validate_nlfr(raw: Mapping) -> NlfrModel:
     nonlinearity rows, enforcing their count and arity.
     """
     dd, mats = _read_core(raw)
-    if "f" not in raw:
-        raise ModelFormatError("model file is missing the nonlinearity 'f'")
-    f_raw = raw["f"]
+    f_raw = _field(raw, "f")
     if not isinstance(f_raw, (list, tuple)) or len(f_raw) != dd.n_w:
         raise ExpressionArityMismatch(
-            f"nonlinearity must have n_w = {dd.n_w} rows, "
-            f"got {len(f_raw) if isinstance(f_raw, (list, tuple)) else type(f_raw).__name__}"
+            f"nonlinearity 'f' must be a list of n_w = {dd.n_w} expression rows"
         )
     f = tuple(parse(text, dd.n_z) for text in f_raw)
     return NlfrModel(f=f, **mats)
@@ -291,15 +277,11 @@ def validate_lpv(raw: Mapping) -> LpvModel:
     (Bw, Cz, Dzu, Dyw) at its (r, i) index.
     """
     dd, mats = _read_core(raw)
-    for key in ("schedule", "basis", "d", "y0"):
-        if key not in raw:
-            raise ModelFormatError(f"LPV model file is missing {key!r}")
+    schedule = schedule_from_raw(_field(raw, "schedule"), dd.n_w, dd.n_z)
+    d = _as_array("d", _field(raw, "d"), (dd.n_u,))
+    y0 = _as_array("y0", _field(raw, "y0"), (dd.n_y,))
 
-    schedule = schedule_from_raw(raw["schedule"], dd.n_w, dd.n_z)
-    d = _as_array("d", raw["d"], (dd.n_u,))
-    y0 = _as_array("y0", raw["y0"], (dd.n_y,))
-
-    basis_raw = raw["basis"]
+    basis_raw = _field(raw, "basis", list)
     if len(basis_raw) > dd.n_w * dd.n_z:
         raise DimensionMismatch(
             f"basis has {len(basis_raw)} channels, more than "
@@ -312,17 +294,7 @@ def validate_lpv(raw: Mapping) -> LpvModel:
         )
     stored = []
     for k, b in enumerate(basis_raw):
-        if not isinstance(b, Mapping) or any(
-            key not in b for key in ("r", "i", *_QUADRUPLE)
-        ):
-            raise ModelFormatError(
-                f"basis channel {k} malformed: needs keys r, i, Ak, Bk, Ck, Dk"
-            )
-        r, i = b["r"], b["i"]
-        if any(isinstance(v, bool) or not isinstance(v, int) for v in (r, i)):
-            raise ModelFormatError(
-                f"basis channel {k} index ({r!r},{i!r}) is not a pair of integers"
-            )
+        r, i = (_field(b, key, int, f"basis channel {k}") for key in ("r", "i"))
         if not (1 <= r <= dd.n_w and 1 <= i <= dd.n_z):
             raise ModelFormatError(
                 f"basis channel {k} index ({r},{i}) out of range"
@@ -337,7 +309,8 @@ def validate_lpv(raw: Mapping) -> LpvModel:
     for k, (b, expect) in enumerate(zip(basis_raw, lpv.basis)):
         for name in _QUADRUPLE:
             exp = getattr(expect, name)
-            got = _as_array(f"basis[{k}].{name}", b[name], exp.shape)
+            raw_q = _field(b, name, where=f"basis channel {k}")
+            got = _as_array(f"basis[{k}].{name}", raw_q, exp.shape)
             if not np.array_equal(got, exp):
                 raise ModelFormatError(
                     f"basis channel {k} matrix {name} does not reconstruct "

@@ -343,6 +343,8 @@ class CompareReport:
 
 def compare(a: Trajectory, b: Trajectory, tol: float = COMPARE_TOL) -> CompareReport:
     """Max-abs and relative-RMS output error of b against a."""
+    if not 0.0 <= tol < math.inf:
+        raise InvalidConfig(f"tolerance must be finite and >= 0, got {tol}")
     if a.dt != b.dt or a.y.shape != b.y.shape:
         raise ShapeMismatch(
             f"trajectories differ in grid or output shape: "

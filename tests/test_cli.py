@@ -385,6 +385,56 @@ def test_run_size_bound_rejected(tmp_path, msd_file, capsys, t_end):
     assert not (tmp_path / "msd2dof_nlfr_traj.csv").exists()
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_compare_tolerance_must_be_finite_nonnegative(tmp_path, msd_file, capsys, tol):
+    run(capsys, "embed", "--model", str(msd_file), "--out", str(tmp_path))
+    code, out, err = run(
+        capsys, "compare", "--model", str(msd_file),
+        "--lpv", str(tmp_path / "msd2dof_nlfr_lpv.json"), "--out", str(tmp_path),
+        "--t-end", "0.5", "--tol", tol,
+    )
+    assert code == 1
+    assert "error[InvalidConfig]" in err and "tolerance" in err
+    assert "compare PASS" not in out
+
+
+def _nlfr_dims_not_object(msd_file, capsys, tmp_path):
+    return "validate", {"dims": 5}
+
+
+def _nlfr_row_not_text(msd_file, capsys, tmp_path):
+    raw = json.loads(msd_file.read_text())
+    raw["f"] = [5]
+    return "validate", raw
+
+
+def _lpv_schedule_cell_text(msd_file, capsys, tmp_path):
+    run(capsys, "embed", "--model", str(msd_file), "--out", str(tmp_path))
+    raw = json.loads((tmp_path / "msd2dof_nlfr_lpv.json").read_text())
+    raw["schedule"]["entries"][0][0] = "x"
+    return "simulate", raw
+
+
+@pytest.mark.parametrize(
+    "make, code_name",
+    [
+        (_nlfr_dims_not_object, "ModelFormatError"),
+        (_nlfr_row_not_text, "ParseError"),
+        (_lpv_schedule_cell_text, "ModelFormatError"),
+    ],
+    ids=["dims-5", "f-row-5", "schedule-cell-x"],
+)
+def test_malformed_model_file_is_typed(tmp_path, msd_file, capsys, make, code_name):
+    command, raw = make(msd_file, capsys, tmp_path)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    extra = ("--out", str(tmp_path), "--t-end", "0.5") if command == "simulate" else ()
+    code, out, err = run(capsys, command, "--model", str(bad), *extra)
+    assert code == 1
+    assert f"error[{code_name}]" in err
+    assert "Traceback" not in err
+
+
 # sha256 of the text artifacts on msd2dof; a change here is a change of the
 # program's output
 GOLDEN_SHA256 = {

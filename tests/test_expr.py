@@ -106,6 +106,34 @@ def test_parse_parenthesized_powers_and_signs():
     assert parse("3*(-z1)", 1) == parse("-3*z1", 1)
 
 
+@pytest.mark.parametrize("text", [7, 1.5, True, None, [], {}])
+def test_parse_rejects_non_text(text):
+    with pytest.raises(ParseError, match="must be text"):
+        parse(text, 1)
+
+
+def test_parse_sum_matches_left_fold():
+    # Sums are canonicalized once; a left fold e = e +/- t merges each
+    # coefficient in the same written order, so both agree bit for bit.
+    rng = np.random.default_rng(71)
+    monomials = ("z1", "z2^2", "z1*z2", "sin(z1 - z2)", "1")
+    for _ in range(60):
+        n = int(rng.integers(2, 40))
+        signs = rng.choice(["+", "-"], n)
+        pieces = [
+            f"{float(rng.uniform(0.0, 10.0) * 10.0 ** rng.integers(-3, 4))!r}"
+            f"*{rng.choice(monomials)}"
+            for _ in range(n)
+        ]
+        text = "".join(f" {s} {p}" for s, p in zip(signs, pieces))
+        ref = parse(pieces[0], 2).scale(-1.0 if signs[0] == "-" else 1.0)
+        for s, p in zip(signs[1:], pieces[1:]):
+            ref = ref - parse(p, 2) if s == "-" else ref + parse(p, 2)
+        got = parse(text, 2)
+        assert got.terms == ref.terms, text
+        assert str(got) == str(ref)
+
+
 def test_canonical_merge_and_constant_fold():
     assert parse("z1*z2 + z2*z1", 2) == parse("2*z1*z2", 2)
     # a factor with all-zero weights folds into the coefficient

@@ -22,6 +22,7 @@ from lpvembed.errors import (
     DimensionMismatch,
     ExpressionArityMismatch,
     InvalidOrdering,
+    LpvEmbedError,
     ModelFormatError,
     NonFiniteEntry,
     NonzeroDzw,
@@ -301,3 +302,64 @@ def test_non_integral_schedule_index_rejected(msd_model, act, error):
 def test_numpy_integer_ordering_accepted(msd_model):
     lpv = embed(msd_model, np.array([2, 1]))
     assert lpv.schedule.ordering == (2, 1)
+
+
+def _key_paths(node, prefix=()):
+    """Every key path of a JSON document, the root () first."""
+    yield prefix
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield from _key_paths(child, (*prefix, key))
+
+
+_DELETE = object()
+_MUTATIONS = (_DELETE, "x", 7, 1.5, True, float("nan"), [], {}, None)
+
+
+def _mutated(doc, path, value):
+    if not path:
+        return {} if value is _DELETE else copy.deepcopy(value)
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = copy.deepcopy(value)
+    return doc
+
+
+def test_mutated_documents_load_or_fail_typed(msd_raw, msd_model):
+    # Every key path of four documents, under nine mutations: a load either
+    # succeeds or raises a typed error, never a bare Python exception.
+    toy = validate_nlfr({
+        "dims": {"n_x": 1, "n_u": 1, "n_y": 1, "n_w": 1, "n_z": 1},
+        "A": [[-1.0]], "Bw": [[-1.0]], "Bu": [[1.0]],
+        "Cz": [[1.0]], "Cy": [[1.0]],
+        "Dzu": [[0.0]], "Dyw": [[0.0]], "Dyu": [[0.0]],
+        "f": ["z1 + 1"],
+    })
+    docs = [(validate_nlfr, msd_raw)] + [
+        (validate_lpv, json.loads(json.dumps(serialize_lpv(lpv))))
+        for lpv in (embed(msd_model, (1, 2)), embed(msd_model, (2, 1)), embed(toy))
+    ]
+    assert np.any(docs[-1][1]["schedule"]["c"])
+    loads, untyped = 0, []
+    for load, doc in docs:
+        for path in _key_paths(doc):
+            for value in _MUTATIONS:
+                loads += 1
+                try:
+                    load(_mutated(doc, path, value))
+                except LpvEmbedError:
+                    pass
+                except Exception as exc:
+                    untyped.append((path, value, exc))
+    assert loads == 5436
+    assert untyped == []

@@ -488,3 +488,11 @@ def test_multisine_table_bound_is_typed():
     assert 10_000 * 2_500 == MAX_MULTISINE_TABLE
     with pytest.raises(InvalidConfig, match="multisine table"):
         multisine(1, 0.0, 250.15, 1.0, 1e-3, 9_999)
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+def test_compare_tolerance_must_be_finite_nonnegative(msd_model, tol):
+    u = multisine(2, 0.0, 50.0, 1.0, 1e-3, 100, seed=4)
+    ta = simulate_nlfr(msd_model, u, dt=1e-3)
+    with pytest.raises(InvalidConfig, match="tolerance"):
+        compare(ta, ta, tol=tol)
