@@ -117,23 +117,27 @@ def _build_input(args, n_u: int, dt: float, n_steps: int) -> np.ndarray:
 def _load_input_file(path: str, n_u: int, n_steps: int) -> np.ndarray:
     rows = []
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = [float(v) for v in line.split(",")]
-            except ValueError:
-                if lineno == 1:
-                    continue  # header row
-                raise InputFormatError(
-                    f"{path}:{lineno}: non-numeric input row"
-                ) from None
-            if len(row) != n_u:
-                raise InputFormatError(
-                    f"{path}:{lineno}: expected {n_u} input columns, got {len(row)}"
-                )
-            rows.append(row)
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    row = [float(v) for v in line.split(",")]
+                except ValueError:
+                    if lineno == 1:
+                        continue  # header row
+                    raise InputFormatError(
+                        f"{path}:{lineno}: non-numeric input row"
+                    ) from None
+                if len(row) != n_u:
+                    raise InputFormatError(
+                        f"{path}:{lineno}: expected {n_u} input columns, "
+                        f"got {len(row)}"
+                    )
+                rows.append(row)
+        except UnicodeDecodeError as exc:
+            raise InputFormatError(f"{path}: not a text file: {exc}") from None
     data = np.asarray(rows, dtype=float)
     if data.shape[0] < n_steps + 1:
         raise InputFormatError(

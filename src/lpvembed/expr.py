@@ -7,10 +7,10 @@ An :class:`Expression` is a finite sum of terms
 where every function factor applies one of a fixed set of smooth elementary
 functions (sin, cos, exp, tanh, sinh, cosh) to an argument that is affine in
 the variables, ``w . z + b``.  The language is closed under addition,
-multiplication, partial differentiation, restriction of trailing variables
-to zero, and (when every term carries the divisor variable) exact division
-by that variable -- precisely the operations the scheduling-map
-factorization needs.  There are no denominators anywhere inside an
+multiplication, partial differentiation, restriction of any set of
+variables to zero, and (when every term carries the divisor variable)
+exact division by that variable -- precisely the operations the
+scheduling-map factorization needs.  There are no denominators anywhere inside an
 Expression, so evaluation at any finite point yields a finite real.
 
 :class:`GuardedQuotient` adds the single division the factorization
@@ -354,24 +354,31 @@ class Expression:
                     out.append(Term(t.coeff * w * dc, t.exponents, rest + repl))
         return Expression.from_terms(out, self.n_vars)
 
-    def restrict(self, keep: int) -> "Expression":
-        """Substitute z_{keep+1}, ..., z_n by zero.
+    def restrict(self, keep: Iterable[int]) -> "Expression":
+        """Substitute zero for every variable z_i whose i is not in ``keep``.
 
         Terms carrying a positive power of a dropped variable vanish;
         function factors lose the dropped weights (the affine argument of a
         zeroed variable contributes nothing).
         """
-        if not 0 <= keep <= self.n_vars:
-            raise ValueError(f"keep count {keep} out of range 0..{self.n_vars}")
-        if keep == self.n_vars:
+        keep = set(keep)
+        if not keep <= set(range(1, self.n_vars + 1)):
+            raise ValueError(
+                f"kept variables {sorted(keep)} not in 1..{self.n_vars}"
+            )
+        if len(keep) == self.n_vars:
             return self
-        tail = (0.0,) * (self.n_vars - keep)
+        kept = [j + 1 in keep for j in range(self.n_vars)]
         out = []
         for t in self.terms:
-            if any(t.exponents[keep:]):
+            if any(e and not k for e, k in zip(t.exponents, kept)):
                 continue
             factors = tuple(
-                FuncFactor(f.name, f.weights[:keep] + tail, f.bias)
+                FuncFactor(
+                    f.name,
+                    tuple(w if k else 0.0 for w, k in zip(f.weights, kept)),
+                    f.bias,
+                )
                 for f in t.factors
             )
             out.append(Term(t.coeff, t.exponents, factors))
@@ -393,24 +400,6 @@ class Expression:
             exps = list(t.exponents)
             exps[j] -= 1
             out.append(Term(t.coeff, tuple(exps), t.factors))
-        return Expression.from_terms(out, self.n_vars)
-
-    def permute(self, perm: Sequence[int]) -> "Expression":
-        """Relabel variables: new variable k reads old variable perm[k-1].
-
-        ``perm`` is a 1-based permutation of 1..n_vars (gather semantics).
-        """
-        idx = [p - 1 for p in perm]
-        if sorted(idx) != list(range(self.n_vars)):
-            raise ValueError(f"{perm} is not a permutation of 1..{self.n_vars}")
-        out = []
-        for t in self.terms:
-            exps = tuple(t.exponents[j] for j in idx)
-            factors = tuple(
-                FuncFactor(f.name, tuple(f.weights[j] for j in idx), f.bias)
-                for f in t.factors
-            )
-            out.append(Term(t.coeff, exps, factors))
         return Expression.from_terms(out, self.n_vars)
 
     # --- misc ---------------------------------------------------------------
@@ -485,6 +474,11 @@ _TOKEN_RE = re.compile(
 
 _VAR_RE = re.compile(r"z(\d+)\Z")
 
+#: Deepest nesting of parentheses and function calls the parser accepts;
+#: printed expressions nest at most 2 deep, and the cap keeps the
+#: recursive descent far from Python's recursion limit.
+MAX_NESTING = 100
+
 
 class _Parser:
     def __init__(self, text: str, n_vars: int):
@@ -503,6 +497,7 @@ class _Parser:
             self.tokens.append((kind, m.group(), pos))
             pos = m.end()
         self.k = 0
+        self.depth = 0
 
     def peek(self):
         if self.k < len(self.tokens):
@@ -518,6 +513,16 @@ class _Parser:
         kind, val, pos = self.next()
         if kind != "op" or val != op:
             raise ParseError(f"expected {op!r}, found {val or 'end of input'!r}", pos)
+
+    def group(self, pos: int) -> Expression:
+        """The expression after the "(" at pos, up to its ")"."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", pos)
+        e = self.expression()
+        self.expect_op(")")
+        self.depth -= 1
+        return e
 
     def parse(self) -> Expression:
         e = self.expression()
@@ -570,9 +575,7 @@ class _Parser:
         if kind == "num":
             return Expression.constant(float(val), self.n_vars)
         if kind == "op" and val == "(":
-            e = self.expression()
-            self.expect_op(")")
-            return e
+            return self.group(pos)
         if kind == "name":
             m = _VAR_RE.match(val)
             if m:
@@ -590,9 +593,7 @@ class _Parser:
                         f"(supported: {', '.join(sorted(FUNCTIONS))})",
                         pos,
                     )
-                self.next()
-                arg = self.expression()
-                self.expect_op(")")
+                arg = self.group(self.next()[2])
                 weights, bias = self._as_affine(arg, pos)
                 factor = FuncFactor(val, weights, bias)
                 return Expression.from_terms(
@@ -629,7 +630,8 @@ def parse(text: str, n_vars: int) -> Expression:
         atom       = number | variable | function "(" expression ")"
                    | "(" expression ")"
 
-    Function arguments must reduce to affine forms in the variables.
+    Function arguments must reduce to affine forms in the variables, and
+    parentheses and function calls nest at most ``MAX_NESTING`` deep.
     """
     if n_vars < 1:
         raise ValueError("n_vars must be >= 1")

@@ -1,28 +1,30 @@
 """Ordered factorization of a static nonlinearity into a scheduling map.
 
-Given a vector nonlinearity f with f = f_tilde + c and f_tilde(0) = 0, the
-ordered scheme writes each row as
+Given a vector nonlinearity f with f = f_tilde + c and f_tilde(0) = 0, and
+a variable ordering m_1, ..., m_n, the ordered scheme writes each row as
 
-    f_tilde(z) = sum_i  entry_i(z_1, ..., z_i) * z_i
+    f_tilde(z) = sum_k  entry_{m_k}(z_{m_1}, ..., z_{m_k}) * z_{m_k}
 
-by taking successive restriction differences along a chosen variable
-ordering and dividing each difference by its variable.  The division is
-exact whenever every term of the difference carries the variable; otherwise
-the entry is a :class:`~lpvembed.expr.GuardedQuotient`, whose derivative
-branch keeps the entry finite and continuous through z_i = 0.  Entries with
-a structurally empty numerator are stored as ``None`` (zero) and later
-pruned from the LPV basis.
+by taking successive restriction differences, each restriction keeping the
+first k ordered variables and setting the others to zero, and dividing each
+difference by its variable.  The division is exact whenever every term of
+the difference carries the variable; otherwise the entry is a
+:class:`~lpvembed.expr.GuardedQuotient`, whose derivative branch keeps the
+entry finite and continuous through z_i = 0.  Entries with a structurally
+empty numerator are stored as ``None`` (zero) and later pruned from the LPV
+basis.
 
-The resulting grid is indexed by the original variable numbering; only the
-construction follows the ordering.  Different orderings give different but
-equally valid scheduling maps; the defining property, checked by
-:func:`check_reconstruction`, is
+Every expression stays in the model's own variables z_1, ..., z_n, and the
+grid is indexed by them; only the order of the restrictions follows the
+ordering.  Different orderings give different but equally valid scheduling
+maps; the defining property, checked by :func:`check_reconstruction`, is
 
     evaluate(entries, z) @ z + c == f(z)      (to floating-point accuracy).
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -70,6 +72,14 @@ def extract_offset(f: Sequence[Expression]):
 def _is_index(v) -> bool:
     """A Python or numpy integer; bool and integral floats are not."""
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_finite(v) -> bool:
+    """A real number that converts to a finite float."""
+    try:
+        return isinstance(v, numbers.Real) and math.isfinite(v)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 def _validate_ordering(ordering, n_z: int) -> tuple[int, ...]:
@@ -161,11 +171,12 @@ def factorize(
 ) -> SchedulingMap:
     """Factorize a vanishing-at-zero nonlinearity along a variable ordering.
 
-    For each output row and each position k in the ordering, the numerator
-    is the difference between the row restricted to the first k ordered
-    variables and to the first k-1; the entry is the exact quotient by the
-    k-th ordered variable when possible, else a guarded quotient with the
-    symbolic partial derivative as its z_i = 0 branch.
+    For each output row and each position k in the ordering, with i the
+    k-th ordered variable, the numerator is the row with only the first k
+    ordered variables kept minus the row with only the first k-1 kept, both
+    in the model's own variables; the entry (r, i) is the exact quotient by
+    z_i when possible, else a guarded quotient with the symbolic partial
+    derivative as its z_i = 0 branch.
 
     Raises :class:`NonzeroAtOrigin` when some row has |f_tilde(0)| > 1e-14
     (run :func:`extract_offset` first).
@@ -199,33 +210,23 @@ def factorize(
                 "extract the constant offset first"
             )
 
-    # Position k of the ordering handles original variable ordering[k-1];
-    # inv maps an original index back to its position.
-    inv = [0] * n_z
-    for k, m in enumerate(ordering):
-        inv[m - 1] = k + 1
-    inv = tuple(inv)
-
     grid = []
     for row in rows:
-        g = row.permute(ordering)
         row_entries: list = [None] * n_z
-        prev = g.restrict(0)
-        for k in range(1, n_z + 1):
-            cur = g.restrict(k)
-            num_zeta = cur - prev
+        prev = row.restrict(())
+        for k, i in enumerate(ordering):
+            cur = row.restrict(ordering[: k + 1])
+            num = cur - prev
             prev = cur
-            if not num_zeta.terms:
+            if not num.terms:
                 continue
-            i_orig = ordering[k - 1]
-            num = num_zeta.permute(inv)
-            exact = num.try_exact_divide(i_orig)
+            exact = num.try_exact_divide(i)
             if exact is not None:
-                row_entries[i_orig - 1] = exact
+                row_entries[i - 1] = exact
             else:
-                _check_removable(num, i_orig)
-                row_entries[i_orig - 1] = GuardedQuotient(
-                    num, i_orig, num.partial(i_orig), DEFAULT_GUARD_TAU
+                _check_removable(num, i)
+                row_entries[i - 1] = GuardedQuotient(
+                    num, i, num.partial(i), DEFAULT_GUARD_TAU
                 )
         grid.append(tuple(row_entries))
     return SchedulingMap(tuple(grid), ordering, c_arr)
@@ -327,9 +328,7 @@ def schedule_from_raw(raw: dict, n_w: int, n_z: int) -> SchedulingMap:
     """
     ordering = _validate_ordering(_field(raw, "ordering", list, "schedule"), n_z)
     c = _field(raw, "c", list, "schedule")
-    if len(c) != n_w or not all(
-        isinstance(v, numbers.Real) and np.isfinite(v) for v in c
-    ):
+    if len(c) != n_w or not all(map(_is_finite, c)):
         raise ModelFormatError("schedule offset c has wrong length or bad values")
     c = np.array(c, dtype=float)
     rows_raw = _field(raw, "entries", list, "schedule")
@@ -355,7 +354,7 @@ def schedule_from_raw(raw: dict, n_w: int, n_z: int) -> SchedulingMap:
                 if divisor != i:
                     raise ModelFormatError(f"{where} divides by z{divisor}")
                 tau = _field(cell, "tau", numbers.Real, where)
-                if not 0.0 < tau < np.inf:
+                if not (_is_finite(tau) and tau > 0.0):
                     raise ModelFormatError(f"{where} has invalid tau {tau!r}")
                 if der != num.partial(i):
                     raise ModelFormatError(

@@ -41,7 +41,13 @@ from .errors import (
     NonzeroDzw,
 )
 from .expr import Expression, parse
-from .factorize import SchedulingMap, _field, schedule_from_raw, schedule_to_raw
+from .factorize import (
+    SchedulingMap,
+    _field,
+    _is_index,
+    schedule_from_raw,
+    schedule_to_raw,
+)
 
 __all__ = [
     "Dims",
@@ -104,9 +110,10 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 def _as_array(name: str, raw, shape: tuple[int, ...]) -> np.ndarray:
     kind = "vector" if len(shape) == 1 else "matrix"
+    # OverflowError: an integer beyond the float range
     try:
         m = np.array(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"{kind} {name} is not numeric: {exc}") from exc
     if m.shape != shape:
         raise DimensionMismatch(f"{kind} {name} has shape {m.shape}, expected {shape}")
@@ -288,9 +295,9 @@ def validate_lpv(raw: Mapping) -> LpvModel:
             f"n_w * n_z = {dd.n_w * dd.n_z}"
         )
     n_p = raw["dims"].get("n_p")
-    if n_p is not None and n_p != len(basis_raw):
+    if n_p is not None and (not _is_index(n_p) or n_p != len(basis_raw)):
         raise DimensionMismatch(
-            f"dims.n_p = {n_p} disagrees with {len(basis_raw)} basis channels"
+            f"dims.n_p = {n_p!r} disagrees with {len(basis_raw)} basis channels"
         )
     stored = []
     for k, b in enumerate(basis_raw):
@@ -355,9 +362,11 @@ def save_model(model, path) -> None:
 
 def _load_raw(path) -> dict:
     with open(path) as fh:
+        # a decode error for bytes that are not text, a recursion error for
+        # arrays or objects nested too deep to read
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise ModelFormatError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ModelFormatError(f"{path}: model file must be a JSON object")

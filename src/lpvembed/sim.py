@@ -5,12 +5,14 @@ grid, sharing one stepping core for the field dx = A x + Bu u + Bw w so that
 equivalence residuals measure only the difference between the rules for w
 (f(z), or the rank-one LPV feedback P(z) z), never solver artifacts.  The
 field is affine in x, u and w, so each RK4 step is unrolled once per run
-into a linear map; the loop evaluates only the rule for w at the four
-stages.  Inputs are sampled signals with n_steps + 1 samples, interpolated
-linearly at the half-steps.  In self-scheduled LPV simulation the
-scheduling vector is recomputed from the current state and corrected input
-at every stage, which keeps the LPV vector field pointwise equal to the
-nonlinear one.
+into a linear map; the loop evaluates only the rule for w, one call
+rule(z) per stage, the four stages of each step in order.  Inputs are
+sampled signals with n_steps + 1 samples, interpolated linearly at the
+half-steps.  In self-scheduled LPV simulation the scheduling vector is
+recomputed from the current state and corrected input at every stage,
+which keeps the LPV vector field pointwise equal to the nonlinear one; in
+exogenous LPV simulation the stage rule instead plays back the next
+scheduling row, interpolated like the input.
 
 Trajectories record the raw input, states, raw outputs, the nonlinearity
 input z, and either w = f(z) (nonlinear runs) or the scheduling vector p
@@ -79,13 +81,6 @@ class Trajectory:
         return self.t0 + self.dt * np.arange(self.x.shape[0])
 
 
-class _Diverged(Exception):
-    def __init__(self, message: str, step: int, states: np.ndarray):
-        self.message = message
-        self.step = step
-        self.states = states
-
-
 def _check_state(x0, n_x: int) -> np.ndarray:
     if x0 is None:
         return np.zeros(n_x)
@@ -146,11 +141,11 @@ def _step_map(core, dt: float):
     return G[:, :n_x], G[:, n_x : n_x + 2 * n_u], H, Gw[4 * n_z :]
 
 
-def _integrate(step, rule, x0: np.ndarray, u_c: np.ndarray, played) -> np.ndarray:
-    """RK4 over the sample grid; w_i = rule(z_i, p_i) at each stage.
+def _integrate(step, rule, x0: np.ndarray, u_c: np.ndarray):
+    """RK4 over the sample grid; w_i = rule(z_i) at each stage, in order.
 
-    p_i is the played-back row at the stage time (zero width when nothing
-    is played back), interpolated linearly at the half-steps like the input.
+    Returns (states, failure): failure is None for a complete run, else the
+    reason the run stopped, with states holding the samples reached.
     """
     M, K, (H2, H3, H4), Psi = step
     # s = M x + off[k] holds z_1, ..., z_4 before the w corrections, then
@@ -159,63 +154,47 @@ def _integrate(step, rule, x0: np.ndarray, u_c: np.ndarray, played) -> np.ndarra
     z2, z3, z4, z5 = n_z, 2 * n_z, 3 * n_z, 4 * n_z
     n_steps = u_c.shape[0] - 1
     off = np.hstack([u_c[:-1], u_c[1:]]) @ K.T
-    half = 0.5 * (played[:-1] + played[1:])
     states = np.empty((n_steps + 1, x0.shape[0]))
     states[0] = x0
     x = x0
     try:
         for k in range(n_steps):
             s = M @ x + off[k]
-            pm = half[k]
-            w = rule(s[:z2].tolist(), played[k])
-            w += rule((s[z2:z3] + H2.dot(w)).tolist(), pm)
-            w += rule((s[z3:z4] + H3.dot(w)).tolist(), pm)
-            w += rule((s[z4:z5] + H4.dot(w)).tolist(), played[k + 1])
+            w = rule(s[:z2].tolist())
+            w += rule((s[z2:z3] + H2.dot(w)).tolist())
+            w += rule((s[z3:z4] + H3.dot(w)).tolist())
+            w += rule((s[z4:z5] + H4.dot(w)).tolist())
             # an increment, so its O(dt) terms are not rounded against x
             x = x + (s[z5:] + Psi.dot(w))
             # one comparison that NaN and inf also fail
             if not abs(x).max() <= DIVERGENCE_LIMIT:
-                raise _Diverged(
-                    f"state exceeded {DIVERGENCE_LIMIT:.0e} at step {k + 1}",
-                    k + 1,
-                    states[: k + 1],
-                )
+                failure = f"state exceeded {DIVERGENCE_LIMIT:.0e} at step {k + 1}"
+                return states[: k + 1], failure
             states[k + 1] = x
     # Python float powers and math.exp raise on overflow, math.sin(inf) on
     # its domain
     except (OverflowError, ValueError) as exc:
-        raise _Diverged(
-            f"nonlinearity evaluation overflowed at step {k + 1} ({exc})",
-            k + 1,
-            states[: k + 1],
-        ) from None
-    return states
+        failure = f"nonlinearity evaluation overflowed at step {k + 1} ({exc})"
+        return states[: k + 1], failure
+    return states, None
 
 
-def _simulate(core, rule, signals, x0, u, u_c, dt, y0=0.0, played=None):
-    """Integrate the core closed by w = rule(z, p), driven by u_c.
+def _simulate(core, rule, signals, x0, u, u_c, dt, y0=0.0):
+    """Integrate the core closed by w = rule(z), driven by u_c.
 
     signals(Z) gives W, the recorded series and its label for the readout
     y = Cy x + Dyu u_c + Dyw W + y0.  A failed run raises Divergence.
     """
-
-    def finish(states):
-        n = states.shape[0]
-        uc = u_c[:n]
-        Z = states @ core.Cz.T + uc @ core.Dzu.T
-        W, rec, label = signals(Z)
-        Y = states @ core.Cy.T + uc @ core.Dyu.T + W @ core.Dyw.T + y0
-        return Trajectory(dt, 0.0, u[:n], states, Y, Z, rec, label)
-
-    if played is None:
-        played = np.empty((u_c.shape[0], 0))
-    try:
-        states = _integrate(_step_map(core, dt), rule, x0, u_c, played)
-    except _Diverged as div:
-        raise Divergence(
-            div.message, step=div.step, trajectory=finish(div.states)
-        ) from None
-    return finish(states)
+    states, failure = _integrate(_step_map(core, dt), rule, x0, u_c)
+    n = states.shape[0]
+    uc = u_c[:n]
+    Z = states @ core.Cz.T + uc @ core.Dzu.T
+    W, rec, label = signals(Z)
+    Y = states @ core.Cy.T + uc @ core.Dyu.T + W @ core.Dyw.T + y0
+    traj = Trajectory(dt, 0.0, u[:n], states, Y, Z, rec, label)
+    if failure is not None:
+        raise Divergence(failure, step=n, trajectory=traj)
+    return traj
 
 
 def _eval_rows(rows, Z: np.ndarray) -> np.ndarray:
@@ -234,7 +213,7 @@ def simulate_nlfr(
     x0 = _check_state(x0, d.n_x)
     f_rows = model.f
 
-    def rule(z, _):
+    def rule(z):
         return [row.evaluate(z) for row in f_rows]
 
     def signals(Z):
@@ -244,11 +223,11 @@ def simulate_nlfr(
     return _simulate(model, rule, signals, x0, u, u, dt)
 
 
-def _simulate_lpv(lpv: LpvModel, u, x0, dt, p_stage, p_samples, played=None):
+def _simulate_lpv(lpv: LpvModel, u, x0, dt, p_stage, p_samples):
     """LPV run on the rank-one feedback w_r = sum over (r, i) of p_ri z_i.
 
-    p_stage(z, p_row) gives p at a stage, where p_row is the played-back
-    row, and p_samples(Z) at the samples.
+    p_stage(z) gives p at each stage, called in stage order, and
+    p_samples(Z) gives p at the samples.
     """
     d = lpv.dims
     x0 = _check_state(x0, d.n_x)
@@ -256,8 +235,8 @@ def _simulate_lpv(lpv: LpvModel, u, x0, dt, p_stage, p_samples, played=None):
     for k, (r, i) in enumerate(lpv.channels):
         rows[r - 1].append((k, i - 1))
 
-    def rule(z, p_row):
-        p = p_stage(z, p_row)
+    def rule(z):
+        p = p_stage(z)
         return [sum([p[k] * z[i] for k, i in row], 0.0) for row in rows]
 
     def signals(Z):
@@ -267,7 +246,7 @@ def _simulate_lpv(lpv: LpvModel, u, x0, dt, p_stage, p_samples, played=None):
             W[:, r - 1] += P[:, k] * Z[:, i - 1]
         return W, P, "p"
 
-    return _simulate(lpv, rule, signals, x0, u, u - lpv.d, dt, lpv.y0, played)
+    return _simulate(lpv, rule, signals, x0, u, u - lpv.d, dt, lpv.y0)
 
 
 def simulate_lpv_self(lpv: LpvModel, u, x0=None, dt: float = 1e-3) -> Trajectory:
@@ -280,7 +259,7 @@ def simulate_lpv_self(lpv: LpvModel, u, x0=None, dt: float = 1e-3) -> Trajectory
     u = _check_samples(u, lpv.dims.n_u, "input")
     entries = [lpv.schedule.entry(r, i) for r, i in lpv.channels]
     return _simulate_lpv(
-        lpv, u, x0, dt, lambda z, _: [q.evaluate(z) for q in entries],
+        lpv, u, x0, dt, lambda z: [q.evaluate(z) for q in entries],
         lambda Z: _eval_rows(entries, Z),
     )
 
@@ -305,9 +284,17 @@ def simulate_lpv_exogenous(
         )
     if not np.all(np.isfinite(p)):
         raise ShapeMismatch("scheduling samples contain non-finite values")
+
+    def played():
+        # the rows of the four stages of each step: sample, half-step twice,
+        # next sample
+        for a, b in zip(p[:-1], p[1:]):
+            half = (0.5 * (a + b)).tolist()
+            yield from (a.tolist(), half, half, b.tolist())
+
+    stages = played()
     return _simulate_lpv(
-        lpv, u, x0, dt, lambda z, p_row: p_row.tolist(),
-        lambda Z: p[: Z.shape[0]], played=p,
+        lpv, u, x0, dt, lambda z: next(stages), lambda Z: p[: Z.shape[0]]
     )
 
 

@@ -435,6 +435,62 @@ def test_malformed_model_file_is_typed(tmp_path, msd_file, capsys, make, code_na
     assert "Traceback" not in err
 
 
+def _msd_edited(msd_file, key, value):
+    raw = json.loads(msd_file.read_text())
+    raw[key] = value
+    return json.dumps(raw).encode()
+
+
+def _f_row_nested(msd_file):
+    return "validate", _msd_edited(msd_file, "f", ["(" * 300 + "z1" + ")" * 300])
+
+
+def _dims_nested(msd_file):
+    return "validate", b'{"dims": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"
+
+
+def _model_not_utf8(msd_file):
+    return "validate", b"\xff" + msd_file.read_bytes()
+
+
+def _input_not_utf8(msd_file):
+    return "simulate", msd_file.read_bytes()
+
+
+def _integer_beyond_float_range(msd_file):
+    A = json.loads(msd_file.read_text())["A"]
+    A[0][0] = 10**400
+    return "validate", _msd_edited(msd_file, "A", A)
+
+
+@pytest.mark.parametrize(
+    "make, code_name",
+    [
+        (_f_row_nested, "ParseError"),
+        (_dims_nested, "ModelFormatError"),
+        (_model_not_utf8, "ModelFormatError"),
+        (_input_not_utf8, "InputFormatError"),
+        (_integer_beyond_float_range, "ModelFormatError"),
+    ],
+    ids=["f-row-nested-300", "dims-nested-100000", "model-0xff", "input-0xff",
+         "A-401-digits"],
+)
+def test_out_of_range_file_is_typed(tmp_path, msd_file, capsys, make, code_name):
+    command, model_bytes = make(msd_file)
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(model_bytes)
+    extra = ()
+    if command == "simulate":
+        inputs = tmp_path / "input.csv"
+        inputs.write_bytes(b"u1,u2\n0,0\n\xff,0\n")
+        extra = ("--out", str(tmp_path), "--t-end", "0.02",
+                 "--input", f"file:{inputs}")
+    code, out, err = run(capsys, command, "--model", str(bad), *extra)
+    assert code == 1
+    assert f"error[{code_name}]" in err
+    assert "Traceback" not in err
+
+
 # sha256 of the text artifacts on msd2dof; a change here is a change of the
 # program's output
 GOLDEN_SHA256 = {

@@ -231,7 +231,7 @@ def test_rounded_removable_numerator_embeds(tmp_path, ordering):
     m = validate_nlfr(raw)
     lpv = embed(m, ordering)
     if ordering == (1, 2):
-        at_zero = lpv.schedule.entry(1, 2).numerator.restrict(1)
+        at_zero = lpv.schedule.entry(1, 2).numerator.restrict([1])
         assert at_zero.terms
         assert 0.0 < abs(at_zero.terms[0].coeff) < 1e-15
     save_model(lpv, tmp_path / "lpv.json")

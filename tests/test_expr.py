@@ -19,7 +19,14 @@ from lpvembed.errors import (
     ParseError,
     UnsupportedFunction,
 )
-from lpvembed.expr import Expression, FuncFactor, GuardedQuotient, Term, parse
+from lpvembed.expr import (
+    MAX_NESTING,
+    Expression,
+    FuncFactor,
+    GuardedQuotient,
+    Term,
+    parse,
+)
 
 MSD_F = "0.1*sin(10*z1)*z2 + 0.2*z2^2 + 10*z1^3"
 
@@ -104,6 +111,28 @@ def test_parse_parenthesized_powers_and_signs():
     assert e == parse("z1^2 + 2*z1 + 1", 1)
     assert parse("-z1 - 2", 1) == parse("0 - z1 - 2", 1)
     assert parse("3*(-z1)", 1) == parse("-3*z1", 1)
+
+
+@pytest.mark.parametrize(
+    "templates, value",
+    [(("({})",), "z1"), (("cos(0*{})",), "1"), (("({})", "cos(0*{})"), "1")],
+    ids=["parentheses", "calls", "mixed"],
+)
+def test_parse_nesting_cap(templates, value):
+    # one counter covers parentheses and function calls; the "(" that opens
+    # level MAX_NESTING + 1 is the one reported
+    def nested(depth):
+        text = "z1"
+        for k in range(depth):
+            text = templates[k % len(templates)].format(text)
+        return text
+
+    assert parse(nested(MAX_NESTING), 1) == parse(value, 1)
+    text = nested(MAX_NESTING + 1)
+    with pytest.raises(ParseError, match="nesting") as exc_info:
+        parse(text, 1)
+    opens = [k for k, ch in enumerate(text) if ch == "("]
+    assert exc_info.value.position == opens[MAX_NESTING]
 
 
 @pytest.mark.parametrize("text", [7, 1.5, True, None, [], {}])
@@ -247,15 +276,27 @@ def test_partial_matches_finite_differences():
 
 def test_restrict_msd_examples():
     e = parse(MSD_F, 2)
-    assert e.restrict(1) == parse("10*z1^3", 2)
-    assert e.restrict(0).terms == ()
-    assert e.restrict(2) == e
+    assert e.restrict([1]) == parse("10*z1^3", 2)
+    assert e.restrict([]).terms == ()
+    assert e.restrict([1, 2]) == e
 
 
 def test_restrict_rebiases_function_factors():
     e = parse("sin(z1 + 2*z2 + 0.5)", 2)
-    r = e.restrict(1)
+    r = e.restrict([1])
     assert r == parse("sin(z1 + 0.5)", 2)
+
+
+def test_restrict_keeps_any_set_of_variables():
+    e = parse("z1*z2 + z1 + z2^2*sin(z1 + 2*z2) + 3*cos(0.5*z1 - z2 + 1)", 2)
+    assert e.restrict({2}) == parse("z2^2*sin(2*z2) + 3*cos(-z2 + 1)", 2)
+    # the tanh factor loses its middle weight; exp(0.2*z2) folds to 1
+    e = parse("z1*z3*tanh(z1 - 4*z2 + z3 + 0.5) + z1*z2 + exp(0.2*z2)", 3)
+    assert e.restrict({1, 3}) == parse("z1*z3*tanh(z1 + z3 + 0.5) + 1", 3)
+    with pytest.raises(ValueError):
+        e.restrict({0, 1})
+    with pytest.raises(ValueError):
+        e.restrict({4})
 
 
 def test_restrict_composition_laws():
@@ -263,10 +304,13 @@ def test_restrict_composition_laws():
     for _ in range(40):
         n = int(rng.integers(1, 5))
         e = random_expression(rng, n)
-        assert e.restrict(n) == e
+        assert e.restrict(range(1, n + 1)) == e
         i = int(rng.integers(0, n + 1))
         j = int(rng.integers(0, n + 1))
-        assert_expr_close(e.restrict(i).restrict(j), e.restrict(min(i, j)))
+        assert_expr_close(
+            e.restrict(range(1, i + 1)).restrict(range(1, j + 1)),
+            e.restrict(range(1, min(i, j) + 1)),
+        )
 
 
 # --- exact division -----------------------------------------------------------------

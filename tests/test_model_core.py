@@ -363,3 +363,59 @@ def test_mutated_documents_load_or_fail_typed(msd_raw, msd_model):
                     untyped.append((path, value, exc))
     assert loads == 5436
     assert untyped == []
+
+
+def test_mutated_offset_documents_load_or_fail_typed():
+    # The same sweep over a model whose files carry what the msd2dof and
+    # toy documents lack together: guarded quotients with an offset c != 0,
+    # and nonzero Dzu and Dyw blocks.
+    raw = random_nlfr_raw(
+        np.random.default_rng(7), n_x=2, n_u=2, n_y=1, n_w=1, n_z=2,
+        f_rows=["sin(z1 + z2) + 0.5"],
+    )
+    lpv = embed(validate_nlfr(raw))
+    lpv_raw = json.loads(json.dumps(serialize_lpv(lpv)))
+    assert lpv_raw["schedule"]["c"] == [0.5]
+    assert [e["type"] for e in lpv_raw["schedule"]["entries"][0]] == [
+        "quotient", "quotient"
+    ]
+    assert np.all(lpv.Dzu != 0.0) and np.all(lpv.Dyw != 0.0)
+    loads, untyped = 0, []
+    for load, doc in ((validate_nlfr, raw), (validate_lpv, lpv_raw)):
+        for path in _key_paths(doc):
+            for value in _MUTATIONS:
+                loads += 1
+                try:
+                    load(_mutated(doc, path, value))
+                except LpvEmbedError:
+                    pass
+                except Exception as exc:
+                    untyped.append((path, value, exc))
+    assert loads == 1629
+    assert untyped == []
+
+
+@pytest.mark.parametrize(
+    "path",
+    [("A", 0, 0), ("schedule", "c", 0), ("schedule", "entries", 0, 0, "tau")],
+    ids=["A", "c", "tau"],
+)
+def test_integer_beyond_float_range_is_typed(msd_model, path):
+    # ordering 2,1 gives msd2dof a quotient entry at (1, 1)
+    raw = json.loads(json.dumps(serialize_lpv(embed(msd_model, (2, 1)))))
+    # a JSON integer literal beyond the float range
+    with pytest.raises(ModelFormatError):
+        validate_lpv(_mutated(raw, path, 10**400))
+
+
+def test_bool_n_p_rejected():
+    raw = random_nlfr_raw(
+        np.random.default_rng(3), n_x=1, n_u=1, n_y=1, n_w=1, n_z=1,
+        f_rows=["z1"],
+    )
+    lpv_raw = json.loads(json.dumps(serialize_lpv(embed(validate_nlfr(raw)))))
+    assert lpv_raw["dims"]["n_p"] == 1
+    validate_lpv(lpv_raw)
+    lpv_raw["dims"]["n_p"] = True  # equals 1, the channel count
+    with pytest.raises(DimensionMismatch, match="n_p"):
+        validate_lpv(lpv_raw)
