@@ -48,6 +48,7 @@ from .errors import (
 
 __all__ = [
     "FUNCTIONS",
+    "EMITTED_FUNCTIONS",
     "DEFAULT_GUARD_TAU",
     "FuncFactor",
     "Term",
@@ -64,6 +65,12 @@ FUNCTIONS: dict[str, Callable[[float], float]] = {
     "sinh": math.sinh,
     "cosh": math.cosh,
 }
+
+#: The names code from the ``emit`` methods calls FUNCTIONS by, in order.
+EMITTED_FUNCTIONS: dict[str, Callable[[float], float]] = {
+    f"_fn{k}": fn for k, fn in enumerate(FUNCTIONS.values())
+}
+_EMITTED_NAME = dict(zip(FUNCTIONS, EMITTED_FUNCTIONS))
 
 _BATCH_FUNCTIONS = {
     "sin": np.sin,
@@ -309,6 +316,33 @@ class Expression:
             total += v
         return total
 
+    def emit(self, target: str, z: Sequence[str]) -> list[str]:
+        """Python statements that set ``target`` to ``evaluate`` at z.
+
+        ``z[j]`` names the local holding z_{j+1}.  The statements repeat
+        evaluate's float operations in its order, so the value is bit for
+        bit the same and ``**`` still raises on overflow; one ``+=`` per
+        term keeps a sum of any length within what ``compile`` accepts.
+        Only float literals, integer exponents, the names given and the
+        keys of EMITTED_FUNCTIONS appear.
+        """
+        if len(z) != self.n_vars:
+            raise ArityMismatch(
+                f"{len(z)} variable names, expression arity is {self.n_vars}"
+            )
+        lines = [f"{target} = 0.0"]
+        for t in self.terms:
+            v = [repr(float(t.coeff))]
+            v += [f"{z[j]} ** {int(e)}" for j, e in enumerate(t.exponents) if e]
+            for f in t.factors:
+                arg = repr(float(f.bias)) + "".join(
+                    f" + {float(w)!r} * {z[j]}"
+                    for j, w in enumerate(f.weights) if w != 0.0
+                )
+                v.append(f"{_EMITTED_NAME[f.name]}({arg})")
+            lines.append(f"{target} += {' * '.join(v)}")
+        return lines
+
     def evaluate_batch(self, points) -> np.ndarray:
         """Vectorized evaluation over an (m, n_vars) array of points."""
         Z = np.asarray(points, dtype=float)
@@ -453,6 +487,22 @@ class GuardedQuotient:
         if abs(zi) > self.effective_threshold(z):
             return self.numerator.evaluate(z) / zi
         return self.derivative.evaluate(z)
+
+    def emit(self, target: str, z: Sequence[str]) -> list[str]:
+        """Python statements that set ``target`` to ``evaluate`` at z.
+
+        The guard takes the largest of 0.0 and every ``abs(z_j)`` with
+        ``max``, which, like effective_threshold, skips NaN.
+        """
+        zi = z[self.divisor_index - 1]
+        bound = ", ".join(f"abs({v})" for v in z)
+        return [
+            f"if abs({zi}) > {float(self.tau)!r} * (1.0 + max(0.0, {bound})):",
+            *("    " + s for s in self.numerator.emit(target, z)),
+            f"    {target} /= {zi}",
+            "else:",
+            *("    " + s for s in self.derivative.emit(target, z)),
+        ]
 
     def evaluate_batch(self, points) -> np.ndarray:
         Z = np.asarray(points, dtype=float)

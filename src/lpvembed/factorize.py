@@ -75,9 +75,12 @@ def _is_index(v) -> bool:
 
 
 def _is_finite(v) -> bool:
-    """A real number that converts to a finite float."""
+    """A real number, not a bool, that converts to a finite float."""
     try:
-        return isinstance(v, numbers.Real) and math.isfinite(v)
+        return (
+            isinstance(v, numbers.Real) and not isinstance(v, bool)
+            and math.isfinite(v)
+        )
     except OverflowError:  # an integer beyond the float range
         return False
 
@@ -323,8 +326,9 @@ def _field(doc, key: str, kind=object, where: str = "model file"):
 def schedule_from_raw(raw: dict, n_w: int, n_z: int) -> SchedulingMap:
     """Rebuild a SchedulingMap from file data, re-validating its structure.
 
-    Quotient entries must carry a numerator that vanishes on z_i = 0 and a
-    derivative that matches the recomputed symbolic partial exactly.
+    Quotient entries must carry a numerator that vanishes on z_i = 0, a
+    derivative that matches the recomputed symbolic partial exactly, and
+    the guard scale DEFAULT_GUARD_TAU.
     """
     ordering = _validate_ordering(_field(raw, "ordering", list, "schedule"), n_z)
     c = _field(raw, "c", list, "schedule")
@@ -353,16 +357,20 @@ def schedule_from_raw(raw: dict, n_w: int, n_z: int) -> SchedulingMap:
                 divisor = _field(cell, "divisor", int, where)
                 if divisor != i:
                     raise ModelFormatError(f"{where} divides by z{divisor}")
+                # the one guard scale factorize writes; a simulation kernel
+                # compiles it in as a literal
                 tau = _field(cell, "tau", numbers.Real, where)
-                if not (_is_finite(tau) and tau > 0.0):
-                    raise ModelFormatError(f"{where} has invalid tau {tau!r}")
+                if tau != DEFAULT_GUARD_TAU:
+                    raise ModelFormatError(
+                        f"{where} has tau {tau!r}, expected {DEFAULT_GUARD_TAU!r}"
+                    )
                 if der != num.partial(i):
                     raise ModelFormatError(
                         f"{where} derivative does not "
                         "match the numerator's partial derivative"
                     )
                 _check_removable(num, i)
-                row.append(GuardedQuotient(num, i, der, float(tau)))
+                row.append(GuardedQuotient(num, i, der))
             else:
                 raise ModelFormatError(f"{where} has unknown type {kind!r}")
         grid.append(tuple(row))

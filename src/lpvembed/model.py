@@ -26,7 +26,9 @@ are 1-based to match the expression variables z1, z2, ...
 
 from __future__ import annotations
 
+import itertools
 import json
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
@@ -117,6 +119,14 @@ def _as_array(name: str, raw, shape: tuple[int, ...]) -> np.ndarray:
         raise ModelFormatError(f"{kind} {name} is not numeric: {exc}") from exc
     if m.shape != shape:
         raise DimensionMismatch(f"{kind} {name} has shape {m.shape}, expected {shape}")
+    # numpy reads true as 1.0 and "1" as 1.0; as in _field, an entry is a
+    # number and never a bool
+    flat = raw
+    for _ in shape[1:]:
+        flat = itertools.chain.from_iterable(flat)
+    for t in set(map(type, flat)) - {float, int}:
+        if t is bool or not issubclass(t, numbers.Real):
+            raise ModelFormatError(f"{kind} {name} has an entry of type {t.__name__}")
     if not np.all(np.isfinite(m)):
         raise NonFiniteEntry(f"{kind} {name} contains non-finite entries")
     return _freeze(m)

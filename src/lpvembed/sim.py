@@ -5,14 +5,21 @@ grid, sharing one stepping core for the field dx = A x + Bu u + Bw w so that
 equivalence residuals measure only the difference between the rules for w
 (f(z), or the rank-one LPV feedback P(z) z), never solver artifacts.  The
 field is affine in x, u and w, so each RK4 step is unrolled once per run
-into a linear map; the loop evaluates only the rule for w, one call
-rule(z) per stage, the four stages of each step in order.  Inputs are
+into a linear map.  Each run then compiles its own step kernel: one Python
+function whose loop keeps M x, the increment and the divergence check in
+numpy and writes the four stages out as float arithmetic -- the stage z
+with its corrections, and the rule for w inlined from the model's
+expressions by their ``emit`` methods, in the operation order of
+``evaluate``.  The source holds only numeric literals, fixed local names,
+a few builtins and the names of the six functions; no text from a model
+file reaches ``compile``.  The compile costs about 1 to 10 ms per run,
+and nothing is cached between runs, so threads stay safe.  Inputs are
 sampled signals with n_steps + 1 samples, interpolated linearly at the
 half-steps.  In self-scheduled LPV simulation the scheduling vector is
 recomputed from the current state and corrected input at every stage,
 which keeps the LPV vector field pointwise equal to the nonlinear one; in
-exogenous LPV simulation the stage rule instead plays back the next
-scheduling row, interpolated like the input.
+exogenous LPV simulation the kernel instead plays back the scheduling
+samples, interpolated like the input.
 
 Trajectories record the raw input, states, raw outputs, the nonlinearity
 input z, and either w = f(z) (nonlinear runs) or the scheduling vector p
@@ -21,6 +28,7 @@ input z, and either w = f(z) (nonlinear runs) or the scheduling vector p
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -33,6 +41,7 @@ from .errors import (
     NyquistViolation,
     ShapeMismatch,
 )
+from .expr import EMITTED_FUNCTIONS
 from .model import LpvModel, NlfrModel
 
 __all__ = [
@@ -141,58 +150,93 @@ def _step_map(core, dt: float):
     return G[:, :n_x], G[:, n_x : n_x + 2 * n_u], H, Gw[4 * n_z :]
 
 
-def _integrate(step, rule, x0: np.ndarray, u_c: np.ndarray):
-    """RK4 over the sample grid; w_i = rule(z_i) at each stage, in order.
+def _kernel(H, rule, n_steps: int):
+    """Compile one run's RK4 loop over the step map, closed by the rule.
 
-    Returns (states, failure): failure is None for a complete run, else the
-    reason the run stopped, with states holding the samples reached.
+    rule(i, z, w) gives the statements of stage i (0 to 3) that set the
+    locals named w to the rule's w at the locals named z.  The stage z and
+    its corrections H (from _step_map) are emitted as float arithmetic,
+    nonzero coefficients only, summed left to right; M x, the increment
+    Psi w and the divergence check stay numpy.  The source holds only
+    float and integer literals, local names, a few builtins and the keys
+    of EMITTED_FUNCTIONS; nothing is cached, so each run compiles its own
+    kernel.
+
+    kernel(x0, off, states, M, Psi, p) fills states[1:], reading the pairs
+    of sample rows of a played-back p from the iterator p, and returns
+    (k, exc): k = n_steps for a complete run, else the index of the step
+    that failed, with exc the OverflowError or ValueError it raised, or
+    None when the state left the divergence bound.
     """
-    M, K, (H2, H3, H4), Psi = step
-    # s = M x + off[k] holds z_1, ..., z_4 before the w corrections, then
-    # the increment before Psi w
-    n_z = H2.shape[0]
-    z2, z3, z4, z5 = n_z, 2 * n_z, 3 * n_z, 4 * n_z
-    n_steps = u_c.shape[0] - 1
-    off = np.hstack([u_c[:-1], u_c[1:]]) @ K.T
-    states = np.empty((n_steps + 1, x0.shape[0]))
-    states[0] = x0
-    x = x0
-    try:
-        for k in range(n_steps):
-            s = M @ x + off[k]
-            w = rule(s[:z2].tolist())
-            w += rule((s[z2:z3] + H2.dot(w)).tolist())
-            w += rule((s[z3:z4] + H3.dot(w)).tolist())
-            w += rule((s[z4:z5] + H4.dot(w)).tolist())
-            # an increment, so its O(dt) terms are not rounded against x
-            x = x + (s[z5:] + Psi.dot(w))
-            # one comparison that NaN and inf also fail
-            if not abs(x).max() <= DIVERGENCE_LIMIT:
-                failure = f"state exceeded {DIVERGENCE_LIMIT:.0e} at step {k + 1}"
-                return states[: k + 1], failure
-            states[k + 1] = x
-    # Python float powers and math.exp raise on overflow, math.sin(inf) on
-    # its domain
-    except (OverflowError, ValueError) as exc:
-        failure = f"nonlinearity evaluation overflowed at step {k + 1} ({exc})"
-        return states[: k + 1], failure
-    return states, None
+    n_z, n_w = H[0].shape
+    z = [f"z{j}" for j in range(n_z)]
+    w = [[f"w{i}_{r}" for r in range(n_w)] for i in range(4)]
+    body = []
+    for i in range(4):
+        for j in range(n_z):
+            s_ij = f"s[{i * n_z + j}]"
+            terms = [] if i == 0 else [
+                f"{float(h)!r} * {w[c // n_w][c % n_w]}"
+                for c, h in enumerate(H[i - 1][j]) if h != 0.0
+            ]
+            if terms:
+                body += ["c = 0.0", *(f"c += {t}" for t in terms),
+                         f"{z[j]} = {s_ij} + c"]
+            else:
+                body.append(f"{z[j]} = {s_ij}")
+        body += rule(i, z, w[i])
+    flat_w = ", ".join(name for stage in w for name in stage)
+    source = "\n".join([
+        "def kernel(x, off, states, M, Psi, p):",
+        "    try:",
+        f"        for k in range({n_steps}):",
+        "            sa = M @ x + off[k]",
+        "            s = sa.tolist()",
+        *("            " + line for line in body),
+        # an increment, so its O(dt) terms are not rounded against x
+        f"            x = x + (sa[{4 * n_z}:] + Psi.dot([{flat_w}]))",
+        # one comparison that NaN and inf also fail
+        f"            if not abs(x).max() <= {DIVERGENCE_LIMIT!r}:",
+        "                return k, None",
+        "            states[k + 1] = x",
+        # Python float powers and math.exp raise on overflow, math.sin(inf)
+        # on its domain
+        "    except (OverflowError, ValueError) as exc:",
+        "        return k, exc",
+        f"    return {n_steps}, None",
+    ])
+    namespace = dict(EMITTED_FUNCTIONS)
+    exec(compile(source, "<rk4 kernel>", "exec"), namespace)
+    # popped, so the kernel and its namespace hold no reference cycle and
+    # are freed with the run
+    return namespace.pop("kernel")
 
 
-def _simulate(core, rule, signals, x0, u, u_c, dt, y0=0.0):
-    """Integrate the core closed by w = rule(z), driven by u_c.
+def _simulate(core, rule, signals, x0, u, u_c, dt, y0=0.0, p=None):
+    """Integrate the core closed by the rule (see _kernel), driven by u_c.
 
     signals(Z) gives W, the recorded series and its label for the readout
     y = Cy x + Dyu u_c + Dyw W + y0.  A failed run raises Divergence.
     """
-    states, failure = _integrate(_step_map(core, dt), rule, x0, u_c)
-    n = states.shape[0]
-    uc = u_c[:n]
+    M, K, H, Psi = _step_map(core, dt)
+    n_steps = u_c.shape[0] - 1
+    kernel = _kernel(H, rule, n_steps)
+    off = np.hstack([u_c[:-1], u_c[1:]]) @ K.T
+    states = np.empty((n_steps + 1, x0.shape[0]))
+    states[0] = x0
+    k, exc = kernel(x0, off, states, M, Psi, p)
+    n = k + 1
+    states, uc = states[:n], u_c[:n]
     Z = states @ core.Cz.T + uc @ core.Dzu.T
     W, rec, label = signals(Z)
     Y = states @ core.Cy.T + uc @ core.Dyu.T + W @ core.Dyw.T + y0
     traj = Trajectory(dt, 0.0, u[:n], states, Y, Z, rec, label)
-    if failure is not None:
+    if k < n_steps:
+        failure = (
+            f"state exceeded {DIVERGENCE_LIMIT:.0e} at step {k + 1}"
+            if exc is None else
+            f"nonlinearity evaluation overflowed at step {k + 1} ({exc})"
+        )
         raise Divergence(failure, step=n, trajectory=traj)
     return traj
 
@@ -213,8 +257,8 @@ def simulate_nlfr(
     x0 = _check_state(x0, d.n_x)
     f_rows = model.f
 
-    def rule(z):
-        return [row.evaluate(z) for row in f_rows]
+    def rule(i, z, w):
+        return [line for row, w_r in zip(f_rows, w) for line in row.emit(w_r, z)]
 
     def signals(Z):
         W = _eval_rows(f_rows, Z)
@@ -223,11 +267,12 @@ def simulate_nlfr(
     return _simulate(model, rule, signals, x0, u, u, dt)
 
 
-def _simulate_lpv(lpv: LpvModel, u, x0, dt, p_stage, p_samples):
+def _simulate_lpv(lpv: LpvModel, u, x0, dt, p_stage, p_samples, played=None):
     """LPV run on the rank-one feedback w_r = sum over (r, i) of p_ri z_i.
 
-    p_stage(z) gives p at each stage, called in stage order, and
-    p_samples(Z) gives p at the samples.
+    p_stage(i, z) gives the names of p at stage i and the statements that
+    set them, p_samples(Z) gives p at the samples, and played yields the
+    pairs of sample rows a played-back p is read from.
     """
     d = lpv.dims
     x0 = _check_state(x0, d.n_x)
@@ -235,9 +280,11 @@ def _simulate_lpv(lpv: LpvModel, u, x0, dt, p_stage, p_samples):
     for k, (r, i) in enumerate(lpv.channels):
         rows[r - 1].append((k, i - 1))
 
-    def rule(z):
-        p = p_stage(z)
-        return [sum([p[k] * z[i] for k, i in row], 0.0) for row in rows]
+    def rule(i, z, w):
+        p, lines = p_stage(i, z)
+        for w_r, row in zip(w, rows):
+            lines += [f"{w_r} = 0.0", *(f"{w_r} += {p[k]} * {z[j]}" for k, j in row)]
+        return lines
 
     def signals(Z):
         P = p_samples(Z)
@@ -246,7 +293,7 @@ def _simulate_lpv(lpv: LpvModel, u, x0, dt, p_stage, p_samples):
             W[:, r - 1] += P[:, k] * Z[:, i - 1]
         return W, P, "p"
 
-    return _simulate(lpv, rule, signals, x0, u, u - lpv.d, dt, lpv.y0)
+    return _simulate(lpv, rule, signals, x0, u, u - lpv.d, dt, lpv.y0, played)
 
 
 def simulate_lpv_self(lpv: LpvModel, u, x0=None, dt: float = 1e-3) -> Trajectory:
@@ -258,9 +305,13 @@ def simulate_lpv_self(lpv: LpvModel, u, x0=None, dt: float = 1e-3) -> Trajectory
     """
     u = _check_samples(u, lpv.dims.n_u, "input")
     entries = [lpv.schedule.entry(r, i) for r, i in lpv.channels]
+    p = [f"p{k}" for k in range(len(entries))]
+
+    def p_stage(i, z):
+        return p, [line for q, p_k in zip(entries, p) for line in q.emit(p_k, z)]
+
     return _simulate_lpv(
-        lpv, u, x0, dt, lambda z: [q.evaluate(z) for q in entries],
-        lambda Z: _eval_rows(entries, Z),
+        lpv, u, x0, dt, p_stage, lambda Z: _eval_rows(entries, Z)
     )
 
 
@@ -284,17 +335,20 @@ def simulate_lpv_exogenous(
         )
     if not np.all(np.isfinite(p)):
         raise ShapeMismatch("scheduling samples contain non-finite values")
+    # the rows of the four stages of each step: sample a, half-step h twice,
+    # next sample b
+    a, h, b = ([f"{v}{k}" for k in range(d.n_p)] for v in "ahb")
 
-    def played():
-        # the rows of the four stages of each step: sample, half-step twice,
-        # next sample
-        for a, b in zip(p[:-1], p[1:]):
-            half = (0.5 * (a + b)).tolist()
-            yield from (a.tolist(), half, half, b.tolist())
+    def p_stage(i, z):
+        if i == 0:
+            return a, [f"[{', '.join(a)}], [{', '.join(b)}] = next(p)"]
+        if i == 1:
+            return h, [f"{h_k} = 0.5 * ({a_k} + {b_k})" for h_k, a_k, b_k in zip(h, a, b)]
+        return (h, b)[i - 2], []
 
-    stages = played()
     return _simulate_lpv(
-        lpv, u, x0, dt, lambda z: next(stages), lambda Z: p[: Z.shape[0]]
+        lpv, u, x0, dt, p_stage, lambda Z: p[: Z.shape[0]],
+        itertools.pairwise(map(np.ndarray.tolist, p)),
     )
 
 

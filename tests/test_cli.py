@@ -491,6 +491,26 @@ def test_out_of_range_file_is_typed(tmp_path, msd_file, capsys, make, code_name)
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_foreign_tau_file_is_typed(tmp_path, msd_file, capsys, command):
+    code, out, err = run(
+        capsys, "embed", "--model", str(msd_file), "--ordering", "2,1",
+        "--out", str(tmp_path),
+    )
+    assert code == 0, err
+    lpv_file = tmp_path / "msd2dof_nlfr_lpv.json"
+    raw = json.loads(lpv_file.read_text())
+    raw["schedule"]["entries"][0][0]["tau"] = 7
+    lpv_file.write_text(json.dumps(raw))
+    extra = ("--out", str(tmp_path), "--t-end", "0.5") if command == "simulate" else ()
+    code, out, err = run(capsys, command, "--model", str(lpv_file), *extra)
+    assert code == 1
+    assert "error[ModelFormatError]" in err
+    assert "Traceback" not in err
+    if command == "simulate":
+        assert "tau 7" in err
+
+
 # sha256 of the text artifacts on msd2dof; a change here is a change of the
 # program's output
 GOLDEN_SHA256 = {
@@ -527,3 +547,50 @@ def test_golden_artifacts(tmp_path, capsys, monkeypatch):
         for name in GOLDEN_SHA256
     }
     assert digests == GOLDEN_SHA256
+
+
+# sha256 of the simulation artifacts on msd2dof, recorded before the
+# generated stage kernel replaced the per-stage rule calls
+GOLDEN_SIM_SHA256 = {
+    "msd2dof_nlfr_traj.csv":
+        "95a4395b59ff9cb4521fa539388c8287c0e003cbc78be6574e4b7b9fe8759611",
+    "1,2/msd2dof_nlfr_lpv_traj.csv":
+        "a9971352017efd26aa3a089eeb13245123c648bc142910654812d362caf35d70",
+    "1,2/compare_report.csv":
+        "25f1053bc386d4d1b90732001dd68d42193eaa33d04b8529f81b61de312fa7af",
+    "1,2/spectrum_nlfr.csv":
+        "3493cbd99f238e989b055d33df5d1290e52961a17b26cff9267a4816c9eb10ec",
+    "1,2/spectrum_lpv.csv":
+        "a28cb8b36923577a48d0facdfa6d734083fa0402655c83e4b14082278b834417",
+    "2,1/msd2dof_nlfr_lpv_traj.csv":
+        "4b43706ca5b12db788601343e5143911db5e950561a74df73f7616bc15de2cac",
+    "2,1/compare_report.csv":
+        "1bc5964d51c036f46309b0db8293e03bab7b0776576b0417bad8fb8b0993ba62",
+    "2,1/spectrum_nlfr.csv":
+        "3493cbd99f238e989b055d33df5d1290e52961a17b26cff9267a4816c9eb10ec",
+    "2,1/spectrum_lpv.csv":
+        "3493cbd99f238e989b055d33df5d1290e52961a17b26cff9267a4816c9eb10ec",
+}
+
+
+def test_golden_simulation_artifacts(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, "example", "msd2dof")[0] == 0
+    code, out, err = run(
+        capsys, "simulate", "--model", "msd2dof_nlfr.json", "--t-end", "2"
+    )
+    assert code == 0, err
+    for ordering in ("1,2", "2,1"):
+        lpv = f"{ordering}/msd2dof_nlfr_lpv.json"
+        for argv in (
+            ("embed", "--model", "msd2dof_nlfr.json", "--ordering", ordering),
+            ("simulate", "--model", lpv, "--t-end", "2"),
+            ("compare", "--model", "msd2dof_nlfr.json", "--lpv", lpv),
+        ):
+            code, out, err = run(capsys, *argv, "--out", ordering)
+            assert code == 0, err
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in GOLDEN_SIM_SHA256
+    }
+    assert digests == GOLDEN_SIM_SHA256

@@ -10,6 +10,7 @@ from conftest import (
     assert_guard_continuous,
     central_difference,
     random_expression,
+    random_expression_vector,
 )
 from lpvembed.errors import (
     ArityMismatch,
@@ -20,6 +21,9 @@ from lpvembed.errors import (
     UnsupportedFunction,
 )
 from lpvembed.expr import (
+    DEFAULT_GUARD_TAU,
+    EMITTED_FUNCTIONS,
+    FUNCTIONS,
     MAX_NESTING,
     Expression,
     FuncFactor,
@@ -376,3 +380,51 @@ def test_guarded_quotient_continuity_sweep():
     num = parse("tanh(z1 + 0.3*z2)*z2 - tanh(0.3*z2)*z2", 2)
     q = GuardedQuotient(num, 1, num.partial(1))
     assert_guard_continuous(q, rng)
+
+
+# --- emitted code ------------------------------------------------------------------
+
+
+def emitted(entry, n_vars):
+    """The function of z1..zn that runs entry.emit's statements."""
+    z = [f"z{j}" for j in range(n_vars)]
+    source = "\n".join(
+        [f"def f({', '.join(z)}):"]
+        + ["    " + line for line in entry.emit("v", z)]
+        + ["    return v"]
+    )
+    namespace = dict(EMITTED_FUNCTIONS)
+    exec(compile(source, "<emitted>", "exec"), namespace)
+    return namespace["f"]
+
+
+def test_emitted_values_match_evaluate_bit_for_bit():
+    rng = np.random.default_rng(41)
+    names, checked, guarded = set(), 0, [0, 0]
+    for _ in range(60):
+        n_z = int(rng.integers(1, 5))
+        for e in random_expression_vector(rng, 3, n_z):
+            names.update(f.name for t in e.terms for f in t.factors)
+            i = int(rng.integers(1, n_z + 1))
+            num = e * Expression.variable(i, n_z)
+            entries = [e, GuardedQuotient(num, i, num.partial(i))]
+            runs = [emitted(entry, n_z) for entry in entries]
+            for _ in range(6):
+                z = rng.uniform(-2.0, 2.0, n_z)
+                tau_eff = DEFAULT_GUARD_TAU * (1.0 + float(np.max(np.abs(z))))
+                # far from, at, and inside the guard band of z_i
+                for zi in (z[i - 1], 0.0, 0.5 * tau_eff, -0.9 * tau_eff):
+                    z[i - 1] = zi
+                    pt = z.tolist()
+                    guarded[abs(pt[i - 1]) > entries[1].effective_threshold(pt)] += 1
+                    for entry, run in zip(entries, runs):
+                        want = entry.evaluate(pt)
+                        assert run(*pt).hex() == want.hex(), (entry, pt)
+                        checked += 1
+    assert names == set(FUNCTIONS)
+    assert checked > 5000 and min(guarded) > 1000
+
+
+def test_emit_checks_arity():
+    with pytest.raises(ArityMismatch):
+        parse(MSD_F, 2).emit("v", ["z0"])

@@ -27,6 +27,7 @@ from lpvembed.errors import (
     NonFiniteEntry,
     NonzeroDzw,
 )
+from lpvembed.expr import DEFAULT_GUARD_TAU
 from lpvembed.model import Dims
 
 
@@ -419,3 +420,37 @@ def test_bool_n_p_rejected():
     lpv_raw["dims"]["n_p"] = True  # equals 1, the channel count
     with pytest.raises(DimensionMismatch, match="n_p"):
         validate_lpv(lpv_raw)
+
+
+@pytest.mark.parametrize("tau", [7, 1.5, 1e-6, 0.0])
+def test_foreign_tau_rejected(msd_model, tau):
+    # ordering 2,1 gives msd2dof a quotient entry at (1, 1); tau 7 puts every
+    # point inside its guard band, so f would no longer be reconstructed
+    raw = json.loads(json.dumps(serialize_lpv(embed(msd_model, (2, 1)))))
+    cell = raw["schedule"]["entries"][0][0]
+    assert cell["tau"] == DEFAULT_GUARD_TAU
+    validate_lpv(raw)
+    cell["tau"] = tau
+    with pytest.raises(ModelFormatError, match="tau"):
+        validate_lpv(raw)
+
+
+@pytest.mark.parametrize(
+    "path",
+    [("A", 0, 0), ("Dzu", 1, 0), ("d", 0), ("y0", 0), ("schedule", "c", 0),
+     ("basis", 0, "Ak", 0, 0)],
+    ids=["A", "Dzu", "d", "y0", "c", "basis"],
+)
+@pytest.mark.parametrize("value", [True, False, "1.5"], ids=["true", "false", "text"])
+def test_non_number_entry_rejected(path, value):
+    # numpy would read true as 1.0 and "1.5" as 1.5
+    raw = random_nlfr_raw(
+        np.random.default_rng(7), n_x=2, n_u=2, n_y=1, n_w=1, n_z=2,
+        f_rows=["sin(z1 + z2) + 0.5"],
+    )
+    lpv_raw = json.loads(json.dumps(serialize_lpv(embed(validate_nlfr(raw)))))
+    validate_lpv(lpv_raw)
+    load = validate_nlfr if path[0] in raw else validate_lpv
+    doc = raw if path[0] in raw else lpv_raw
+    with pytest.raises(ModelFormatError):
+        load(_mutated(doc, path, value))

@@ -2,7 +2,11 @@
 
 import copy
 import dataclasses
+import io
+import keyword
 import math
+import re
+import tokenize
 
 import numpy as np
 import pytest
@@ -26,6 +30,8 @@ from lpvembed.errors import (
     NyquistViolation,
     ShapeMismatch,
 )
+from lpvembed import sim
+from lpvembed.expr import Expression, FuncFactor, Term
 from lpvembed.sim import MAX_MULTISINE_TABLE, Trajectory
 
 
@@ -185,6 +191,70 @@ def test_evaluation_overflow_is_divergence(f):
         assert np.all(np.isfinite(err.trajectory.x))
 
 
+# --- generated stage kernel -------------------------------------------------------
+
+# every name a kernel may hold: its parameters and locals, the builtins and
+# numpy methods it calls, and the stage variables z, w and p
+KERNEL_NAMES = {
+    "kernel", "x", "off", "states", "M", "Psi", "p", "k", "sa", "s", "c",
+    "exc", "range", "abs", "max", "next", "dot", "tolist",
+    "OverflowError", "ValueError",
+}
+KERNEL_NAME_RE = re.compile(r"(z|p|a|h|b)\d+|w[0-3]_\d+|_fn[0-5]")
+
+
+def test_kernel_source_holds_only_allowed_names(msd_model, monkeypatch):
+    sources = []
+
+    def spy(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr(sim, "compile", spy, raising=False)
+    rng = np.random.default_rng(5)
+    toy = validate_nlfr(random_nlfr_raw(
+        rng, n_x=3, n_u=2, n_y=2, n_w=2, n_z=2,
+        f_rows=["exp(0.1*z1)*cos(z2) + cosh(0.2*z2) + 0.3",
+                "0.2*sinh(z1)*tanh(z2) - 0.1*z2 + sin(z1 + z2)"],
+    ))
+    u = np.random.default_rng(4).uniform(-1.0, 1.0, (21, 2))
+    for m in (msd_model, toy):
+        ta = simulate_nlfr(m, u)
+        for ordering in ((1, 2), (2, 1)):
+            lpv = embed(m, ordering)
+            simulate_lpv_self(lpv, u, x0=matching_start(lpv))
+            p = np.column_stack([
+                lpv.schedule.entry(r, i).evaluate_batch(ta.z) for r, i in lpv.channels
+            ])
+            simulate_lpv_exogenous(lpv, u, p)
+    assert len(sources) == 10
+    text = "\n".join(sources)
+    assert "if abs(" in text and all(f"_fn{k}(" in text for k in range(6))
+    for source in sources:
+        tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
+        assert not any(t.type == tokenize.STRING for t in tokens)
+        names = {t.string for t in tokens if t.type == tokenize.NAME}
+        assert all(
+            keyword.iskeyword(n) or n in KERNEL_NAMES or KERNEL_NAME_RE.fullmatch(n)
+            for n in names
+        ), names
+
+
+def test_five_thousand_term_row_simulates(msd_model):
+    # built from terms, not parsed: one long sum in the generated kernel
+    terms = [
+        Term(1e-4, (0, 0), (FuncFactor("sin", (1.0, 0.5), 1e-3 * k),))
+        for k in range(5000)
+    ]
+    row = Expression.from_terms(terms, 2)
+    assert len(row.terms) == 5000
+    m = dataclasses.replace(msd_model, f=(row,))
+    u = np.random.default_rng(0).uniform(-1.0, 1.0, (11, 2))
+    traj = simulate_nlfr(m, u)
+    assert traj.n_steps == 10
+    assert np.all(np.isfinite(traj.x)) and np.any(traj.w_or_p != 0.0)
+
+
 # --- NLFR vs LPV equivalence -----------------------------------------------------
 
 
@@ -200,6 +270,15 @@ def test_linear_model_simulations_bit_identical():
     assert np.array_equal(ta.x, tb.x)
     assert np.array_equal(ta.y, tb.y)
     assert np.array_equal(ta.z, tb.z)
+
+
+def test_linear_model_playback_without_channels():
+    m = validate_nlfr(first_order_raw())
+    lpv = embed(m)
+    u = multisine(1, 0.0, 5.0, 1.0, 1e-3, 200, seed=1)
+    ta = simulate_nlfr(m, u, dt=1e-3)
+    tb = simulate_lpv_exogenous(lpv, u, np.zeros((201, 0)), dt=1e-3)
+    assert np.array_equal(ta.x, tb.x) and np.array_equal(ta.y, tb.y)
 
 
 def test_msd_equivalence_short_run(msd_model):
