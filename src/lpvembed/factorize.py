@@ -24,15 +24,22 @@ maps; the defining property, checked by :func:`check_reconstruction`, is
 
 from __future__ import annotations
 
-import math
+import itertools
 import numbers
+import reprlib
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidOrdering, ModelFormatError, NonzeroAtOrigin
+from .errors import (
+    DimensionMismatch,
+    InvalidOrdering,
+    ModelFormatError,
+    NonFiniteEntry,
+    NonzeroAtOrigin,
+)
 from .expr import DEFAULT_GUARD_TAU, Expression, GuardedQuotient, parse
 
 __all__ = [
@@ -72,17 +79,6 @@ def extract_offset(f: Sequence[Expression]):
 def _is_index(v) -> bool:
     """A Python or numpy integer; bool and integral floats are not."""
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-
-def _is_finite(v) -> bool:
-    """A real number, not a bool, that converts to a finite float."""
-    try:
-        return (
-            isinstance(v, numbers.Real) and not isinstance(v, bool)
-            and math.isfinite(v)
-        )
-    except OverflowError:  # an integer beyond the float range
-        return False
 
 
 def _validate_ordering(ordering, n_z: int) -> tuple[int, ...]:
@@ -219,20 +215,22 @@ def factorize(
         prev = row.restrict(())
         for k, i in enumerate(ordering):
             cur = row.restrict(ordering[: k + 1])
-            num = cur - prev
+            row_entries[i - 1] = _entry(cur - prev, i)
             prev = cur
-            if not num.terms:
-                continue
-            exact = num.try_exact_divide(i)
-            if exact is not None:
-                row_entries[i - 1] = exact
-            else:
-                _check_removable(num, i)
-                row_entries[i - 1] = GuardedQuotient(
-                    num, i, num.partial(i), DEFAULT_GUARD_TAU
-                )
         grid.append(tuple(row_entries))
     return SchedulingMap(tuple(grid), ordering, c_arr)
+
+
+def _entry(num: Expression, i: int):
+    """The entry num / z_i: None for no terms, the exact quotient when every
+    term carries z_i, else a guarded quotient; factorize and the loader share it."""
+    if not num.terms:
+        return None
+    exact = num.try_exact_divide(i)
+    if exact is not None:
+        return exact
+    _check_removable(num, i)
+    return GuardedQuotient(num, i, num.partial(i), DEFAULT_GUARD_TAU)
 
 
 @dataclass(frozen=True)
@@ -280,31 +278,27 @@ def check_reconstruction(
 # --- model-file (de)serialization --------------------------------------------
 
 
+def _cell_raw(e) -> dict:
+    """One schedule entry as the file stores it."""
+    if e is None:
+        return {"type": "zero"}
+    if isinstance(e, GuardedQuotient):
+        return {
+            "type": "quotient",
+            "numerator": str(e.numerator),
+            "derivative": str(e.derivative),
+            "divisor": e.divisor_index,
+            "tau": e.tau,
+        }
+    return {"type": "exact", "expr": str(e)}
+
+
 def schedule_to_raw(m: SchedulingMap) -> dict:
     """Schedule as plain JSON-ready data: printed expressions + guard metadata."""
-    entries = []
-    for row in m.entries:
-        out_row = []
-        for i, e in enumerate(row):
-            if e is None:
-                out_row.append({"type": "zero"})
-            elif isinstance(e, GuardedQuotient):
-                out_row.append(
-                    {
-                        "type": "quotient",
-                        "numerator": str(e.numerator),
-                        "derivative": str(e.derivative),
-                        "divisor": e.divisor_index,
-                        "tau": e.tau,
-                    }
-                )
-            else:
-                out_row.append({"type": "exact", "expr": str(e)})
-        entries.append(out_row)
     return {
         "ordering": list(m.ordering),
         "c": [float(v) for v in m.c],
-        "entries": entries,
+        "entries": [[_cell_raw(e) for e in row] for row in m.entries],
     }
 
 
@@ -323,55 +317,97 @@ def _field(doc, key: str, kind=object, where: str = "model file"):
     return value
 
 
-def schedule_from_raw(raw: dict, n_w: int, n_z: int) -> SchedulingMap:
-    """Rebuild a SchedulingMap from file data, re-validating its structure.
+def _freeze(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
-    Quotient entries must carry a numerator that vanishes on z_i = 0, a
-    derivative that matches the recomputed symbolic partial exactly, and
-    the guard scale DEFAULT_GUARD_TAU.
+
+def _as_array(name: str, raw, shape: tuple[int, ...]) -> np.ndarray:
+    kind = "vector" if len(shape) == 1 else "matrix"
+    # OverflowError: an integer beyond the float range
+    try:
+        m = np.array(raw, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ModelFormatError(f"{kind} {name} is not numeric: {exc}") from exc
+    if m.shape != shape:
+        raise DimensionMismatch(f"{kind} {name} has shape {m.shape}, expected {shape}")
+    # numpy reads true as 1.0 and "1" as 1.0; as in _field, an entry is a
+    # number and never a bool
+    flat = raw
+    for _ in shape[1:]:
+        flat = itertools.chain.from_iterable(flat)
+    for t in set(map(type, flat)) - {float, int}:
+        if t is bool or not issubclass(t, numbers.Real):
+            raise ModelFormatError(f"{kind} {name} has an entry of type {t.__name__}")
+    if not np.all(np.isfinite(m)):
+        raise NonFiniteEntry(f"{kind} {name} contains non-finite entries")
+    return _freeze(m)
+
+
+def _is_copy(stored, written) -> bool:
+    """Whether stored is the JSON value written (no objects inside), type for
+    type: true is not 1 and 1 is not 1.0.  Floats compare as numbers."""
+    if type(stored) is not type(written):
+        return False
+    if not isinstance(written, list):
+        return stored == written
+    kinds = list(map(type, written))
+    if list(map(type, stored)) != kinds:
+        return False
+    # nested lists recurse; a list of numbers or text compares in C
+    return all(map(_is_copy, stored, written)) if list in kinds else stored == written
+
+
+def _check_copy(stored, written: dict, where: str) -> None:
+    """ModelFormatError unless the JSON object stored holds exactly the keys
+    of written, each with a copy of its value (:func:`_is_copy`)."""
+    if not isinstance(stored, Mapping):
+        raise ModelFormatError(f"{where} is not a JSON object")
+    for key in {**written, **stored}:
+        if key not in stored or key not in written or not _is_copy(
+            stored[key], written[key]
+        ):
+            has, gives = (
+                f"{key} {reprlib.repr(doc[key])}" if key in doc else f"no {key}"
+                for doc in (stored, written)
+            )
+            raise ModelFormatError(
+                f"{where} has {has}, but reconstructing it from the file's "
+                f"primary data gives {gives}"
+            )
+
+
+def schedule_from_raw(raw: dict, n_w: int, n_z: int) -> SchedulingMap:
+    """Rebuild a SchedulingMap from file data, each entry as factorize builds it.
+
+    Each entry is :func:`_entry` of its numerator, ``parse(expr) * z_i`` or
+    ``parse(numerator)``, whose text may be spelled any way the parser
+    reads; the cell's other keys must be what :func:`schedule_to_raw` writes.
     """
     ordering = _validate_ordering(_field(raw, "ordering", list, "schedule"), n_z)
-    c = _field(raw, "c", list, "schedule")
-    if len(c) != n_w or not all(map(_is_finite, c)):
-        raise ModelFormatError("schedule offset c has wrong length or bad values")
-    c = np.array(c, dtype=float)
+    c = _as_array("c", _field(raw, "c", where="schedule"), (n_w,))
     rows_raw = _field(raw, "entries", list, "schedule")
     if len(rows_raw) != n_w or any(
         not isinstance(r, list) or len(r) != n_z for r in rows_raw
     ):
         raise ModelFormatError(f"schedule grid is not {n_w} x {n_z}")
-    c.setflags(write=False)
     grid = []
     for r, row_raw in enumerate(rows_raw):
         row: list = []
         for i, cell in enumerate(row_raw, start=1):
             where = f"schedule entry ({r + 1},{i})"
             kind = _field(cell, "type", where=where)
-            if kind == "zero":
-                row.append(None)
-            elif kind == "exact":
-                row.append(parse(_field(cell, "expr", where=where), n_z))
+            # the primary text, which the file may spell its own way; any
+            # other cell has none and must be what a zero entry writes
+            text, entry = {}, None
+            if kind == "exact":
+                text = {"expr": _field(cell, "expr", where=where)}
+                num = parse(text["expr"], n_z) * Expression.variable(i, n_z)
+                entry = _entry(num, i)
             elif kind == "quotient":
-                num = parse(_field(cell, "numerator", where=where), n_z)
-                der = parse(_field(cell, "derivative", where=where), n_z)
-                divisor = _field(cell, "divisor", int, where)
-                if divisor != i:
-                    raise ModelFormatError(f"{where} divides by z{divisor}")
-                # the one guard scale factorize writes; a simulation kernel
-                # compiles it in as a literal
-                tau = _field(cell, "tau", numbers.Real, where)
-                if tau != DEFAULT_GUARD_TAU:
-                    raise ModelFormatError(
-                        f"{where} has tau {tau!r}, expected {DEFAULT_GUARD_TAU!r}"
-                    )
-                if der != num.partial(i):
-                    raise ModelFormatError(
-                        f"{where} derivative does not "
-                        "match the numerator's partial derivative"
-                    )
-                _check_removable(num, i)
-                row.append(GuardedQuotient(num, i, der))
-            else:
-                raise ModelFormatError(f"{where} has unknown type {kind!r}")
+                text = {"numerator": _field(cell, "numerator", where=where)}
+                entry = _entry(parse(text["numerator"], n_z), i)
+            _check_copy(cell, {**_cell_raw(entry), **text}, where)
+            row.append(entry)
         grid.append(tuple(row))
     return SchedulingMap(tuple(grid), ordering, c)

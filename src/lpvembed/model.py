@@ -13,8 +13,10 @@ retained scheduling channel (r, i) is derived, not stored:
 
     Ak = Bw E_ri Cz,  Bk = Bw E_ri Dzu,  Ck = Dyw E_ri Cz,  Dk = Dyw E_ri Dzu
 
-where E_ri has a single 1 at row r, column i.  The file still carries the
-quadruples, and the loader checks them against the derived ones.
+where E_ri has a single 1 at row r, column i.  An LPV file is a checked
+copy of embed's output: the loader rebuilds every field other than the
+core, the schedule's ordering and c and its cells' expression text, and
+refuses the file unless each stored copy is what serialize_lpv writes.
 
 Both live on disk as a single self-describing JSON document with named
 matrices stored as row-major arrays of arrays.  Matrices round-trip
@@ -26,9 +28,7 @@ are 1-based to match the expression variables z1, z2, ...
 
 from __future__ import annotations
 
-import itertools
 import json
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
@@ -39,17 +39,20 @@ from .errors import (
     DimensionMismatch,
     ExpressionArityMismatch,
     ModelFormatError,
-    NonFiniteEntry,
     NonzeroDzw,
 )
 from .expr import Expression, parse
 from .factorize import (
     SchedulingMap,
+    _as_array,
+    _check_copy,
     _field,
-    _is_index,
+    _freeze,
+    _is_copy,
     schedule_from_raw,
     schedule_to_raw,
 )
+from .offset import _no_offset, dc_gains, solve_offsets
 
 __all__ = [
     "Dims",
@@ -103,33 +106,6 @@ class Dims:
                 raise DimensionMismatch(
                     f"dimension {name} must be an integer >= {low}, got {v!r}"
                 )
-
-
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
-
-
-def _as_array(name: str, raw, shape: tuple[int, ...]) -> np.ndarray:
-    kind = "vector" if len(shape) == 1 else "matrix"
-    # OverflowError: an integer beyond the float range
-    try:
-        m = np.array(raw, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ModelFormatError(f"{kind} {name} is not numeric: {exc}") from exc
-    if m.shape != shape:
-        raise DimensionMismatch(f"{kind} {name} has shape {m.shape}, expected {shape}")
-    # numpy reads true as 1.0 and "1" as 1.0; as in _field, an entry is a
-    # number and never a bool
-    flat = raw
-    for _ in shape[1:]:
-        flat = itertools.chain.from_iterable(flat)
-    for t in set(map(type, flat)) - {float, int}:
-        if t is bool or not issubclass(t, numbers.Real):
-            raise ModelFormatError(f"{kind} {name} has an entry of type {t.__name__}")
-    if not np.all(np.isfinite(m)):
-        raise NonFiniteEntry(f"{kind} {name} contains non-finite entries")
-    return _freeze(m)
 
 
 def _read_core(raw: Mapping) -> tuple[Dims, dict]:
@@ -227,6 +203,11 @@ def _basis_quadruple(core: _Core, r: int, i: int) -> BasisChannel:
     return BasisChannel(r, i, *(_freeze(q) for q in quads))
 
 
+def _channel_raw(b: BasisChannel) -> dict:
+    """One basis channel as the file stores it."""
+    return {"r": b.r, "i": b.i, **{q: getattr(b, q).tolist() for q in _QUADRUPLE}}
+
+
 @dataclass(frozen=True, eq=False)
 class LpvModel(_Core):
     """Affine LPV model: nominal LTI part + scheduling basis + offsets.
@@ -289,65 +270,43 @@ def serialize_nlfr(model: NlfrModel) -> dict:
 def validate_lpv(raw: Mapping) -> LpvModel:
     """Validate parsed LPV file content and build an LpvModel.
 
-    The stored basis must enumerate the nonzero schedule entries row-major,
-    and every stored quadruple must equal, exactly, the one derived from
-    (Bw, Cz, Dzu, Dyw) at its (r, i) index.
+    Every derived field is rebuilt as embed builds it and must be exactly
+    what :func:`serialize_lpv` writes: the schedule cells (checked in
+    :func:`schedule_from_raw`), dims.n_p, the basis, and d and y0, which
+    are re-solved from the core and c without embed's stability advisory.
     """
     dd, mats = _read_core(raw)
     schedule = schedule_from_raw(_field(raw, "schedule"), dd.n_w, dd.n_z)
-    d = _as_array("d", _field(raw, "d"), (dd.n_u,))
-    y0 = _as_array("y0", _field(raw, "y0"), (dd.n_y,))
+    if np.any(schedule.c != 0.0):
+        sol = solve_offsets(dc_gains(_Core(**mats)), schedule.c)
+    else:
+        sol = _no_offset(dd.n_u, dd.n_y)
+    lpv = LpvModel(schedule=schedule, d=sol.d, y0=sol.y0, **mats)
 
+    n_p = _field(raw["dims"], "n_p", where="dims block")
     basis_raw = _field(raw, "basis", list)
-    if len(basis_raw) > dd.n_w * dd.n_z:
+    if not _is_copy(n_p, lpv.n_p) or len(basis_raw) != n_p:
         raise DimensionMismatch(
-            f"basis has {len(basis_raw)} channels, more than "
-            f"n_w * n_z = {dd.n_w * dd.n_z}"
+            f"dims.n_p is {n_p!r} and the basis has {len(basis_raw)} channels, "
+            f"but the schedule has {lpv.n_p} nonzero entries"
         )
-    n_p = raw["dims"].get("n_p")
-    if n_p is not None and (not _is_index(n_p) or n_p != len(basis_raw)):
-        raise DimensionMismatch(
-            f"dims.n_p = {n_p!r} disagrees with {len(basis_raw)} basis channels"
-        )
-    stored = []
-    for k, b in enumerate(basis_raw):
-        r, i = (_field(b, key, int, f"basis channel {k}") for key in ("r", "i"))
-        if not (1 <= r <= dd.n_w and 1 <= i <= dd.n_z):
-            raise ModelFormatError(
-                f"basis channel {k} index ({r},{i}) out of range"
-            )
-        stored.append((r, i))
-    if tuple(stored) != schedule.channels():
-        raise ModelFormatError(
-            f"basis channels {tuple(stored)} do not match the nonzero schedule "
-            f"entries {schedule.channels()} in row-major order"
-        )
-    lpv = LpvModel(schedule=schedule, d=d, y0=y0, **mats)
-    for k, (b, expect) in enumerate(zip(basis_raw, lpv.basis)):
-        for name in _QUADRUPLE:
-            exp = getattr(expect, name)
-            raw_q = _field(b, name, where=f"basis channel {k}")
-            got = _as_array(f"basis[{k}].{name}", raw_q, exp.shape)
-            if not np.array_equal(got, exp):
-                raise ModelFormatError(
-                    f"basis channel {k} matrix {name} does not reconstruct "
-                    f"from (Bw, Cz, Dzu, Dyw) at ({expect.r},{expect.i})"
-                )
+    for k, (stored, b) in enumerate(zip(basis_raw, lpv.basis)):
+        _check_copy(stored, _channel_raw(b),
+                    f"basis channel {k} (row-major over the nonzero schedule entries)")
+    _check_copy({"d": _field(raw, "d"), "y0": _field(raw, "y0")},
+                {"d": lpv.d.tolist(), "y0": lpv.y0.tolist()}, "model file")
     return lpv
 
 
 def serialize_lpv(model: LpvModel) -> dict:
     """LPV model as JSON-ready file content; exact round-trip guaranteed.
 
-    The basis quadruples are written for verification only: the loader
+    The derived fields are written for verification only: the loader
     derives them again and rejects a file whose stored copies differ.
     """
     return {
         **_core_raw(model, (*_DIM_KEYS, "n_p")),
-        "basis": [
-            {"r": b.r, "i": b.i, **{q: getattr(b, q).tolist() for q in _QUADRUPLE}}
-            for b in model.basis
-        ],
+        "basis": [_channel_raw(b) for b in model.basis],
         "schedule": schedule_to_raw(model.schedule),
         "d": model.d.tolist(),
         "y0": model.y0.tolist(),

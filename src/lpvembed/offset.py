@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -33,9 +34,12 @@ from .errors import (
     ColumnSpaceViolation,
     EigenvalueFailure,
     HurwitzWarning,
+    NonFiniteEntry,
     SingularA,
 )
-from .model import LpvModel, NlfrModel
+
+if TYPE_CHECKING:  # model imports this module to re-solve a file's offsets
+    from .model import LpvModel, NlfrModel
 
 __all__ = [
     "DcGains",
@@ -80,23 +84,27 @@ class OffsetSolution:
 
 
 def dc_gains(model: NlfrModel) -> DcGains:
-    """DC gains via one linear solve per input block; requires invertible A."""
+    """DC gains via one linear solve per input block; requires invertible A
+    and finite gains (a gain that overflows is SingularA)."""
     A = model.A
-    sign, _ = np.linalg.slogdet(A)
-    if sign == 0.0:
-        raise SingularA("A is singular: the model has a pole at s = 0")
-    cond = np.linalg.cond(A)
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
-        raise SingularA(
-            f"A is numerically singular (condition estimate {cond:.3e})"
-        )
-    ai_bu = np.linalg.solve(A, model.Bu)
-    ai_bw = np.linalg.solve(A, model.Bw)
-    g1 = model.Dyu - model.Cy @ ai_bu
-    g2 = model.Dzu - model.Cz @ ai_bu
-    g3 = model.Dyw - model.Cy @ ai_bw
-    g4 = -model.Cz @ ai_bw  # Dzw is structurally zero
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        sign, _ = np.linalg.slogdet(A)
+        if sign == 0.0:
+            raise SingularA("A is singular: the model has a pole at s = 0")
+        cond = np.linalg.cond(A)
+        if not np.isfinite(cond) or cond > _COND_LIMIT:
+            raise SingularA(
+                f"A is numerically singular (condition estimate {cond:.3e})"
+            )
+        ai_bu = np.linalg.solve(A, model.Bu)
+        ai_bw = np.linalg.solve(A, model.Bw)
+        g1 = model.Dyu - model.Cy @ ai_bu
+        g2 = model.Dzu - model.Cz @ ai_bu
+        g3 = model.Dyw - model.Cy @ ai_bw
+        g4 = -model.Cz @ ai_bw  # Dzw is structurally zero
     for g in (g1, g2, g3, g4):
+        if not np.all(np.isfinite(g)):
+            raise SingularA("A is numerically singular: a DC gain overflows")
         g.setflags(write=False)
     return DcGains(G1_0=g1, G2_0=g2, G3_0=g3, G4_0=g4)
 
@@ -126,23 +134,29 @@ def solve_offsets(gains: DcGains, c) -> OffsetSolution:
     c = 0 takes the exact skip path (zero corrections, zero residual).
     Otherwise d is the minimum-norm least-squares solution of
     G2_0 d = -G4_0 c; the solution is rejected when the residual shows
-    G4_0 c to be outside the column space of G2_0.
+    G4_0 c to be outside the column space of G2_0, or a value overflows.
     """
     c = np.asarray(c, dtype=float)
     if not np.any(c != 0.0):
         return _no_offset(gains.G2_0.shape[1], gains.G1_0.shape[0])
-    target = -gains.G4_0 @ c
-    d, *_ = np.linalg.lstsq(gains.G2_0, target, rcond=None)
-    unreachable = gains.G2_0 @ d - target
-    residual = float(np.linalg.norm(unreachable))
-    if residual > OFFSET_RTOL * (1.0 + float(np.linalg.norm(target))):
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        target = -gains.G4_0 @ c
+        if not np.all(np.isfinite(target)):  # lstsq would fail untyped
+            raise NonFiniteEntry(f"offset target -G4_0 c = {target} overflows")
+        d, *_ = np.linalg.lstsq(gains.G2_0, target, rcond=None)
+        unreachable = gains.G2_0 @ d - target
+        residual = float(np.linalg.norm(unreachable))
+        tol = OFFSET_RTOL * (1.0 + float(np.linalg.norm(target)))
+        y0 = gains.G3_0 @ c + gains.G1_0 @ d
+    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(y0))):
+        raise NonFiniteEntry(f"offset corrections d = {d}, y0 = {y0} overflow")
+    if not residual <= tol:  # a NaN residual is refused too
         raise ColumnSpaceViolation(
             f"offset target is outside the column space of the u->z DC gain "
             f"(residual {residual:.3e}, unreachable component {unreachable})",
             residual=residual,
             unreachable=unreachable,
         )
-    y0 = gains.G3_0 @ c + gains.G1_0 @ d
     d.setflags(write=False)
     y0.setflags(write=False)
     return OffsetSolution(d=d, y0=y0, residual=residual)

@@ -2,12 +2,15 @@
 
 import copy
 import dataclasses
+import itertools
 import json
+import time
+import warnings
 
 import numpy as np
 import pytest
 
-from conftest import random_nlfr_raw
+from conftest import random_expression_vector, random_nlfr_raw
 from lpvembed import (
     embed,
     load_lpv,
@@ -21,13 +24,15 @@ from lpvembed import (
 from lpvembed.errors import (
     DimensionMismatch,
     ExpressionArityMismatch,
+    HurwitzWarning,
     InvalidOrdering,
     LpvEmbedError,
     ModelFormatError,
     NonFiniteEntry,
     NonzeroDzw,
 )
-from lpvembed.expr import DEFAULT_GUARD_TAU
+from lpvembed.expr import DEFAULT_GUARD_TAU, Expression, GuardedQuotient, Term
+from lpvembed.factorize import extract_offset
 from lpvembed.model import Dims
 
 
@@ -454,3 +459,155 @@ def test_non_number_entry_rejected(path, value):
     doc = raw if path[0] in raw else lpv_raw
     with pytest.raises(ModelFormatError):
         load(_mutated(doc, path, value))
+
+
+# --- the LPV file as a checked copy of embed's output --------------------------
+
+
+def _offset_toy_file():
+    # f(0) = 1 is propagated to d = [0.5] and y0 = [0.5]
+    toy = validate_nlfr({
+        "dims": {"n_x": 1, "n_u": 1, "n_y": 1, "n_w": 1, "n_z": 1},
+        "A": [[-1.0]], "Bw": [[-1.0]], "Bu": [[1.0]],
+        "Cz": [[1.0]], "Cy": [[1.0]],
+        "Dzu": [[0.0]], "Dyw": [[0.0]], "Dyu": [[0.0]],
+        "f": ["z1 + 1"],
+    })
+    return json.loads(json.dumps(serialize_lpv(embed(toy))))
+
+
+@pytest.mark.parametrize("key", ["d", "y0"])
+def test_tampered_offset_correction_rejected(key):
+    raw = _offset_toy_file()
+    validate_lpv(raw)
+    assert raw[key] != [7]
+    raw[key] = [7]
+    with pytest.raises(ModelFormatError, match=rf"has {key} \[7\]"):
+        validate_lpv(raw)
+
+
+def test_divisible_quotient_cell_rejected(msd_model):
+    # ordering 1,2 gives msd2dof the exact entry 10*z1^2 at (1, 1); written as
+    # a quotient, with its true derivative, its numerator divides exactly, so
+    # embed would never write it
+    raw = json.loads(json.dumps(serialize_lpv(embed(msd_model, (1, 2)))))
+    cells = raw["schedule"]["entries"][0]
+    assert cells[0] == {"type": "exact", "expr": "10*z1^2"}
+    cells[0] = {"type": "quotient", "numerator": "10*z1^3",
+                "derivative": "30*z1^2", "divisor": 1, "tau": 1e-07}
+    with pytest.raises(ModelFormatError, match="type 'quotient'"):
+        validate_lpv(raw)
+
+
+def test_primary_text_may_use_any_spelling(msd_model):
+    lpv = embed(msd_model, (2, 1))
+    raw = json.loads(json.dumps(serialize_lpv(lpv)))
+    quotient, exact = raw["schedule"]["entries"][0]
+    quotient["numerator"] = "z1*z1*z1*10 + z2*sin(10*z1)*0.1"
+    exact["expr"] = "z2*0.2"
+    assert validate_lpv(raw).schedule.entries == lpv.schedule.entries
+
+
+def test_singular_a_without_offset_loads(msd_model):
+    # c = 0 needs no offset solution, so A is never inverted
+    raw = json.loads(json.dumps(serialize_lpv(embed(msd_model))))
+    raw["A"] = [[0.0] * 4 for _ in range(4)]
+    assert validate_lpv(raw).A.shape == (4, 4)
+
+
+def test_non_hurwitz_offset_file_loads_without_warning():
+    raw = random_nlfr_raw(
+        np.random.default_rng(3), n_x=1, n_u=1, n_y=1, n_w=1, n_z=1,
+        f_rows=["exp(z1)"],
+    )
+    raw["A"] = [[1.0]]
+    with pytest.warns(HurwitzWarning):
+        lpv = embed(validate_nlfr(raw))
+    lpv_raw = json.loads(json.dumps(serialize_lpv(lpv)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(validate_lpv(lpv_raw).d, lpv.d)
+
+
+def _twinned_rows(rng, n_w, n_z):
+    """Random rows in which each term with function factors has a twin: its
+    bare monomial, scaled by 1e-3 to 1.  Restricting a row folds the
+    factors of a term whose variables are dropped into its coefficient and
+    adds it to the twin's, so a row rebuilt from its cells differs from the
+    original in the last bit.  Half the rows also get a constant offset."""
+    rows = []
+    for row in random_expression_vector(rng, n_w, n_z):
+        extra = [
+            Term(t.coeff * 10.0 ** rng.uniform(-3.0, 0.0), t.exponents, ())
+            for t in row.terms if t.factors
+        ]
+        if rng.random() < 0.5:
+            extra.append(Term(rng.uniform(-0.5, 0.5), (0,) * n_z, ()))
+        rows.append(Expression.from_terms(row.terms + tuple(extra), n_z))
+    return rows
+
+
+def test_every_embed_output_loads():
+    # Random models with biased exp, cos, sinh, ... factors and offsets,
+    # under every ordering: each file embed writes loads back to the same
+    # model.  Re-factorizing rows rebuilt from the cells would refuse some.
+    start = time.perf_counter()
+    rng = np.random.default_rng(5)
+    files = offsets = rebuilt_differs = 0
+    for n_z, count in ((1, 12), (2, 12), (3, 10), (4, 6), (5, 2)):
+        for _ in range(count):
+            n_w = int(rng.integers(1, 4))
+            rows = _twinned_rows(rng, n_w, n_z)
+            m = validate_nlfr(random_nlfr_raw(
+                rng, n_u=n_z, n_w=n_w, n_z=n_z, f_rows=[str(r) for r in rows],
+            ))
+            f_tilde, _ = extract_offset(m.f)
+            for ordering in itertools.permutations(range(1, n_z + 1)):
+                lpv = embed(m, ordering)
+                back = validate_lpv(json.loads(json.dumps(serialize_lpv(lpv))))
+                assert back.schedule.entries == lpv.schedule.entries
+                assert np.array_equal(back.schedule.c, lpv.schedule.c)
+                assert np.array_equal(back.d, lpv.d)
+                assert np.array_equal(back.y0, lpv.y0)
+                files += 1
+                offsets += bool(np.any(lpv.schedule.c))
+                for row, cells in zip(f_tilde, lpv.schedule.entries):
+                    rebuilt = Expression.from_terms((), n_z)
+                    for i, e in enumerate(cells, start=1):
+                        if isinstance(e, GuardedQuotient):
+                            rebuilt = rebuilt + e.numerator
+                        elif e is not None:
+                            rebuilt = rebuilt + e * Expression.variable(i, n_z)
+                    rebuilt_differs += rebuilt != row
+    assert (files, offsets > files // 2, rebuilt_differs > 0) == (480, True, True)
+    assert time.perf_counter() - start < 5.0
+
+
+def test_mutated_synthetic_document_loads_or_fails_typed():
+    # The sweep of test_mutated_documents_load_or_fail_typed over a model with
+    # an offset, two rows, exact, guarded and zero cells, and nonzero Dzu and
+    # Dyw blocks.
+    start = time.perf_counter()
+    raw = random_nlfr_raw(
+        np.random.default_rng(11), n_x=2, n_u=2, n_y=1, n_w=2, n_z=2,
+        f_rows=["sin(z1 + z2) + 0.5", "0.2*z2*exp(0.3*z2 - 0.1) - 0.3"],
+    )
+    lpv = embed(validate_nlfr(raw))
+    doc = json.loads(json.dumps(serialize_lpv(lpv)))
+    kinds = [e["type"] for row in doc["schedule"]["entries"] for e in row]
+    assert kinds == ["quotient", "quotient", "zero", "exact"]
+    assert np.all(lpv.schedule.c != 0.0) and np.all(lpv.d != 0.0)
+    assert np.all(lpv.Dzu != 0.0) and np.all(lpv.Dyw != 0.0)
+    loads, untyped = 0, []
+    for path in _key_paths(doc):
+        for value in _MUTATIONS:
+            loads += 1
+            try:
+                validate_lpv(_mutated(doc, path, value))
+            except LpvEmbedError:
+                pass
+            except Exception as exc:
+                untyped.append((path, value, exc))
+    assert untyped == []
+    assert loads == 1467
+    assert time.perf_counter() - start < 5.0

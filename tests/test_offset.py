@@ -14,7 +14,7 @@ from lpvembed import (
     validate_lpv,
     validate_nlfr,
 )
-from lpvembed.errors import ColumnSpaceViolation, Divergence, SingularA
+from lpvembed.errors import ColumnSpaceViolation, Divergence, NonFiniteEntry, SingularA
 from lpvembed.offset import (
     DcGains,
     check_hurwitz,
@@ -289,6 +289,25 @@ def test_shifted_start_reproduces_whole_trajectory():
 
 def test_matching_start_is_none_without_offset(msd_model):
     assert matching_start(embed(msd_model)) is None
+
+
+@pytest.mark.parametrize(
+    "change, error",
+    [({"A": [[1e-309]]}, SingularA),
+     ({"A": [[1e-300]], "c": [1e10]}, NonFiniteEntry),
+     ({"Bu": [[1e-300]], "c": [1e10]}, NonFiniteEntry)],
+    ids=["gain", "target", "d"],
+)
+def test_overflowing_offset_solution_is_typed(change, error):
+    # Loading an LPV file re-solves its offsets.  Finite blocks whose DC
+    # gain, offset target or input shift overflow fail typed, with no
+    # RuntimeWarning and no LinAlgError from LAPACK.
+    raw = serialize_lpv(embed(validate_nlfr(offset_toy_raw())))
+    validate_lpv(raw)
+    for key, value in change.items():
+        (raw["schedule"] if key == "c" else raw)[key] = value
+    with pytest.raises(error, match="overflow"):
+        validate_lpv(raw)
 
 
 def test_matching_start_singular_a_is_typed():

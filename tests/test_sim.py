@@ -1,5 +1,6 @@
 """Simulation tests: solver order, equivalence, excitation, spectra."""
 
+import contextlib
 import copy
 import dataclasses
 import io
@@ -26,6 +27,7 @@ from lpvembed import (
 from lpvembed.errors import (
     ChannelCountMismatch,
     Divergence,
+    HurwitzWarning,
     InvalidConfig,
     NyquistViolation,
     ShapeMismatch,
@@ -180,9 +182,12 @@ def test_evaluation_overflow_is_divergence(f):
     raw["Bw"] = [[1.0]]
     raw["f"] = [f]
     m = validate_nlfr(raw)
+    # exp(0) = 1 is an offset, propagated through an A that is not Hurwitz
+    with pytest.warns(HurwitzWarning) if f == "exp(z1)" else contextlib.nullcontext():
+        lpv = embed(m)
     u = np.zeros((2001, 1))
     for run in (lambda: simulate_nlfr(m, u, x0=[1.0], dt=1e-2),
-                lambda: simulate_lpv_self(embed(m), u, x0=[1.0], dt=1e-2)):
+                lambda: simulate_lpv_self(lpv, u, x0=[1.0], dt=1e-2)):
         with pytest.raises(Divergence, match="overflowed") as exc_info:
             run()
         err = exc_info.value
