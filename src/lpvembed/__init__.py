@@ -10,7 +10,7 @@ equivalence is verifiable by side-by-side fixed-step simulation.
 __version__ = "0.1.0"
 
 from . import errors
-from .embed import assemble, embed, lpv_lfr_view, scheduling_from_state
+from .embed import assemble, embed, scheduling_from_state
 from .examples import builtin_example
 from .expr import Expression, FuncFactor, GuardedQuotient, Term, parse
 from .factorize import (
@@ -84,7 +84,6 @@ __all__ = [
     "embed",
     "assemble",
     "scheduling_from_state",
-    "lpv_lfr_view",
     "Trajectory",
     "CompareReport",
     "Spectrum",

@@ -33,7 +33,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, ClassVar, Iterable, Sequence
 
 import numpy as np
 
@@ -471,8 +471,12 @@ class GuardedQuotient:
 
     numerator: Expression
     divisor_index: int  # 1-based
-    derivative: Expression
-    tau: float = DEFAULT_GUARD_TAU
+    # one band for every quotient; not a field, so no quotient has another
+    tau: ClassVar[float] = DEFAULT_GUARD_TAU
+
+    @cached_property
+    def derivative(self) -> Expression:  # derived, so never a foreign one
+        return self.numerator.partial(self.divisor_index)
 
     def effective_threshold(self, z: Sequence[float]) -> float:
         m = 0.0

@@ -19,7 +19,7 @@ grid is indexed by them; only the order of the restrictions follows the
 ordering.  Different orderings give different but equally valid scheduling
 maps; the defining property, checked by :func:`check_reconstruction`, is
 
-    evaluate(entries, z) @ z + c == f(z)      (to floating-point accuracy).
+    entries(z) @ z + c == f(z)      (to floating-point accuracy).
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .errors import (
     NonFiniteEntry,
     NonzeroAtOrigin,
 )
-from .expr import DEFAULT_GUARD_TAU, Expression, GuardedQuotient, parse
+from .expr import Expression, GuardedQuotient, parse
 
 __all__ = [
     "SchedulingMap",
@@ -144,15 +144,6 @@ class SchedulingMap:
             if e is not None
         )
 
-    def evaluate(self, z: Sequence[float]) -> np.ndarray:
-        """The scheduling matrix p = entries(z), shape (n_w, n_z)."""
-        out = np.zeros((self.n_w, self.n_z))
-        for r, row in enumerate(self.entries):
-            for i, e in enumerate(row):
-                if e is not None:
-                    out[r, i] = e.evaluate(z)
-        return out
-
     def evaluate_batch(self, points) -> np.ndarray:
         Z = np.asarray(points, dtype=float)
         out = np.zeros((Z.shape[0], self.n_w, self.n_z))
@@ -230,7 +221,7 @@ def _entry(num: Expression, i: int):
     if exact is not None:
         return exact
     _check_removable(num, i)
-    return GuardedQuotient(num, i, num.partial(i), DEFAULT_GUARD_TAU)
+    return GuardedQuotient(num, i)
 
 
 @dataclass(frozen=True)

@@ -163,7 +163,7 @@ class _Core:
 
 
 def core_matrices(model) -> dict:
-    """The eight core matrices of a model or LFR view, by name."""
+    """The eight core matrices of a model, by name."""
     return {name: getattr(model, name) for name in _CORE}
 
 
@@ -331,12 +331,13 @@ def save_model(model, path) -> None:
 
 def _load_raw(path) -> dict:
     with open(path) as fh:
-        # a decode error for bytes that are not text, a recursion error for
+        # ValueError covers bad JSON, bytes that are not text and integers
+        # longer than the int-string limit; a recursion error is raised for
         # arrays or objects nested too deep to read
         try:
             raw = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-            raise ModelFormatError(f"{path}: not valid JSON: {exc}") from exc
+        except (ValueError, RecursionError) as exc:
+            raise ModelFormatError(f"{path}: cannot be read as JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ModelFormatError(f"{path}: model file must be a JSON object")
     return raw

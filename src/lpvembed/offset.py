@@ -134,7 +134,8 @@ def solve_offsets(gains: DcGains, c) -> OffsetSolution:
     c = 0 takes the exact skip path (zero corrections, zero residual).
     Otherwise d is the minimum-norm least-squares solution of
     G2_0 d = -G4_0 c; the solution is rejected when the residual shows
-    G4_0 c to be outside the column space of G2_0, or a value overflows.
+    G4_0 c to be outside the column space of G2_0 (both norms taken in
+    units of max |G4_0 c| when they overflow), or a value overflows.
     """
     c = np.asarray(c, dtype=float)
     if not np.any(c != 0.0):
@@ -147,10 +148,15 @@ def solve_offsets(gains: DcGains, c) -> OffsetSolution:
         unreachable = gains.G2_0 @ d - target
         residual = float(np.linalg.norm(unreachable))
         tol = OFFSET_RTOL * (1.0 + float(np.linalg.norm(target)))
+        reachable = residual <= tol  # a NaN residual is refused too
+        if np.isinf(tol):  # the norms overflow; compare them scaled
+            scale = np.max(np.abs(target))
+            tol = OFFSET_RTOL * (1.0 / scale + np.linalg.norm(target / scale))
+            reachable = np.linalg.norm(unreachable / scale) <= tol
         y0 = gains.G3_0 @ c + gains.G1_0 @ d
     if not (np.all(np.isfinite(d)) and np.all(np.isfinite(y0))):
         raise NonFiniteEntry(f"offset corrections d = {d}, y0 = {y0} overflow")
-    if not residual <= tol:  # a NaN residual is refused too
+    if not reachable:
         raise ColumnSpaceViolation(
             f"offset target is outside the column space of the u->z DC gain "
             f"(residual {residual:.3e}, unreachable component {unreachable})",

@@ -73,7 +73,6 @@ class Trajectory:
     """Sampled simulation result; all series share the same length."""
 
     dt: float
-    t0: float
     u: np.ndarray
     x: np.ndarray
     y: np.ndarray
@@ -87,7 +86,7 @@ class Trajectory:
 
     @property
     def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.x.shape[0])
+        return self.dt * np.arange(self.x.shape[0])
 
 
 def _check_state(x0, n_x: int) -> np.ndarray:
@@ -230,7 +229,7 @@ def _simulate(core, rule, signals, x0, u, u_c, dt, y0=0.0, p=None):
     Z = states @ core.Cz.T + uc @ core.Dzu.T
     W, rec, label = signals(Z)
     Y = states @ core.Cy.T + uc @ core.Dyu.T + W @ core.Dyw.T + y0
-    traj = Trajectory(dt, 0.0, u[:n], states, Y, Z, rec, label)
+    traj = Trajectory(dt, u[:n], states, Y, Z, rec, label)
     if k < n_steps:
         failure = (
             f"state exceeded {DIVERGENCE_LIMIT:.0e} at step {k + 1}"

@@ -463,6 +463,13 @@ def _integer_beyond_float_range(msd_file):
     return "validate", _msd_edited(msd_file, "A", A)
 
 
+def _integer_beyond_str_limit(msd_file):
+    # Python refuses to read an integer of more than 4 300 digits
+    text = msd_file.read_text()
+    assert '"n_x": 4,' in text
+    return "validate", text.replace('"n_x": 4,', '"n_x": ' + "9" * 5000 + ",").encode()
+
+
 @pytest.mark.parametrize(
     "make, code_name",
     [
@@ -471,9 +478,10 @@ def _integer_beyond_float_range(msd_file):
         (_model_not_utf8, "ModelFormatError"),
         (_input_not_utf8, "InputFormatError"),
         (_integer_beyond_float_range, "ModelFormatError"),
+        (_integer_beyond_str_limit, "ModelFormatError"),
     ],
     ids=["f-row-nested-300", "dims-nested-100000", "model-0xff", "input-0xff",
-         "A-401-digits"],
+         "A-401-digits", "n_x-5000-digits"],
 )
 def test_out_of_range_file_is_typed(tmp_path, msd_file, capsys, make, code_name):
     command, model_bytes = make(msd_file)

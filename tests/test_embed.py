@@ -1,4 +1,4 @@
-"""LPV assembly: basis construction, affinity, scheduling, LFR view."""
+"""LPV assembly: basis construction, affinity, scheduling."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from lpvembed import (
     compare,
     embed,
     load_lpv,
-    lpv_lfr_view,
     multisine,
     save_model,
     scheduling_from_state,
@@ -180,42 +179,6 @@ def test_pruned_channels_structurally_inert():
     lpv = embed(validate_nlfr(raw))
     assert lpv.channels == ((1, 2),)
     assert lpv.schedule.entry(1, 1) is None  # structurally zero, not merely small
-
-
-# --- LFR view ------------------------------------------------------------------------
-
-
-def test_lfr_view_msd(msd_model):
-    lpv = embed(msd_model)
-    view = lpv_lfr_view(lpv)
-    assert view.gain_shape == (1, 2)
-    assert view.n_active == 2
-
-
-def test_lfr_view_empty_block():
-    raw = {
-        "dims": {"n_x": 1, "n_u": 1, "n_y": 1, "n_w": 1, "n_z": 1},
-        "A": [[-1.0]], "Bw": [[1.0]], "Bu": [[1.0]],
-        "Cz": [[1.0]], "Cy": [[1.0]],
-        "Dzu": [[0.0]], "Dyw": [[0.0]], "Dyu": [[0.0]],
-        "f": ["0"],
-    }
-    view = lpv_lfr_view(embed(validate_nlfr(raw)))
-    assert view.n_active == 0
-    assert view.gain_shape == (1, 1)
-
-
-def test_lfr_view_closure_matches_assemble():
-    rng = np.random.default_rng(101)
-    for _ in range(10):
-        raw = random_nlfr_raw(rng)
-        lpv = embed(validate_nlfr(raw))
-        view = lpv_lfr_view(lpv)
-        pvec = rng.uniform(-1.0, 1.0, lpv.n_p)
-        closed = view.close(view.gain_from_channels(pvec))
-        assembled = assemble(lpv, pvec)
-        for Mc, Ma in zip(closed, assembled):
-            assert np.allclose(Mc, Ma, rtol=1e-14, atol=1e-14)
 
 
 @pytest.mark.parametrize("ordering", [(1, 2), (2, 1)], ids=["1,2", "2,1"])

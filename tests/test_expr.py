@@ -1,5 +1,6 @@
 """Term-language tests: parsing, evaluation, calculus, guarded quotients."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -348,7 +349,21 @@ def test_divide_soundness_property():
 
 def make_sinc_like():
     num = parse("sin(10*z1)", 1)
-    return GuardedQuotient(num, 1, num.partial(1))
+    return GuardedQuotient(num, 1)
+
+
+def test_guarded_quotient_holds_only_numerator_and_divisor():
+    # the derivative and tau follow from the numerator and i, so a quotient
+    # with a foreign derivative or band cannot be built
+    num = parse("tanh(z1 + 0.3*z2)*z2 - tanh(0.3*z2)*z2", 2)
+    for i in (1, 2):
+        q = GuardedQuotient(num, i)
+        assert [f.name for f in dataclasses.fields(q)] == ["numerator", "divisor_index"]
+        assert q.derivative == num.partial(i)
+        assert q.derivative is q.derivative
+        assert q.tau == DEFAULT_GUARD_TAU
+    with pytest.raises(TypeError):
+        GuardedQuotient(num, 1, num.partial(1))
 
 
 def test_guarded_quotient_branches():
@@ -378,7 +393,7 @@ def test_guarded_quotient_continuity_sweep():
     rng = np.random.default_rng(29)
     assert_guard_continuous(make_sinc_like(), rng)
     num = parse("tanh(z1 + 0.3*z2)*z2 - tanh(0.3*z2)*z2", 2)
-    q = GuardedQuotient(num, 1, num.partial(1))
+    q = GuardedQuotient(num, 1)
     assert_guard_continuous(q, rng)
 
 
@@ -407,7 +422,7 @@ def test_emitted_values_match_evaluate_bit_for_bit():
             names.update(f.name for t in e.terms for f in t.factors)
             i = int(rng.integers(1, n_z + 1))
             num = e * Expression.variable(i, n_z)
-            entries = [e, GuardedQuotient(num, i, num.partial(i))]
+            entries = [e, GuardedQuotient(num, i)]
             runs = [emitted(entry, n_z) for entry in entries]
             for _ in range(6):
                 z = rng.uniform(-2.0, 2.0, n_z)

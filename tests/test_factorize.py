@@ -88,24 +88,6 @@ def test_factorize_rejects_bad_ordering():
         factorize((parse("z1", 2),), (1, 3))
 
 
-# --- map evaluation --------------------------------------------------------------
-
-
-def test_evaluate_map_values():
-    f_tilde, c = extract_offset((MSD_F,))
-    m = factorize(f_tilde, (1, 2), c=c)
-    p = m.evaluate([1.0, 2.0])
-    assert p.shape == (1, 2)
-    assert p[0, 0] == 10.0
-    assert p[0, 1] == pytest.approx(0.1 * math.sin(10.0) + 0.4, rel=1e-15)
-
-
-def test_evaluate_map_at_origin():
-    f_tilde, c = extract_offset((MSD_F,))
-    m = factorize(f_tilde, (1, 2), c=c)
-    assert np.array_equal(m.evaluate([0.0, 0.0]), [[0.0, 0.0]])
-
-
 def test_zero_entries_evaluate_to_zero():
     m = factorize((parse("z1*z2", 2),), (1, 2))
     Z = np.random.default_rng(3).uniform(-5, 5, (20, 2))

@@ -414,6 +414,21 @@ def test_integer_beyond_float_range_is_typed(msd_model, path):
         validate_lpv(_mutated(raw, path, 10**400))
 
 
+@pytest.mark.parametrize("kind", ["nlfr", "lpv"])
+def test_integer_beyond_str_limit_is_typed(msd_model, tmp_path, kind):
+    # json reads an integer of more than 4 300 digits as a ValueError
+    model = msd_model if kind == "nlfr" else embed(msd_model)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    text = path.read_text()
+    key = '"n_x": 4,'
+    assert key in text
+    path.write_text(text.replace(key, '"n_x": ' + "9" * 5000 + ","))
+    load = load_nlfr if kind == "nlfr" else load_lpv
+    with pytest.raises(ModelFormatError, match="cannot be read as JSON"):
+        load(path)
+
+
 def test_bool_n_p_rejected():
     raw = random_nlfr_raw(
         np.random.default_rng(3), n_x=1, n_u=1, n_y=1, n_w=1, n_z=1,

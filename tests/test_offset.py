@@ -150,6 +150,29 @@ def test_solve_offsets_column_space_violation():
     assert exc_info.value.residual == pytest.approx(1.0, rel=1e-12)
 
 
+def huge_offset_gains(G2):
+    n_u = np.shape(G2)[1]
+    return DcGains(np.zeros((1, n_u)), np.array(G2, float), np.zeros((1, 2)), -np.eye(2))
+
+
+def test_unreachable_huge_offset_is_refused():
+    # |target| is about 1.4e200, so its squared norm overflows; inf <= inf
+    # must not accept the unreachable second component
+    g = huge_offset_gains([[1.0], [0.0]])
+    with pytest.raises(ColumnSpaceViolation):
+        solve_offsets(g, [1e200, 1e200])
+    # an unreachable part 1e-20 of |target| is within the relative tolerance
+    sol = solve_offsets(g, [1e200, 1e180])
+    assert sol.d == pytest.approx([1e200], rel=1e-15)
+
+
+def test_reachable_huge_offset_solves():
+    sol = solve_offsets(huge_offset_gains(np.eye(2)), [1e200, 1e200])
+    assert sol.d == pytest.approx([1e200, 1e200], rel=1e-15)
+    assert np.array_equal(sol.y0, [0.0])
+    assert sol.residual <= 1e-9 * 1e200
+
+
 # --- sample correction ------------------------------------------------------------
 
 

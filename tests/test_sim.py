@@ -444,7 +444,7 @@ def test_compare_shape_mismatch(msd_model):
 def synthetic_trajectory(y, dt):
     n = y.shape[0]
     zeros = np.zeros((n, 1))
-    return Trajectory(dt, 0.0, zeros, zeros, y, zeros, zeros, "w")
+    return Trajectory(dt, zeros, zeros, y, zeros, zeros, "w")
 
 
 def test_spectrum_pure_sinusoid():
