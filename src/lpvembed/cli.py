@@ -10,7 +10,6 @@ environment variable, then the current directory.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -36,6 +35,7 @@ from .factorize import extract_offset
 from .model import (
     LpvModel,
     NlfrModel,
+    _dump,
     load_lpv,
     load_model,
     load_nlfr,
@@ -166,7 +166,7 @@ def cmd_example(args) -> int:
     raw = builtin_example(args.name)
     validate_nlfr(raw)
     path = out / f"{args.name}_nlfr.json"
-    path.write_text(json.dumps(raw, indent=2) + "\n")
+    path.write_text(_dump(raw))
     print(f"wrote {path}")
     return 0
 

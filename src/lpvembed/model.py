@@ -19,9 +19,11 @@ core, the schedule's ordering and c and its cells' expression text, and
 refuses the file unless each stored copy is what serialize_lpv writes.
 
 Both live on disk as a single self-describing JSON document with named
-matrices stored as row-major arrays of arrays.  Matrices round-trip
-bit-exactly (floats are written with shortest-repr precision); numeric
-tolerances belong to analysis operations, never to the format layer.
+matrices stored as row-major arrays of arrays, in the layout json.dumps
+writes with an indent of 2.  One direct writer, _dump, produces exactly
+those bytes.  Matrices round-trip bit-exactly (floats are written with
+shortest-repr precision); numeric tolerances belong to analysis
+operations, never to the format layer.
 Indices in the file (variable numbers, channel rows/columns, orderings)
 are 1-based to match the expression variables z1, z2, ...
 """
@@ -29,8 +31,10 @@ are 1-based to match the expression variables z1, z2, ...
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 from typing import Mapping
 
 import numpy as np
@@ -316,8 +320,39 @@ def serialize_lpv(model: LpvModel) -> dict:
 # --- file I/O -------------------------------------------------------------
 
 
+def _encode(value, nl: str) -> str:
+    """value as json.dumps writes it with an indent of 2, nested at nl.
+
+    json's encoder runs in pure Python once indent is set and yields each
+    float on its own; here a list of finite floats is joined in one call.
+    Every other scalar goes through json.dumps, so its bytes are json's.
+    Keys must be str, as they are in every model document.
+    """
+    inner = nl + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = (
+            encode_basestring_ascii(key) + ": " + _encode(item, inner)
+            for key, item in value.items()
+        )
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        # exact, finite floats only: json writes NaN and inf as NaN and
+        # Infinity, and any other item is left to json.dumps
+        if {*map(type, value)} == {float} and all(map(math.isfinite, value)):
+            items = map(float.__repr__, value)
+        else:
+            items = (_encode(item, inner) for item in value)
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    return json.dumps(value)
+
+
 def _dump(content: dict) -> str:
-    return json.dumps(content, indent=2) + "\n"
+    """File text of content: json.dumps's text at indent 2, plus a newline."""
+    return _encode(content, "\n") + "\n"
 
 
 def save_model(model, path) -> None:

@@ -217,6 +217,10 @@ def _simulate(core, rule, signals, x0, u, u_c, dt, y0=0.0, p=None):
     signals(Z) gives W, the recorded series and its label for the readout
     y = Cy x + Dyu u_c + Dyw W + y0.  A failed run raises Divergence.
     """
+    # one comparison that NaN also fails; the kernel's source holds dt's
+    # coefficients as float literals, which have no spelling for nan or inf
+    if not 0.0 < dt < math.inf:
+        raise InvalidConfig(f"dt must be positive and finite, got {dt}")
     M, K, H, Psi = _step_map(core, dt)
     n_steps = u_c.shape[0] - 1
     kernel = _kernel(H, rule, n_steps)

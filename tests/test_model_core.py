@@ -4,6 +4,8 @@ import copy
 import dataclasses
 import itertools
 import json
+import math
+import sys
 import time
 import warnings
 
@@ -31,9 +33,10 @@ from lpvembed.errors import (
     NonFiniteEntry,
     NonzeroDzw,
 )
+from lpvembed.examples import EXAMPLES, builtin_example
 from lpvembed.expr import DEFAULT_GUARD_TAU, Expression, GuardedQuotient, Term
 from lpvembed.factorize import extract_offset
-from lpvembed.model import Dims
+from lpvembed.model import Dims, _dump
 
 
 def test_msd_validates(msd_raw):
@@ -202,6 +205,65 @@ def test_lpv_empty_basis_round_trip(tmp_path):
     again = load_lpv(path)
     assert again.n_p == 0
     assert again.dims.n_p == 0
+
+
+# --- the model-file writer ----------------------------------------------------------
+
+
+def assert_written_as_json(doc):
+    assert _dump(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLES))
+def test_writer_matches_json_on_examples(name):
+    model = validate_nlfr(builtin_example(name))
+    assert_written_as_json(builtin_example(name))
+    assert_written_as_json(serialize_nlfr(model))
+    n_z = model.dims.n_z
+    for ordering in itertools.permutations(range(1, n_z + 1)):
+        assert_written_as_json(serialize_lpv(embed(model, ordering)))
+
+
+def test_writer_matches_json_on_embed_outputs():
+    # seeded random models, each embedded without and with a constant
+    # offset, under every ordering
+    rng = np.random.default_rng(8)
+    offsets = set()
+    for n_z, count in ((1, 4), (2, 4), (3, 3), (4, 1)):
+        for _ in range(count):
+            n_w = int(rng.integers(1, 4))
+            rows, _ = extract_offset(random_expression_vector(rng, n_w, n_z))
+            for shift in ("", " + 0.25"):
+                raw = random_nlfr_raw(
+                    rng, n_u=n_z, n_w=n_w, n_z=n_z,
+                    f_rows=[str(r) + shift for r in rows],
+                )
+                model = validate_nlfr(raw)
+                assert_written_as_json(serialize_nlfr(model))
+                for ordering in itertools.permutations(range(1, n_z + 1)):
+                    lpv = embed(model, ordering)
+                    offsets.add(bool(np.any(lpv.schedule.c)))
+                    assert_written_as_json(serialize_lpv(lpv))
+    assert offsets == {False, True}
+
+
+def test_writer_matches_json_on_edge_values():
+    assert_written_as_json({
+        "floats": [-0.0, 5e-324, 1e16, 1e22, sys.float_info.max, 0.1, -2.5],
+        "scalars": [0, -7, 10**30, True, False, None, 1.5],
+        "empty": [[], {}, [[]], [{}]],
+        "bare": {"l": [], "d": {}},
+        "tuple": (1.5, (2.5, "x"), ()),
+        "text": ['say "hi"\\n', "é", "∑ z1", ""],
+        "clé ∑": 1.0,
+        "nonfinite": [1.0, math.nan, math.inf, -math.inf],
+        "subclass": [np.float64(0.1), 2.0],
+    })
+    assert_written_as_json({})
+    assert _dump({"p": [math.nan, -math.inf]}) == (
+        '{\n  "p": [\n    NaN,\n    -Infinity\n  ]\n}\n'
+    )
+    assert _dump({"t": (1.0, 2.0)}) == '{\n  "t": [\n    1.0,\n    2.0\n  ]\n}\n'
 
 
 def test_basis_reconstruction_enforced(msd_model):

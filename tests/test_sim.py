@@ -566,6 +566,22 @@ def test_exogenous_nonfinite_p_rejected(msd_model, bad):
         simulate_lpv_exogenous(lpv, u, p, x0=[0.1, 0.0, 0.0, 0.0], dt=1e-3)
 
 
+@pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0, -1e-3])
+@pytest.mark.parametrize("simulator", ["nlfr", "lpv_self", "lpv_exogenous"])
+def test_library_dt_must_be_positive_finite(msd_model, simulator, dt):
+    # NaN and inf have no float literal for the generated kernel's source,
+    # and a zero or negative step would integrate nothing or backwards
+    u = np.zeros((11, 2))
+    run = {
+        "nlfr": lambda: simulate_nlfr(msd_model, u, dt=dt),
+        "lpv_self": lambda: simulate_lpv_self(embed(msd_model), u, dt=dt),
+        "lpv_exogenous": lambda: simulate_lpv_exogenous(
+            embed(msd_model), u, np.zeros((11, 2)), dt=dt),
+    }[simulator]
+    with pytest.raises(InvalidConfig, match="dt must be positive and finite"):
+        run()
+
+
 def test_multisine_table_bound_is_typed():
     # 10 000 samples x 2 501 grid lines (k = 1..2501 for f_max = 250.15 Hz
     # over the 9.999 s period): one line more than the bound allows
