@@ -344,7 +344,8 @@ class Expression:
         return lines
 
     def evaluate_batch(self, points) -> np.ndarray:
-        """Vectorized evaluation over an (m, n_vars) array of points."""
+        """Vectorized evaluation over an (m, n_vars) array of points, for
+        sampled checks; it may differ from ``evaluate`` in the last bits."""
         Z = np.asarray(points, dtype=float)
         if Z.ndim != 2 or Z.shape[1] != self.n_vars:
             raise ArityMismatch(
@@ -509,6 +510,7 @@ class GuardedQuotient:
         ]
 
     def evaluate_batch(self, points) -> np.ndarray:
+        """Vectorized evaluation, for sampled checks (see Expression's)."""
         Z = np.asarray(points, dtype=float)
         zi = Z[:, self.divisor_index - 1]
         tau_eff = self.tau * (1.0 + np.max(np.abs(Z), axis=1))

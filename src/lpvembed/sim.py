@@ -14,22 +14,22 @@ expressions by their ``emit`` methods, in the operation order of
 a few builtins and the names of the six functions; no text from a model
 file reaches ``compile``.  The compile costs about 1 to 10 ms per run,
 and nothing is cached between runs, so threads stay safe.  Inputs are
-sampled signals with n_steps + 1 samples, interpolated linearly at the
+sampled at n_steps + 1 instants, interpolated linearly at the
 half-steps.  In self-scheduled LPV simulation the scheduling vector is
 recomputed from the current state and corrected input at every stage,
 which keeps the LPV vector field pointwise equal to the nonlinear one; in
 exogenous LPV simulation the kernel instead plays back the scheduling
 samples, interpolated like the input.
 
-Trajectories record the raw input, states, raw outputs, the nonlinearity
-input z, and either w = f(z) (nonlinear runs) or the scheduling vector p
-(LPV runs) at the sample instants.
+Trajectories hold the raw input, states and raw outputs at the samples,
+and the z and the w = f(z) (nonlinear runs) or scheduling vector p (LPV
+runs) that stage 0 of the kernel computed; the readout reads that w.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,13 +64,17 @@ DIVERGENCE_LIMIT = 1e12
 #: Default comparison tolerance on per-channel max absolute output error.
 COMPARE_TOL = 1e-9
 
-#: Most entries of the (n_steps + 1) x n_lines table a multisine builds.
+#: Most entries of the (n_steps + 1) x n_lines cosine table of a multisine.
 MAX_MULTISINE_TABLE = 25_000_000
+
+#: Time rows of that table built at once, which bounds multisine's memory.
+MULTISINE_BLOCK = 1024
 
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Sampled simulation result; all series share the same length."""
+    """Sampled simulation result; all series share the same length, and z
+    and w_or_p hold the values stage 0 of the kernel computed."""
 
     dt: float
     u: np.ndarray
@@ -152,7 +156,8 @@ def _step_map(core, dt: float):
 def _kernel(H, rule, n_steps: int):
     """Compile one run's RK4 loop over the step map, closed by the rule.
 
-    rule(i, z, w) gives the statements of stage i (0 to 3) that set the
+    rule(i, z, w) gives the names of the scheduling values of stage i (0 to
+    3), none for a nonlinear run, and the statements that set them and the
     locals named w to the rule's w at the locals named z.  The stage z and
     its corrections H (from _step_map) are emitted as float arithmetic,
     nonzero coefficients only, summed left to right; M x, the increment
@@ -161,11 +166,12 @@ def _kernel(H, rule, n_steps: int):
     of EMITTED_FUNCTIONS; nothing is cached, so each run compiles its own
     kernel.
 
-    kernel(x0, off, states, M, Psi, p) fills states[1:], reading the pairs
-    of sample rows of a played-back p from the iterator p, and returns
-    (k, exc): k = n_steps for a complete run, else the index of the step
-    that failed, with exc the OverflowError or ValueError it raised, or
-    None when the state left the divergence bound.
+    kernel(x0, off, states, M, Psi, p, rec, record) fills states[1:] and
+    has record pack stage 0's z, w and scheduling values of sample k into
+    row k of rec (the last sample runs stage 0 only), reading a played-back
+    p from the iterator p of pairs of sample rows.  It returns the count of
+    recorded samples and the OverflowError or ValueError that stopped the
+    run, else None.
     """
     n_z, n_w = H[0].shape
     z = [f"z{j}" for j in range(n_z)]
@@ -183,12 +189,18 @@ def _kernel(H, rule, n_steps: int):
                          f"{z[j]} = {s_ij} + c"]
             else:
                 body.append(f"{z[j]} = {s_ij}")
-        body += rule(i, z, w[i])
+        p, lines = rule(i, z, w[i])
+        body += lines
+        if i == 0:
+            row = [*z, *w[0], *p]
+            body += [f"record(rec, {8 * len(row)} * k, {', '.join(row)})",
+                     "recorded = k + 1", f"if k == {n_steps}:", "    break"]
     flat_w = ", ".join(name for stage in w for name in stage)
     source = "\n".join([
-        "def kernel(x, off, states, M, Psi, p):",
+        "def kernel(x, off, states, M, Psi, p, rec, record):",
+        "    recorded = 0",
         "    try:",
-        f"        for k in range({n_steps}):",
+        f"        for k in range({n_steps + 1}):",
         "            sa = M @ x + off[k]",
         "            s = sa.tolist()",
         *("            " + line for line in body),
@@ -196,13 +208,13 @@ def _kernel(H, rule, n_steps: int):
         f"            x = x + (sa[{4 * n_z}:] + Psi.dot([{flat_w}]))",
         # one comparison that NaN and inf also fail
         f"            if not abs(x).max() <= {DIVERGENCE_LIMIT!r}:",
-        "                return k, None",
+        "                break",
         "            states[k + 1] = x",
         # Python float powers and math.exp raise on overflow, math.sin(inf)
         # on its domain
         "    except (OverflowError, ValueError) as exc:",
-        "        return k, exc",
-        f"    return {n_steps}, None",
+        "        return recorded, exc",
+        "    return recorded, None",
     ])
     namespace = dict(EMITTED_FUNCTIONS)
     exec(compile(source, "<rk4 kernel>", "exec"), namespace)
@@ -211,11 +223,11 @@ def _kernel(H, rule, n_steps: int):
     return namespace.pop("kernel")
 
 
-def _simulate(core, rule, signals, x0, u, u_c, dt, y0=0.0, p=None):
+def _simulate(core, rule, x0, u, u_c, dt, y0=0.0, p=None):
     """Integrate the core closed by the rule (see _kernel), driven by u_c.
 
-    signals(Z) gives W, the recorded series and its label for the readout
-    y = Cy x + Dyu u_c + Dyw W + y0.  A failed run raises Divergence.
+    The trajectory holds the kernel's record; y = Cy x + Dyu u_c + Dyw w + y0
+    reads its w, and a failed run raises Divergence with the samples recorded.
     """
     # one comparison that NaN also fails; the kernel's source holds dt's
     # coefficients as float literals, which have no spelling for nan or inf
@@ -224,31 +236,28 @@ def _simulate(core, rule, signals, x0, u, u_c, dt, y0=0.0, p=None):
     M, K, H, Psi = _step_map(core, dt)
     n_steps = u_c.shape[0] - 1
     kernel = _kernel(H, rule, n_steps)
-    off = np.hstack([u_c[:-1], u_c[1:]]) @ K.T
+    # the last sample is paired with the first; its stage 0 reads only u_c[n]
+    off = np.hstack([u_c, np.roll(u_c, -1, axis=0)]) @ K.T
     states = np.empty((n_steps + 1, x0.shape[0]))
     states[0] = x0
-    k, exc = kernel(x0, off, states, M, Psi, p)
-    n = k + 1
-    states, uc = states[:n], u_c[:n]
-    Z = states @ core.Cz.T + uc @ core.Dzu.T
-    W, rec, label = signals(Z)
-    Y = states @ core.Cy.T + uc @ core.Dyu.T + W @ core.Dyw.T + y0
-    traj = Trajectory(dt, u[:n], states, Y, Z, rec, label)
-    if k < n_steps:
+    n_z, n_w = core.Cz.shape[0], core.Bw.shape[1]
+    rec = np.empty((n_steps + 1, n_z + n_w + core.n_p))
+    # packs one row of doubles straight into rec's buffer, at a byte offset
+    record = struct.Struct(f"{rec.shape[1]}d").pack_into
+    n, exc = kernel(x0, off, states, M, Psi, p, rec, record)
+    Z, W, P = np.hsplit(rec[:n], [n_z, n_z + n_w])
+    states = states[:n]
+    Y = states @ core.Cy.T + u_c[:n] @ core.Dyu.T + W @ core.Dyw.T + y0
+    series = (P, "p") if isinstance(core, LpvModel) else (W, "w")
+    traj = Trajectory(dt, u[:n], states, Y, Z, *series)
+    if n <= n_steps:
         failure = (
-            f"state exceeded {DIVERGENCE_LIMIT:.0e} at step {k + 1}"
+            f"state exceeded {DIVERGENCE_LIMIT:.0e} at step {n}"
             if exc is None else
-            f"nonlinearity evaluation overflowed at step {k + 1} ({exc})"
+            f"nonlinearity evaluation overflowed at step {n} ({exc})"
         )
         raise Divergence(failure, step=n, trajectory=traj)
     return traj
-
-
-def _eval_rows(rows, Z: np.ndarray) -> np.ndarray:
-    out = np.empty((Z.shape[0], len(rows)))
-    for k, row in enumerate(rows):
-        out[:, k] = row.evaluate_batch(Z)
-    return out
 
 
 def simulate_nlfr(
@@ -261,21 +270,17 @@ def simulate_nlfr(
     f_rows = model.f
 
     def rule(i, z, w):
-        return [line for row, w_r in zip(f_rows, w) for line in row.emit(w_r, z)]
+        return [], [line for row, w_r in zip(f_rows, w) for line in row.emit(w_r, z)]
 
-    def signals(Z):
-        W = _eval_rows(f_rows, Z)
-        return W, W, "w"
-
-    return _simulate(model, rule, signals, x0, u, u, dt)
+    return _simulate(model, rule, x0, u, u, dt)
 
 
-def _simulate_lpv(lpv: LpvModel, u, x0, dt, p_stage, p_samples, played=None):
+def _simulate_lpv(lpv: LpvModel, u, x0, dt, p_stage, played=None):
     """LPV run on the rank-one feedback w_r = sum over (r, i) of p_ri z_i.
 
     p_stage(i, z) gives the names of p at stage i and the statements that
-    set them, p_samples(Z) gives p at the samples, and played yields the
-    pairs of sample rows a played-back p is read from.
+    set them, and played yields the pairs of sample rows a played-back p is
+    read from.
     """
     d = lpv.dims
     x0 = _check_state(x0, d.n_x)
@@ -287,16 +292,9 @@ def _simulate_lpv(lpv: LpvModel, u, x0, dt, p_stage, p_samples, played=None):
         p, lines = p_stage(i, z)
         for w_r, row in zip(w, rows):
             lines += [f"{w_r} = 0.0", *(f"{w_r} += {p[k]} * {z[j]}" for k, j in row)]
-        return lines
+        return p, lines
 
-    def signals(Z):
-        P = p_samples(Z)
-        W = np.zeros((Z.shape[0], d.n_w))
-        for k, (r, i) in enumerate(lpv.channels):
-            W[:, r - 1] += P[:, k] * Z[:, i - 1]
-        return W, P, "p"
-
-    return _simulate(lpv, rule, signals, x0, u, u - lpv.d, dt, lpv.y0, played)
+    return _simulate(lpv, rule, x0, u, u - lpv.d, dt, lpv.y0, played)
 
 
 def simulate_lpv_self(lpv: LpvModel, u, x0=None, dt: float = 1e-3) -> Trajectory:
@@ -313,9 +311,7 @@ def simulate_lpv_self(lpv: LpvModel, u, x0=None, dt: float = 1e-3) -> Trajectory
     def p_stage(i, z):
         return p, [line for q, p_k in zip(entries, p) for line in q.emit(p_k, z)]
 
-    return _simulate_lpv(
-        lpv, u, x0, dt, p_stage, lambda Z: _eval_rows(entries, Z)
-    )
+    return _simulate_lpv(lpv, u, x0, dt, p_stage)
 
 
 def simulate_lpv_exogenous(
@@ -339,8 +335,9 @@ def simulate_lpv_exogenous(
     if not np.all(np.isfinite(p)):
         raise ShapeMismatch("scheduling samples contain non-finite values")
     # the rows of the four stages of each step: sample a, half-step h twice,
-    # next sample b
+    # next sample b; the last sample is paired with itself
     a, h, b = ([f"{v}{k}" for k in range(d.n_p)] for v in "ahb")
+    rows = p.tolist()
 
     def p_stage(i, z):
         if i == 0:
@@ -349,10 +346,7 @@ def simulate_lpv_exogenous(
             return h, [f"{h_k} = 0.5 * ({a_k} + {b_k})" for h_k, a_k, b_k in zip(h, a, b)]
         return (h, b)[i - 2], []
 
-    return _simulate_lpv(
-        lpv, u, x0, dt, p_stage, lambda Z: p[: Z.shape[0]],
-        itertools.pairwise(map(np.ndarray.tolist, p)),
-    )
+    return _simulate_lpv(lpv, u, x0, dt, p_stage, zip(rows, rows[1:] + rows[-1:]))
 
 
 # --- comparison ----------------------------------------------------------------
@@ -428,7 +422,7 @@ def spectrum(traj: Trajectory) -> Spectrum:
     """Discrete Fourier amplitude spectrum of the trajectory's outputs y.
 
     The final sample is dropped before transforming: on the default grid it
-    duplicates the period start, and dropping it lands periodic signals
+    duplicates the period start, and dropping it lands a periodic output
     exactly on the DFT bins.  Magnitudes are one-sided amplitudes (a unit
     sinusoid on a bin shows magnitude 1 there).
     """
@@ -465,6 +459,8 @@ def multisine(
     Returns an (n_steps + 1, n_u) array; the extra sample continues the
     periodic signal for endpoint interpolation.
     """
+    if seed < 0:
+        raise InvalidConfig(f"seed must be >= 0, got {seed}")
     nyquist = 0.5 / dt
     if not (0.0 <= f_min < f_max < nyquist):
         raise NyquistViolation(
@@ -490,13 +486,14 @@ def multisine(
     phases = rng.uniform(0.0, 2.0 * np.pi, size=(n_u, k.size))
     if amplitude == 0.0:
         return np.zeros((n_steps + 1, n_u))
-    t = np.arange(n_steps + 1) * dt
-    omega_t = 2.0 * np.pi * np.outer(t, k / period)
     out = np.empty((n_steps + 1, n_u))
+    for start in range(0, n_steps + 1, MULTISINE_BLOCK):
+        t = np.arange(start, min(start + MULTISINE_BLOCK, n_steps + 1)) * dt
+        omega_t = 2.0 * np.pi * np.outer(t, k / period)
+        for j in range(n_u):
+            out[start : start + t.size, j] = np.cos(omega_t + phases[j]).sum(axis=1)
     for j in range(n_u):
-        sig = np.cos(omega_t + phases[j]).sum(axis=1)
-        rms = math.sqrt(float(np.mean(sig[:n_steps] ** 2)))
-        out[:, j] = (amplitude / rms) * sig
+        out[:, j] *= amplitude / math.sqrt(float(np.mean(out[:n_steps, j] ** 2)))
     return out
 
 

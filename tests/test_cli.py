@@ -294,6 +294,18 @@ def test_invalid_dt_rejected(tmp_path, msd_file, capsys, option, value):
     assert "error[InvalidConfig]" in err
 
 
+def test_negative_seed_rejected(tmp_path, msd_file, capsys):
+    # numpy's generator refuses a negative seed with an untyped ValueError
+    code, out, err = run(
+        capsys, "simulate", "--model", str(msd_file), "--out", str(tmp_path),
+        "--t-end", "1", "--seed", "-1",
+    )
+    assert code == 1
+    assert "error[InvalidConfig]" in err and "seed" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "msd2dof_nlfr_traj.csv").exists()
+
+
 def write_scalar_model(path, f, A=-1.0, Bw=-1.0, Dzu=0.0):
     path.write_text(json.dumps({
         "dims": {"n_x": 1, "n_u": 1, "n_y": 1, "n_w": 1, "n_z": 1},
@@ -557,13 +569,15 @@ def test_golden_artifacts(tmp_path, capsys, monkeypatch):
     assert digests == GOLDEN_SHA256
 
 
-# sha256 of the simulation artifacts on msd2dof, recorded before the
-# generated stage kernel replaced the per-stage rule calls
+# sha256 of the simulation artifacts on msd2dof.  The compare and spectrum
+# digests were recorded before the generated stage kernel replaced the
+# per-stage rule calls; the trajectory digests pin the w and p the kernel
+# integrated.
 GOLDEN_SIM_SHA256 = {
     "msd2dof_nlfr_traj.csv":
-        "95a4395b59ff9cb4521fa539388c8287c0e003cbc78be6574e4b7b9fe8759611",
+        "e7c91f1cb296d8af69545436e0de574c2a408a6850ea19eea98ef73c87ad4d1b",
     "1,2/msd2dof_nlfr_lpv_traj.csv":
-        "a9971352017efd26aa3a089eeb13245123c648bc142910654812d362caf35d70",
+        "8f8799ae5a172dc6896e0bbed9c0a695fc691844efd1d973685cde095fed5d5a",
     "1,2/compare_report.csv":
         "25f1053bc386d4d1b90732001dd68d42193eaa33d04b8529f81b61de312fa7af",
     "1,2/spectrum_nlfr.csv":
@@ -571,7 +585,7 @@ GOLDEN_SIM_SHA256 = {
     "1,2/spectrum_lpv.csv":
         "a28cb8b36923577a48d0facdfa6d734083fa0402655c83e4b14082278b834417",
     "2,1/msd2dof_nlfr_lpv_traj.csv":
-        "4b43706ca5b12db788601343e5143911db5e950561a74df73f7616bc15de2cac",
+        "12dd6633879fc042f1b0efdb1c8ab1ca51f4350d9ddcac3c9850ed3bae30f4d1",
     "2,1/compare_report.csv":
         "1bc5964d51c036f46309b0db8293e03bab7b0776576b0417bad8fb8b0993ba62",
     "2,1/spectrum_nlfr.csv":

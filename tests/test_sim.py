@@ -8,6 +8,7 @@ import keyword
 import math
 import re
 import tokenize
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from lpvembed.errors import (
     ShapeMismatch,
 )
 from lpvembed import sim
-from lpvembed.expr import Expression, FuncFactor, Term
+from lpvembed.expr import Expression, FuncFactor, GuardedQuotient, Term
 from lpvembed.sim import MAX_MULTISINE_TABLE, Trajectory
 
 
@@ -201,9 +202,9 @@ def test_evaluation_overflow_is_divergence(f):
 # every name a kernel may hold: its parameters and locals, the builtins and
 # numpy methods it calls, and the stage variables z, w and p
 KERNEL_NAMES = {
-    "kernel", "x", "off", "states", "M", "Psi", "p", "k", "sa", "s", "c",
-    "exc", "range", "abs", "max", "next", "dot", "tolist",
-    "OverflowError", "ValueError",
+    "kernel", "x", "off", "states", "M", "Psi", "p", "rec", "record",
+    "recorded", "k", "sa", "s", "c", "exc", "range", "abs", "max", "next",
+    "dot", "tolist", "OverflowError", "ValueError",
 }
 KERNEL_NAME_RE = re.compile(r"(z|p|a|h|b)\d+|w[0-3]_\d+|_fn[0-5]")
 
@@ -258,6 +259,129 @@ def test_five_thousand_term_row_simulates(msd_model):
     traj = simulate_nlfr(m, u)
     assert traj.n_steps == 10
     assert np.all(np.isfinite(traj.x)) and np.any(traj.w_or_p != 0.0)
+
+
+# --- the kernel's record -----------------------------------------------------------
+
+
+def assert_record(model, lpv, u, ta, tb, tc, p):
+    """Each recorded w or p is the rule's value at the recorded z, bit for
+    bit, and each readout y reads the recorded w."""
+    n = ta.x.shape[0]
+    for t in (ta, tb, tc):
+        assert {s.shape[0] for s in (t.u, t.x, t.y, t.z, t.w_or_p)} == {n}
+    w = np.array([[row.evaluate(z) for row in model.f] for z in ta.z.tolist()])
+    assert np.array_equal(ta.w_or_p, w)
+    entries = [lpv.schedule.entry(r, i) for r, i in lpv.channels]
+    p_self = np.array(
+        [[q.evaluate(z) for q in entries] for z in tb.z.tolist()]
+    ).reshape(n, lpv.n_p)
+    assert np.array_equal(tb.w_or_p, p_self)
+    assert np.array_equal(tc.w_or_p, p[:n])
+
+    def readout(core, t, W, u_c, y0=0.0):
+        return t.x @ core.Cy.T + u_c[:n] @ core.Dyu.T + W @ core.Dyw.T + y0
+
+    def feedback(t):
+        W = [[0.0] * lpv.dims.n_w for _ in range(n)]
+        for W_k, z, p_k in zip(W, t.z.tolist(), t.w_or_p.tolist()):
+            for p_ri, (r, i) in zip(p_k, lpv.channels):
+                W_k[r - 1] += p_ri * z[i - 1]
+        return np.array(W).reshape(n, lpv.dims.n_w)
+
+    assert np.array_equal(ta.y, readout(model, ta, w, u))
+    for t in (tb, tc):
+        assert np.array_equal(t.y, readout(lpv, t, feedback(t), u - lpv.d, lpv.y0))
+
+
+@pytest.mark.parametrize("ordering", [(1, 2), (2, 1)], ids=["1,2", "2,1"])
+def test_record_is_what_the_kernel_integrated_msd(msd_model, ordering):
+    lpv = embed(msd_model, ordering)
+    u = multisine(2, 0.0, 2.0, 1.0, 1e-3, 4000, seed=0)
+    ta = simulate_nlfr(msd_model, u)
+    p = np.column_stack(
+        [lpv.schedule.entry(r, i).evaluate_batch(ta.z) for r, i in lpv.channels]
+    )
+    tb = simulate_lpv_self(lpv, u)
+    tc = simulate_lpv_exogenous(lpv, u, p)
+    assert_record(msd_model, lpv, u, ta, tb, tc, p)
+
+
+def test_record_with_guarded_quotient_and_feedthrough():
+    # f(0) = 0, so there is no offset and z starts at exactly 0: the first
+    # sample takes the quotient's derivative branch
+    rng = np.random.default_rng(17)
+    m = validate_nlfr(random_nlfr_raw(
+        rng, n_x=3, n_u=2, n_y=2, n_w=2, n_z=2,
+        f_rows=["0.2*sin(z1)*cos(z2) + 0.1*z2^2", "0.3*sin(z1 + 0.5*z2) - 0.1*z1"],
+    ))
+    assert np.any(m.Dyw != 0.0) and np.any(m.Dzu != 0.0)
+    lpv = embed(m)
+    quotients = [
+        lpv.schedule.entry(r, i) for r, i in lpv.channels
+        if isinstance(lpv.schedule.entry(r, i), GuardedQuotient)
+    ]
+    assert quotients and not np.any(lpv.d) and not np.any(lpv.y0)
+    u = multisine(2, 0.0, 5.0, 0.7, 1e-3, 3000, seed=2)
+    u[0] = 0.0
+    ta = simulate_nlfr(m, u)
+    tb = simulate_lpv_self(lpv, u)
+    in_band = [
+        abs(z[q.divisor_index - 1]) <= q.effective_threshold(z)
+        for q in quotients for z in tb.z.tolist()
+    ]
+    assert any(in_band) and not all(in_band)
+    p = np.column_stack(
+        [lpv.schedule.entry(r, i).evaluate_batch(ta.z) for r, i in lpv.channels]
+    )
+    tc = simulate_lpv_exogenous(lpv, u, p)
+    assert_record(m, lpv, u, ta, tb, tc, p)
+
+
+def unstable_cubic():
+    raw = copy.deepcopy(first_order_raw())
+    raw["A"] = [[1.0]]
+    raw["Bw"] = [[1.0]]
+    raw["f"] = ["z1^3"]
+    return validate_nlfr(raw)
+
+
+@pytest.mark.parametrize("simulator", ["nlfr", "lpv_self", "lpv_exogenous"])
+def test_failed_run_keeps_the_recorded_samples(simulator):
+    m = unstable_cubic()
+    lpv = embed(m)
+    u = np.zeros((5001, 1))
+    p = np.full((5001, 1), 50.0)
+    run = {
+        "nlfr": lambda: simulate_nlfr(m, u, x0=[1.0]),
+        "lpv_self": lambda: simulate_lpv_self(lpv, u, x0=[1.0]),
+        "lpv_exogenous": lambda: simulate_lpv_exogenous(lpv, u, p, x0=[1.0]),
+    }[simulator]
+    with pytest.raises(Divergence) as exc_info:
+        run()
+    err = exc_info.value
+    t = err.trajectory
+    assert 0 < err.step < 5000 and f"at step {err.step} " in f"{err} "
+    assert {s.shape[0] for s in (t.u, t.x, t.y, t.z, t.w_or_p)} == {err.step}
+    assert np.array_equal(t.z, t.x @ m.Cz.T)
+    rule = {"nlfr": m.f[0], "lpv_self": lpv.schedule.entry(1, 1)}
+    expected = (
+        p[: err.step] if simulator == "lpv_exogenous" else
+        np.array([[rule[simulator].evaluate(z)] for z in t.z.tolist()])
+    )
+    assert np.array_equal(t.w_or_p, expected)
+
+
+def test_overflow_at_the_first_sample_keeps_no_sample():
+    raw = copy.deepcopy(first_order_raw())
+    raw["f"] = ["exp(z1)"]
+    m = validate_nlfr(raw)
+    with pytest.raises(Divergence, match="overflowed at step 0 ") as exc_info:
+        simulate_nlfr(m, np.zeros((11, 1)), x0=[1000.0])
+    err = exc_info.value
+    t = err.trajectory
+    assert err.step == 0
+    assert {s.shape[0] for s in (t.u, t.x, t.y, t.z, t.w_or_p)} == {0}
 
 
 # --- NLFR vs LPV equivalence -----------------------------------------------------
@@ -588,6 +712,35 @@ def test_multisine_table_bound_is_typed():
     assert 10_000 * 2_500 == MAX_MULTISINE_TABLE
     with pytest.raises(InvalidConfig, match="multisine table"):
         multisine(1, 0.0, 250.15, 1.0, 1e-3, 9_999)
+
+
+def test_multisine_memory_is_bounded():
+    # the CLI's default run: 20 001 samples of 40 lines on 2 inputs; one
+    # whole cosine table would be 6.4 MB, and 19 MB of temporaries
+    tracemalloc.start()
+    try:
+        multisine(2, 0.0, 2.0, 1.0, 1e-3, 20_000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
+def test_multisine_negative_seed_is_typed():
+    with pytest.raises(InvalidConfig, match="seed must be >= 0"):
+        multisine(1, 0.0, 2.0, 1.0, 1e-3, 1000, seed=-1)
+
+
+def test_multisine_blocks_match_one_table(monkeypatch):
+    # each sample sums its own row of cosines, so the block size cannot
+    # change a bit; run lengths around the block edges
+    for n_steps in (1022, 1023, 1024, 2047, 3000):
+        whole = multisine(3, 0.0, 20.0, 1.3, 1e-3, n_steps, seed=n_steps)
+        monkeypatch.setattr(sim, "MULTISINE_BLOCK", 7)
+        assert np.array_equal(
+            multisine(3, 0.0, 20.0, 1.3, 1e-3, n_steps, seed=n_steps), whole
+        )
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
