@@ -74,7 +74,8 @@ MULTISINE_BLOCK = 1024
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Sampled simulation result; all series share the same length, and z
-    and w_or_p hold the values stage 0 of the kernel computed."""
+    and w_or_p hold the values stage 0 of the kernel computed.  Every
+    series is write-protected, and u is a copy of the input, not a view."""
 
     dt: float
     u: np.ndarray
@@ -248,8 +249,12 @@ def _simulate(core, rule, x0, u, u_c, dt, y0=0.0, p=None):
     Z, W, P = np.hsplit(rec[:n], [n_z, n_z + n_w])
     states = states[:n]
     Y = states @ core.Cy.T + u_c[:n] @ core.Dyu.T + W @ core.Dyw.T + y0
-    series = (P, "p") if isinstance(core, LpvModel) else (W, "w")
-    traj = Trajectory(dt, u[:n], states, Y, Z, *series)
+    series, label = (P, "p") if isinstance(core, LpvModel) else (W, "w")
+    # the input is copied, so that no series is a view of the caller's array
+    arrays = (u[:n].copy(), states, Y, Z, series)
+    for a in arrays:
+        a.setflags(write=False)
+    traj = Trajectory(dt, *arrays, label)
     if n <= n_steps:
         failure = (
             f"state exceeded {DIVERGENCE_LIMIT:.0e} at step {n}"

@@ -1,12 +1,16 @@
 """End-to-end command-line tests driving the full pipeline."""
 
+import ast
 import hashlib
 import json
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lpvembed
 from lpvembed.cli import MAX_STEPS, main
 
 
@@ -616,3 +620,187 @@ def test_golden_simulation_artifacts(tmp_path, capsys, monkeypatch):
         for name in GOLDEN_SIM_SHA256
     }
     assert digests == GOLDEN_SIM_SHA256
+
+
+# --- the artifact writer: outputs are replaced, not truncated -----------------
+
+
+def sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def test_rerun_into_the_same_out_matches_golden(tmp_path, capsys, monkeypatch):
+    # every command of both golden tests, twice into the same directories
+    monkeypatch.chdir(tmp_path)
+    golden = {**GOLDEN_SHA256, **GOLDEN_SIM_SHA256}
+    for _ in range(2):
+        assert run(capsys, "example", "msd2dof")[0] == 0
+        code, validate, err = run(capsys, "validate", "--model", "msd2dof_nlfr.json")
+        assert code == 0, err
+        code, out, err = run(
+            capsys, "simulate", "--model", "msd2dof_nlfr.json", "--t-end", "2"
+        )
+        assert code == 0, err
+        for ordering in ("1,2", "2,1"):
+            lpv = f"{ordering}/msd2dof_nlfr_lpv.json"
+            for argv in (
+                ("embed", "--model", "msd2dof_nlfr.json", "--ordering", ordering),
+                ("simulate", "--model", lpv, "--t-end", "2"),
+                ("compare", "--model", "msd2dof_nlfr.json", "--lpv", lpv),
+            ):
+                code, out, err = run(capsys, *argv, "--out", ordering)
+                assert code == 0, err
+        digests = {name: sha256(name) for name in golden if name != "validate.txt"}
+        digests["validate.txt"] = hashlib.sha256(validate.encode()).hexdigest()
+        assert digests == golden
+
+
+def run_pipeline(capsys, out, seed):
+    """example, embed, simulate and compare into out: eight artifacts."""
+    model, lpv = out / "msd2dof_nlfr.json", out / "msd2dof_nlfr_lpv.json"
+    sim_args = ("--t-end", "0.5", "--seed", seed)
+    for argv in (
+        ("example", "msd2dof"),
+        ("embed", "--model", str(model)),
+        ("simulate", "--model", str(model), *sim_args),
+        ("compare", "--model", str(model), "--lpv", str(lpv), *sim_args),
+    ):
+        code, _, err = run(capsys, *argv, "--out", str(out))
+        assert code == 0, err
+    return sorted(p.name for p in out.iterdir())
+
+
+def test_rerun_replaces_outputs_and_keeps_hard_links(tmp_path, capsys):
+    out, links, fresh = tmp_path / "out", tmp_path / "links", tmp_path / "fresh"
+    names = run_pipeline(capsys, out, "0")
+    assert len(names) == 8
+    links.mkdir()
+    old = {}
+    for name in names:
+        os.link(out / name, links / name)
+        old[name] = (out / name).read_bytes()
+    assert run_pipeline(capsys, out, "1") == names
+    run_pipeline(capsys, fresh, "1")
+    for name in names:
+        # the link keeps the old file; the output is a new file with the
+        # bytes a run into an empty directory writes
+        assert (links / name).read_bytes() == old[name], name
+        assert not os.path.samefile(out / name, links / name), name
+        assert (out / name).read_bytes() == (fresh / name).read_bytes(), name
+    assert (out / "msd2dof_nlfr_traj.csv").read_bytes() != old["msd2dof_nlfr_traj.csv"]
+
+
+@pytest.mark.parametrize("target_exists", [True, False], ids=["target", "dangling"])
+def test_symlinked_output_is_written_through(tmp_path, msd_file, capsys, target_exists):
+    target = tmp_path / "elsewhere" / "real_lpv.json"
+    target.parent.mkdir()
+    if target_exists:
+        target.write_text("old")
+    link = tmp_path / "link_lpv.json"
+    link.symlink_to(target)
+    code, _, err = run(
+        capsys, "embed", "--model", str(msd_file), "--lpv", str(link),
+        "--out", str(tmp_path / "fresh"),
+    )
+    assert code == 0, err
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert sha256(target) == GOLDEN_SHA256["1,2/msd2dof_nlfr_lpv.json"]
+
+
+def test_symlink_loop_output_is_refused(tmp_path, msd_file, capsys):
+    a, b = tmp_path / "a_lpv.json", tmp_path / "b_lpv.json"
+    a.symlink_to(b)
+    b.symlink_to(a)
+    code, _, err = run(
+        capsys, "embed", "--model", str(msd_file), "--lpv", str(a),
+        "--out", str(tmp_path / "fresh"),
+    )
+    assert code == 1
+    assert "error[IOError]" in err and "Too many levels of symbolic links" in err
+    assert os.readlink(a) == str(b) and os.readlink(b) == str(a)
+
+
+def test_output_that_is_a_directory_is_refused(tmp_path, msd_file, capsys):
+    blocker = tmp_path / "msd2dof_nlfr_traj.csv"
+    blocker.mkdir()
+    (blocker / "keep.txt").write_text("kept")
+    code, _, err = run(
+        capsys, "simulate", "--model", str(msd_file), "--out", str(tmp_path),
+        "--t-end", "0.5",
+    )
+    assert code == 1
+    assert "error[IOError]" in err and "Traceback" not in err
+    assert blocker.is_dir()
+    assert [p.name for p in blocker.iterdir()] == ["keep.txt"]
+    assert (blocker / "keep.txt").read_text() == "kept"
+
+
+@pytest.mark.skipif(
+    os.geteuid() == 0,
+    reason="root may write any file, so a read-only output cannot be refused",
+)
+def test_read_only_output_is_refused(tmp_path, msd_file, capsys):
+    argv = (
+        "simulate", "--model", str(msd_file), "--out", str(tmp_path),
+        "--t-end", "0.5",
+    )
+    assert run(capsys, *argv)[0] == 0
+    csv = tmp_path / "msd2dof_nlfr_traj.csv"
+    csv.chmod(0o444)
+    before, inode = csv.read_bytes(), csv.stat().st_ino
+    code, _, err = run(capsys, *argv, "--seed", "1")
+    assert code == 1
+    assert f"error[IOError]: [Errno 13] Permission denied: '{csv}'" in err
+    assert csv.read_bytes() == before and csv.stat().st_ino == inode
+
+
+def _writes(call: ast.Call) -> bool:
+    """Whether call writes a file: write_text or write_bytes, os.open, or an
+    open whose mode is not a constant read mode."""
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name != "open":
+        return False
+    owner = getattr(func, "value", None)
+    if getattr(owner, "id", None) == "os":
+        return True  # flags, not a mode
+    # builtin and io.open take the mode second, a Path's open first
+    at = 1 if owner is None or getattr(owner, "id", None) == "io" else 0
+    modes = call.args[at : at + 1] + [kw.value for kw in call.keywords if kw.arg == "mode"]
+    return any(
+        not (isinstance(m, ast.Constant) and set(str(m.value)) <= set("rbt"))
+        for m in modes
+    )
+
+
+@pytest.mark.parametrize(
+    "code, writes",
+    [
+        ("open(p)", False), ("open(p, 'rb')", False), ("p.open()", False),
+        ("p.read_text()", False), ("open(p, 'w')", True), ("open(p, 'r+')", True),
+        ("open(p, mode='a')", True), ("open(p, m)", True), ("io.open(p, 'x')", True),
+        ("p.open('w')", True), ("p.write_text(s)", True), ("p.write_bytes(b)", True),
+        ("os.open(p, os.O_RDONLY)", True),
+    ],
+)
+def test_write_detector(code, writes):
+    assert _writes(ast.parse(code).body[0].value) is writes
+
+
+def test_every_write_goes_through_the_writer():
+    sites = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}")
+                continue
+            if isinstance(child, ast.Call) and _writes(child):
+                sites.append(where)
+            visit(child, where)
+
+    for path in sorted(Path(lpvembed.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    assert sites == ["model._write"]

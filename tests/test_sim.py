@@ -384,6 +384,50 @@ def test_overflow_at_the_first_sample_keeps_no_sample():
     assert {s.shape[0] for s in (t.u, t.x, t.y, t.z, t.w_or_p)} == {0}
 
 
+def assert_write_protected(t, u):
+    for name in ("u", "x", "y", "z", "w_or_p"):
+        assert not getattr(t, name).flags.writeable, name
+    assert not np.shares_memory(t.u, u)
+
+
+def test_trajectories_are_write_protected_copies(msd_model):
+    lpv = embed(msd_model)
+    u = multisine(2, 0.0, 2.0, 1.0, 1e-3, 500, seed=0)
+    tn = simulate_nlfr(msd_model, u)
+    ts = simulate_lpv_self(lpv, u)
+    # a read-only recorded p plays back like any other array
+    for t in (tn, ts, simulate_lpv_exogenous(lpv, u, ts.w_or_p)):
+        assert_write_protected(t, u)
+        with pytest.raises(ValueError, match="read-only"):
+            t.x[0, 0] = 7.0
+        sim.trajectory_csv(t)
+        spectrum(t)
+        assert compare(tn, t, tol=1.0).passed
+    # the recorded input does not follow a later edit of the caller's array
+    u[0, 0] += 1.0
+    assert tn.u[0, 0] == u[0, 0] - 1.0
+
+
+@pytest.mark.parametrize("simulator", ["nlfr", "lpv_self", "lpv_exogenous"])
+def test_partial_trajectory_is_write_protected(simulator):
+    m = unstable_cubic()
+    lpv = embed(m)
+    u = np.zeros((5001, 1))
+    run = {
+        "nlfr": lambda: simulate_nlfr(m, u, x0=[1.0]),
+        "lpv_self": lambda: simulate_lpv_self(lpv, u, x0=[1.0]),
+        "lpv_exogenous": lambda: simulate_lpv_exogenous(
+            lpv, u, np.full((5001, 1), 50.0), x0=[1.0]
+        ),
+    }[simulator]
+    with pytest.raises(Divergence) as exc_info:
+        run()
+    t = exc_info.value.trajectory
+    assert_write_protected(t, u)
+    sim.trajectory_csv(t)
+    spectrum(t)
+
+
 # --- NLFR vs LPV equivalence -----------------------------------------------------
 
 
