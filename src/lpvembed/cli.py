@@ -6,11 +6,12 @@ trajectory and spectrum CSVs, reports) are deterministic for a fixed
 configuration and seed.  The output directory defaults to the LPVEMBED_OUT
 environment variable, then the current directory.
 
-Each artifact is written by model._write, which replaces an existing file
-instead of truncating it (a symlinked output is followed to its target):
-ext4 flushes a file that is truncated and rewritten, about 50 ms per file,
-while a fresh file costs well under 1 ms.  A hard link to an old output
-keeps the old bytes, and a read-only output is refused with error[IOError].
+Each artifact is written by model._write, which replaces an existing
+regular file instead of truncating it: ext4 flushes a file that is
+truncated and rewritten, about 50 ms per file, while a fresh file costs
+well under 1 ms.  A hard link to an old output keeps the old bytes, and a
+read-only output is refused with error[IOError].  A symlink, pipe or
+device is written in place, as is a file whose directory forbids removing it.
 """
 
 from __future__ import annotations

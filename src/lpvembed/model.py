@@ -22,7 +22,7 @@ Both live on disk as a single self-describing JSON document with named
 matrices stored as row-major arrays of arrays, in the layout json.dumps
 writes with an indent of 2.  One direct writer, _dump, produces exactly
 those bytes, and _write puts them (and every other file lpvembed writes)
-on disk as a new file.  Matrices round-trip bit-exactly (floats are
+on disk, replacing an existing regular file.  Matrices round-trip bit-exactly (floats are
 written with shortest-repr precision); numeric tolerances belong to
 analysis operations, never to the format layer.
 Indices in the file (variable numbers, channel rows/columns, orderings)
@@ -31,10 +31,10 @@ are 1-based to match the expression variables z1, z2, ...
 
 from __future__ import annotations
 
-import errno
 import json
 import math
 import os
+import stat
 from dataclasses import dataclass
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
@@ -359,28 +359,27 @@ def _dump(content: dict) -> str:
 
 
 def _write(path, text: str) -> None:
-    """Write text to path as a new file, replacing any file there.
+    """Write text to path, replacing a regular file there instead of
+    truncating it.
 
-    Every file lpvembed writes goes through here.  The old file is removed
-    before the new one is created, not truncated: on ext4 (auto_da_alloc)
+    Every file lpvembed writes goes through here.  On ext4 (auto_da_alloc)
     rewriting a file in place flushes its data to disk, about 50 ms per
-    file on a 2-vCPU VM, where a fresh file costs well under 1 ms.  A
-    symlink is followed to its target, and an existing file the user may
-    not write is refused before anything is removed, as open(path, "w")
-    refuses it.
+    file on a 2-vCPU VM, where a fresh file costs well under 1 ms.  So a
+    regular file the user may write is removed first.  Anything else -- no
+    file, a symlink, a directory, a pipe or device, a read-only file, or a
+    file whose directory forbids the removal -- is opened in place, and
+    open raises what it always raised.
     """
-    # only the last component is removed, so only it needs resolving
-    if os.path.islink(path):
-        path = os.path.realpath(path)
-        # still a link only when the links form a loop
-        if os.path.islink(path):
-            raise OSError(errno.ELOOP, os.strerror(errno.ELOOP), os.fspath(path))
-    if not os.access(path, os.W_OK) and os.path.exists(path):
-        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), os.fspath(path))
     try:
-        os.remove(path)
-    except FileNotFoundError:
+        st = os.lstat(path)
+    except OSError:
         pass
+    else:
+        if stat.S_ISREG(st.st_mode) and os.access(path, os.W_OK):
+            try:
+                os.remove(path)
+            except PermissionError:
+                pass
     with open(path, "w") as fh:
         fh.write(text)
 

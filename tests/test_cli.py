@@ -5,6 +5,8 @@ import hashlib
 import json
 import math
 import os
+import stat
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -556,21 +558,23 @@ GOLDEN_SHA256 = {
 def test_golden_artifacts(tmp_path, capsys, monkeypatch):
     # relative paths, so the validate output does not name the directory
     monkeypatch.chdir(tmp_path)
-    assert run(capsys, "example", "msd2dof")[0] == 0
-    code, out, err = run(capsys, "validate", "--model", "msd2dof_nlfr.json")
-    assert code == 0, err
-    (tmp_path / "validate.txt").write_text(out)
-    for ordering in ("1,2", "2,1"):
-        code, out, err = run(
-            capsys, "embed", "--model", "msd2dof_nlfr.json",
-            "--ordering", ordering, "--out", ordering,
-        )
+    # a rerun into the same directories replaces every output with the same bytes
+    for _ in range(2):
+        assert run(capsys, "example", "msd2dof")[0] == 0
+        code, out, err = run(capsys, "validate", "--model", "msd2dof_nlfr.json")
         assert code == 0, err
-    digests = {
-        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        for name in GOLDEN_SHA256
-    }
-    assert digests == GOLDEN_SHA256
+        (tmp_path / "validate.txt").write_text(out)
+        for ordering in ("1,2", "2,1"):
+            code, out, err = run(
+                capsys, "embed", "--model", "msd2dof_nlfr.json",
+                "--ordering", ordering, "--out", ordering,
+            )
+            assert code == 0, err
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in GOLDEN_SHA256
+        }
+        assert digests == GOLDEN_SHA256
 
 
 # sha256 of the simulation artifacts on msd2dof.  The compare and spectrum
@@ -601,42 +605,8 @@ GOLDEN_SIM_SHA256 = {
 
 def test_golden_simulation_artifacts(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    assert run(capsys, "example", "msd2dof")[0] == 0
-    code, out, err = run(
-        capsys, "simulate", "--model", "msd2dof_nlfr.json", "--t-end", "2"
-    )
-    assert code == 0, err
-    for ordering in ("1,2", "2,1"):
-        lpv = f"{ordering}/msd2dof_nlfr_lpv.json"
-        for argv in (
-            ("embed", "--model", "msd2dof_nlfr.json", "--ordering", ordering),
-            ("simulate", "--model", lpv, "--t-end", "2"),
-            ("compare", "--model", "msd2dof_nlfr.json", "--lpv", lpv),
-        ):
-            code, out, err = run(capsys, *argv, "--out", ordering)
-            assert code == 0, err
-    digests = {
-        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        for name in GOLDEN_SIM_SHA256
-    }
-    assert digests == GOLDEN_SIM_SHA256
-
-
-# --- the artifact writer: outputs are replaced, not truncated -----------------
-
-
-def sha256(path):
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def test_rerun_into_the_same_out_matches_golden(tmp_path, capsys, monkeypatch):
-    # every command of both golden tests, twice into the same directories
-    monkeypatch.chdir(tmp_path)
-    golden = {**GOLDEN_SHA256, **GOLDEN_SIM_SHA256}
     for _ in range(2):
         assert run(capsys, "example", "msd2dof")[0] == 0
-        code, validate, err = run(capsys, "validate", "--model", "msd2dof_nlfr.json")
-        assert code == 0, err
         code, out, err = run(
             capsys, "simulate", "--model", "msd2dof_nlfr.json", "--t-end", "2"
         )
@@ -650,9 +620,18 @@ def test_rerun_into_the_same_out_matches_golden(tmp_path, capsys, monkeypatch):
             ):
                 code, out, err = run(capsys, *argv, "--out", ordering)
                 assert code == 0, err
-        digests = {name: sha256(name) for name in golden if name != "validate.txt"}
-        digests["validate.txt"] = hashlib.sha256(validate.encode()).hexdigest()
-        assert digests == golden
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in GOLDEN_SIM_SHA256
+        }
+        assert digests == GOLDEN_SIM_SHA256
+
+
+# --- the artifact writer: outputs are replaced, not truncated -----------------
+
+
+def sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def run_pipeline(capsys, out, seed):
@@ -733,6 +712,46 @@ def test_output_that_is_a_directory_is_refused(tmp_path, msd_file, capsys):
     assert blocker.is_dir()
     assert [p.name for p in blocker.iterdir()] == ["keep.txt"]
     assert (blocker / "keep.txt").read_text() == "kept"
+
+
+def test_output_that_is_a_pipe_is_written_in_place(tmp_path, msd_file, capsys):
+    fifo = tmp_path / "pipe_lpv.json"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    code, _, err = run(
+        capsys, "embed", "--model", str(msd_file), "--lpv", str(fifo),
+        "--out", str(tmp_path / "fresh"),
+    )
+    reader.join(timeout=10)
+    assert code == 0, err
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert [hashlib.sha256(b).hexdigest() for b in received] == [
+        GOLDEN_SHA256["1,2/msd2dof_nlfr_lpv.json"]
+    ]
+
+
+def test_output_that_cannot_be_removed_is_rewritten_in_place(
+    tmp_path, msd_file, capsys, monkeypatch
+):
+    # a writable file in a directory the user may not modify (sticky /tmp,
+    # a shared directory) cannot be removed, but can still be rewritten
+    target, link = tmp_path / "shared_lpv.json", tmp_path / "link_lpv.json"
+    target.write_text("old")
+    os.link(target, link)
+
+    def refuse(path, *args, **kwargs):
+        raise PermissionError(1, "Operation not permitted", str(path))
+
+    monkeypatch.setattr(os, "remove", refuse)
+    code, _, err = run(
+        capsys, "embed", "--model", str(msd_file), "--lpv", str(target),
+        "--out", str(tmp_path / "fresh"),
+    )
+    assert code == 0, err
+    assert os.path.samefile(target, link)
+    assert sha256(link) == GOLDEN_SHA256["1,2/msd2dof_nlfr_lpv.json"]
 
 
 @pytest.mark.skipif(
