@@ -11,7 +11,7 @@ multiplication, partial differentiation, restriction of any set of
 variables to zero, and (when every term carries the divisor variable)
 exact division by that variable -- precisely the operations the
 scheduling-map factorization needs.  There are no denominators anywhere inside an
-Expression, so evaluation at any finite point yields a finite real.
+Expression, so evaluation at a finite point is finite unless a float overflows.
 
 :class:`GuardedQuotient` adds the single division the factorization
 introduces.  It evaluates ``numerator(z) / z_i`` away from ``z_i = 0`` and
@@ -72,15 +72,6 @@ EMITTED_FUNCTIONS: dict[str, Callable[[float], float]] = {
 }
 _EMITTED_NAME = dict(zip(FUNCTIONS, EMITTED_FUNCTIONS))
 
-_BATCH_FUNCTIONS = {
-    "sin": np.sin,
-    "cos": np.cos,
-    "exp": np.exp,
-    "tanh": np.tanh,
-    "sinh": np.sinh,
-    "cosh": np.cosh,
-}
-
 # d/dx func(x) expressed inside the language: a sum of (coefficient,
 # replacement function names) pairs, every replacement applied to the same
 # affine argument.  tanh' = 1 - tanh^2 needs the two-entry form.
@@ -98,6 +89,15 @@ _DERIVATIVES: dict[str, tuple[tuple[float, tuple[str, ...]], ...]] = {
 #: eps/tau relative accuracy to cancellation while the derivative branch is
 #: O(tau) away from the limit, and 1e-7 balances the two near 1e-7.
 DEFAULT_GUARD_TAU = 1e-7
+
+
+def _at_rows(evaluate, points, n_vars: int) -> np.ndarray:
+    """evaluate at each row of an (m, n_vars) array, passed as Python floats,
+    so every value is bit for bit the scalar one and an overflow raises."""
+    Z = np.asarray(points, dtype=float)
+    if Z.ndim != 2 or Z.shape[1] != n_vars:
+        raise ArityMismatch(f"batch shape {Z.shape} incompatible with arity {n_vars}")
+    return np.array([evaluate(z) for z in Z.tolist()], dtype=float)
 
 
 def _format_float(v: float) -> str:
@@ -274,6 +274,8 @@ class Expression:
     def __pow__(self, k: int) -> "Expression":
         if k < 0:
             raise NegativeExponent(f"negative exponent {k}")
+        if k > MAX_EXPONENT:  # k multiplications follow
+            raise ParseError(f"exponent {k} is above {MAX_EXPONENT}")
         out = Expression.constant(1.0, self.n_vars)
         for _ in range(k):
             out = out * self
@@ -344,24 +346,8 @@ class Expression:
         return lines
 
     def evaluate_batch(self, points) -> np.ndarray:
-        """Vectorized evaluation over an (m, n_vars) array of points, for
-        sampled checks; it may differ from ``evaluate`` in the last bits."""
-        Z = np.asarray(points, dtype=float)
-        if Z.ndim != 2 or Z.shape[1] != self.n_vars:
-            raise ArityMismatch(
-                f"batch shape {Z.shape} incompatible with arity {self.n_vars}"
-            )
-        out = np.zeros(Z.shape[0])
-        for t in self.terms:
-            v = np.full(Z.shape[0], t.coeff)
-            for j, e in enumerate(t.exponents):
-                if e:
-                    v = v * Z[:, j] ** e
-            for f in t.factors:
-                a = Z @ np.asarray(f.weights) + f.bias
-                v = v * _BATCH_FUNCTIONS[f.name](a)
-            out += v
-        return out
+        """``evaluate`` at each row of an (m, n_vars) array of points."""
+        return _at_rows(self.evaluate, points, self.n_vars)
 
     # --- calculus ----------------------------------------------------------
 
@@ -510,14 +496,8 @@ class GuardedQuotient:
         ]
 
     def evaluate_batch(self, points) -> np.ndarray:
-        """Vectorized evaluation, for sampled checks (see Expression's)."""
-        Z = np.asarray(points, dtype=float)
-        zi = Z[:, self.divisor_index - 1]
-        tau_eff = self.tau * (1.0 + np.max(np.abs(Z), axis=1))
-        quot = np.abs(zi) > tau_eff
-        num = self.numerator.evaluate_batch(Z)
-        der = self.derivative.evaluate_batch(Z)
-        return np.where(quot, num / np.where(quot, zi, 1.0), der)
+        """``evaluate`` at each row (see Expression's)."""
+        return _at_rows(self.evaluate, points, self.numerator.n_vars)
 
 
 # --- parser -----------------------------------------------------------------
@@ -534,6 +514,9 @@ _VAR_RE = re.compile(r"z(\d+)\Z")
 #: printed expressions nest at most 2 deep, and the cap keeps the
 #: recursive descent far from Python's recursion limit.
 MAX_NESTING = 100
+
+#: Largest exponent of a power; ``e ** k`` multiplies k times.
+MAX_EXPONENT = 256
 
 
 class _Parser:
@@ -623,7 +606,10 @@ class _Parser:
                 raise NegativeExponent("negative exponent", pos)
             if kind != "num" or not re.fullmatch(r"\d+", val):
                 raise ParseError("exponent must be a nonnegative integer", pos)
-            e = e ** int(val)
+            digits = val.lstrip("0") or "0"  # int() reads at most 4 300 digits
+            if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+                raise ParseError(f"exponent is above {MAX_EXPONENT}", pos)
+            e = e ** int(digits)
         return e
 
     def atom(self) -> Expression:
@@ -686,8 +672,9 @@ def parse(text: str, n_vars: int) -> Expression:
         atom       = number | variable | function "(" expression ")"
                    | "(" expression ")"
 
-    Function arguments must reduce to affine forms in the variables, and
-    parentheses and function calls nest at most ``MAX_NESTING`` deep.
+    Function arguments must reduce to affine forms in the variables,
+    parentheses and function calls nest at most ``MAX_NESTING`` deep, and
+    an exponent is at most ``MAX_EXPONENT``.
     """
     if n_vars < 1:
         raise ValueError("n_vars must be >= 1")

@@ -34,6 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
+    ArityMismatch,
     DimensionMismatch,
     InvalidOrdering,
     ModelFormatError,
@@ -98,10 +99,13 @@ def _check_removable(numerator: Expression, i: int):
     rng = np.random.default_rng(20240915)
     probes = rng.uniform(-1.0, 1.0, size=(8, numerator.n_vars))
     probes[:, i - 1] = 0.0
-    vals = numerator.evaluate_batch(probes)
     scale_probe = probes.copy()
     scale_probe[:, i - 1] = 1.0
-    scale = np.max(np.abs(numerator.evaluate_batch(scale_probe)))
+    try:
+        vals = numerator.evaluate_batch(probes)
+        scale = np.max(np.abs(numerator.evaluate_batch(scale_probe)))
+    except (OverflowError, ValueError):  # an overflow leaves no bound: pass
+        return
     if np.max(np.abs(vals)) > 1e-9 * (1.0 + scale):
         raise ModelFormatError(
             f"quotient numerator does not vanish on z{i} = 0: "
@@ -147,10 +151,8 @@ class SchedulingMap:
     def evaluate_batch(self, points) -> np.ndarray:
         Z = np.asarray(points, dtype=float)
         out = np.zeros((Z.shape[0], self.n_w, self.n_z))
-        for r, row in enumerate(self.entries):
-            for i, e in enumerate(row):
-                if e is not None:
-                    out[:, r, i] = e.evaluate_batch(Z)
+        for r, i in self.channels():
+            out[:, r - 1, i - 1] = self.entry(r, i).evaluate_batch(Z)
         return out
 
 
@@ -250,12 +252,25 @@ class ReconstructionReport:
 def check_reconstruction(
     m: SchedulingMap, f: Sequence[Expression], samples
 ) -> ReconstructionReport:
-    """Sample |entries(z) @ z + c - f(z)| / (1 + |f(z)|) over the points."""
+    """Sample |entries(z) @ z + c - f(z)| / (1 + |f(z)|) over the points;
+    NonFiniteEntry names the first sample at which f or an entry overflows
+    or the reconstruction is not finite."""
     Z = np.asarray(samples, dtype=float)
-    P = m.evaluate_batch(Z)
-    recon = np.einsum("nwz,nz->nw", P, Z) + m.c
-    F = np.column_stack([row.evaluate_batch(Z) for row in f])
-    abs_err = np.abs(recon - F)
+    if Z.ndim != 2:
+        raise ArityMismatch(f"samples have shape {Z.shape}, expected (m, {m.n_z})")
+    P, F = [], []
+    for n, z in enumerate(Z.tolist()):
+        try:
+            P.append([[0.0 if e is None else e.evaluate(z) for e in row]
+                      for row in m.entries])
+            F.append([row.evaluate(z) for row in f])
+        except (OverflowError, ValueError) as exc:
+            raise NonFiniteEntry(f"overflow at sample #{n}: {exc}") from None
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        abs_err = np.abs(np.einsum("nwz,nz->nw", P, Z) + m.c - F)
+    bad = np.flatnonzero(~np.all(np.isfinite(abs_err), axis=1))
+    if bad.size:
+        raise NonFiniteEntry(f"reconstruction is not finite at sample #{bad[0]}")
     rel_err = abs_err / (1.0 + np.abs(F))
     worst = int(np.argmax(np.max(rel_err, axis=1)))
     return ReconstructionReport(

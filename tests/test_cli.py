@@ -537,6 +537,28 @@ def test_foreign_tau_file_is_typed(tmp_path, msd_file, capsys, command):
         assert "tau 7" in err
 
 
+def test_non_removable_quotient_is_refused(tmp_path, msd_file, capsys):
+    # a quotient numerator that does not vanish on z1 = 0 has a pole there
+    code, out, err = run(
+        capsys, "embed", "--model", str(msd_file), "--ordering", "2,1",
+        "--out", str(tmp_path),
+    )
+    assert code == 0, err
+    lpv_file = tmp_path / "msd2dof_nlfr_lpv.json"
+    raw = json.loads(lpv_file.read_text())
+    cell = raw["schedule"]["entries"][0][0]
+    assert cell["type"] == "quotient" and cell["divisor"] == 1
+    cell["numerator"] += " + 0.5*z2"
+    lpv_file.write_text(json.dumps(raw))
+    code, out, err = run(
+        capsys, "simulate", "--model", str(lpv_file), "--out", str(tmp_path),
+        "--t-end", "0.5",
+    )
+    assert code == 1
+    assert "error[ModelFormatError]" in err and "does not vanish" in err
+    assert "Traceback" not in err
+
+
 # sha256 of the text artifacts on msd2dof; a change here is a change of the
 # program's output
 GOLDEN_SHA256 = {

@@ -1,5 +1,8 @@
 """LPV assembly: basis construction, affinity, scheduling."""
 
+import itertools
+import warnings
+
 import numpy as np
 import pytest
 
@@ -205,3 +208,25 @@ def test_rounded_removable_numerator_embeds(tmp_path, ordering):
         simulate_nlfr(m, u, dt=1e-3), simulate_lpv_self(back, u, dt=1e-3)
     )
     assert report.passed, report  # within COMPARE_TOL
+
+
+@pytest.mark.parametrize(
+    "f, n_z",
+    [("exp(800*z1) - 1", 1), ("exp(800*z2)*sin(z1)", 2), ("exp(800*z1) - 1 + z2", 2)],
+)
+def test_overflowing_removability_probe_embeds(tmp_path, f, n_z):
+    # exp(800*z) overflows at some removability probes of these quotient
+    # numerators; an overflow leaves the check without a bound, so each
+    # ordering embeds, saves and loads with no warning and no exception
+    raw = random_nlfr_raw(
+        np.random.default_rng(5), n_x=2, n_u=1, n_y=1, n_w=1, n_z=n_z, f_rows=[f]
+    )
+    m = validate_nlfr(raw)
+    for ordering in itertools.permutations(range(1, n_z + 1)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lpv = embed(m, ordering)
+            save_model(lpv, tmp_path / "lpv.json")
+            back = load_lpv(tmp_path / "lpv.json")
+        assert back.schedule.ordering == ordering
+        assert back.channels == lpv.channels

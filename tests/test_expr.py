@@ -25,6 +25,7 @@ from lpvembed.expr import (
     DEFAULT_GUARD_TAU,
     EMITTED_FUNCTIONS,
     FUNCTIONS,
+    MAX_EXPONENT,
     MAX_NESTING,
     Expression,
     FuncFactor,
@@ -140,6 +141,20 @@ def test_parse_nesting_cap(templates, value):
     assert exc_info.value.position == opens[MAX_NESTING]
 
 
+def test_parse_exponent_cap():
+    # e ** k multiplies k times, so an exponent above the cap is refused
+    # before the first multiplication, at the position of the exponent
+    assert parse(f"z1^{MAX_EXPONENT}", 1).terms == (Term(1.0, (MAX_EXPONENT,), ()),)
+    for exponent in (str(MAX_EXPONENT + 1), "0" * 5000 + str(MAX_EXPONENT + 1)):
+        text = f"2*z1^{exponent}"
+        with pytest.raises(ParseError, match="exponent") as exc_info:
+            parse(text, 1)
+        assert exc_info.value.position == text.index("^") + 1
+    assert Expression.variable(1, 1) ** MAX_EXPONENT == parse(f"z1^{MAX_EXPONENT}", 1)
+    with pytest.raises(ParseError, match="exponent"):
+        Expression.variable(1, 1) ** (MAX_EXPONENT + 1)
+
+
 @pytest.mark.parametrize("text", [7, 1.5, True, None, [], {}])
 def test_parse_rejects_non_text(text):
     with pytest.raises(ParseError, match="must be text"):
@@ -214,14 +229,33 @@ def test_evaluate_arity_mismatch():
 
 
 def test_evaluate_batch_matches_scalar():
+    # bit for bit, also for a guarded quotient at z_i = 0 and inside its band
     rng = np.random.default_rng(11)
     for _ in range(25):
         n = int(rng.integers(1, 5))
         e = random_expression(rng, n)
         Z = rng.uniform(-3.0, 3.0, (40, n))
-        batch = e.evaluate_batch(Z)
-        scalar = np.array([e.evaluate(list(z)) for z in Z])
-        np.testing.assert_allclose(batch, scalar, rtol=1e-13, atol=1e-300)
+        np.testing.assert_array_equal(
+            e.evaluate_batch(Z), [e.evaluate(z) for z in Z.tolist()]
+        )
+        i = int(rng.integers(1, n + 1))
+        q = GuardedQuotient(e - e.restrict(k for k in range(1, n + 1) if k != i), i)
+        Z[:20, i - 1] = 0.0
+        band = q.tau * (1.0 + np.max(np.abs(Z[10:20]), axis=1))
+        Z[10:20, i - 1] = rng.uniform(-0.9, 0.9, 10) * band
+        assert all(abs(z[i - 1]) <= q.effective_threshold(z) for z in Z[:20].tolist())
+        np.testing.assert_array_equal(
+            q.evaluate_batch(Z), [q.evaluate(z) for z in Z.tolist()]
+        )
+
+
+def test_evaluate_batch_overflow_raises_as_evaluate():
+    # one arithmetic: an overflow raises instead of becoming inf or NaN
+    for e in (parse("exp(800*z1) - 1", 1), parse("z1^200 + sin(z1)", 1)):
+        with pytest.raises(OverflowError):
+            e.evaluate([40.0])
+        with pytest.raises(OverflowError):
+            e.evaluate_batch([[0.5], [40.0]])
 
 
 def test_evaluate_finite_everywhere():

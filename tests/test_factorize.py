@@ -10,7 +10,7 @@ from conftest import (
     assert_guard_continuous,
     random_expression_vector,
 )
-from lpvembed.errors import InvalidOrdering, NonzeroAtOrigin
+from lpvembed.errors import InvalidOrdering, NonFiniteEntry, NonzeroAtOrigin
 from lpvembed.expr import GuardedQuotient, parse
 from lpvembed.factorize import (
     SchedulingMap,
@@ -118,6 +118,22 @@ def test_reconstruction_negative_control():
     report = check_reconstruction(broken, (MSD_F,), Z)
     assert not report.passed
     assert report.row_max_rel_error[0] > 1e-6
+
+
+@pytest.mark.parametrize(
+    "text, z1, message",
+    [
+        ("exp(800*z1) - 1", 40.0, "overflow at sample #2"),
+        ("z1^200 + sin(z1)", 40.0, "overflow at sample #2"),
+        ("1e300*z1^3", 1e3, "not finite at sample #2"),  # a * that gives inf
+    ],
+)
+def test_reconstruction_overflow_is_typed(text, z1, message):
+    f = (parse(text, 1),)
+    f_tilde, c = extract_offset(f)
+    m = factorize(f_tilde, (1,), c=c)
+    with pytest.raises(NonFiniteEntry, match=message):
+        check_reconstruction(m, f, [[0.1], [-0.5], [z1], [0.2]])
 
 
 def test_reconstruction_random_vectors_all_orderings():
