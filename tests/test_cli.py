@@ -7,6 +7,7 @@ import math
 import os
 import stat
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 
 import lpvembed
 from lpvembed.cli import MAX_STEPS, main
+from lpvembed.errors import HurwitzWarning
 
 
 def run(capsys, *argv):
@@ -647,6 +649,73 @@ def test_golden_simulation_artifacts(tmp_path, capsys, monkeypatch):
             for name in GOLDEN_SIM_SHA256
         }
         assert digests == GOLDEN_SIM_SHA256
+
+
+# Two offset models (f(0) != 0), which msd2dof (c = 0) does not reach: a
+# stable one, and one whose A is not Hurwitz.  Name -> (file content, the
+# orderings embedded).
+OFFSET_MODELS = {
+    "stable": ({
+        "dims": {"n_x": 2, "n_u": 2, "n_y": 2, "n_w": 2, "n_z": 2},
+        "A": [[-2.0, 0.5], [0.0, -1.0]], "Bw": [[1.0, 0.0], [0.5, 1.0]],
+        "Bu": [[1.0, 0.0], [0.0, 1.0]], "Cz": [[1.0, 0.0], [0.0, 1.0]],
+        "Cy": [[1.0, 0.0], [0.0, 1.0]], "Dzu": [[0.1, 0.0], [0.0, 0.2]],
+        "Dyw": [[0.1, 0.0], [0.0, 0.0]], "Dyu": [[0.0, 0.0], [0.0, 0.0]],
+        "f": ["0.3*z1*z2 + sin(z1) + 0.25", "z2^3 - 0.4"],
+    }, ("1,2", "2,1")),
+    "unstable": ({
+        "dims": {"n_x": 1, "n_u": 1, "n_y": 1, "n_w": 1, "n_z": 1},
+        "A": [[1.0]], "Bw": [[-1.0]], "Bu": [[1.0]], "Cz": [[1.0]],
+        "Cy": [[1.0]], "Dzu": [[0.0]], "Dyw": [[0.0]], "Dyu": [[0.0]],
+        "f": ["0.1*z1 + 0.5 + z1^3"],
+    }, ("1",)),
+}
+
+# sha256 of validate's stdout, the embed report and the LPV file of each
+# offset model: its check[offset], offset: and stability: lines and its d and y0
+GOLDEN_OFFSET_SHA256 = {
+    "stable_validate.txt":
+        "5ee01921595ca55f9b9d2a45b394e5a96c1265cecaf293ac311b050932599750",
+    "1,2/stable_lpv.json":
+        "360436e9be9e9edfe68b7e70f6592ec41a453d5e15dd149955ddee54469835d9",
+    "1,2/stable_embed_report.txt":
+        "17f57dfc7554c74c23d594db90805c53c79253a2513ff5b924103a085339d4c0",
+    "2,1/stable_lpv.json":
+        "206c88ea86d3d2f1f133c05b7347c87c2198d2a2cff1505d51aacc25aba514dc",
+    "2,1/stable_embed_report.txt":
+        "5e89939b94818c35b78263e15ca936ef316789d86708e8e7aac127277142d339",
+    "unstable_validate.txt":
+        "9a0e59acb90142780f4527cc9b83b855dfc3430aae0481ae31b1473b19a6c11c",
+    "1/unstable_lpv.json":
+        "5adedc3295a94c1fce5043c5f95611852e58abb8292ce2e3dc09ff9ba52c86a6",
+    "1/unstable_embed_report.txt":
+        "bc41d2c708a54ac2ff7ea6fb41b532cfeea64f24df781f4d734ea56f1f405652",
+}
+
+
+def test_golden_offset_artifacts(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for _ in range(2):
+        for name, (raw, orderings) in OFFSET_MODELS.items():
+            model = f"{name}.json"
+            Path(model).write_text(json.dumps(raw))
+            code, out, err = run(capsys, "validate", "--model", model)
+            assert code == 0, err
+            Path(f"{name}_validate.txt").write_text(out)
+            for ordering in orderings:
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    code, out, err = run(
+                        capsys, "embed", "--model", model,
+                        "--ordering", ordering, "--out", ordering,
+                    )
+                assert code == 0, err
+                # only embed gives the stability advice, and only for a
+                # non-Hurwitz A
+                expected = [HurwitzWarning] if name == "unstable" else []
+                assert [w.category for w in caught] == expected
+        digests = {name: sha256(tmp_path / name) for name in GOLDEN_OFFSET_SHA256}
+        assert digests == GOLDEN_OFFSET_SHA256
 
 
 # --- the artifact writer: outputs are replaced, not truncated -----------------
