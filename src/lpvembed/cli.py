@@ -41,7 +41,6 @@ from .expr import GuardedQuotient
 from .factorize import extract_offset
 from .model import (
     LpvModel,
-    NlfrModel,
     _dump,
     _write,
     load_lpv,
@@ -217,16 +216,14 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def _embed_report(model: NlfrModel, lpv: LpvModel, ordering_text: str) -> str:
+def _embed_report(lpv: LpvModel, ordering_text: str) -> str:
     sched = lpv.schedule
     lines = ["LPV embedding report", f"ordering: {ordering_text}"]
     if np.any(sched.c != 0.0):
-        gains = dc_gains(model)
-        sol = solve_offsets(gains, sched.c)
-        hurwitz, max_re = check_hurwitz(model.A)
+        hurwitz, max_re = check_hurwitz(lpv.A)
         lines.append(
             f"offset: c = {list(sched.c)} -> d = {list(lpv.d)}, "
-            f"y0 = {list(lpv.y0)} (residual {sol.residual:.3e})"
+            f"y0 = {list(lpv.y0)} (residual {lpv.offset.residual:.3e})"
         )
         lines.append(
             f"stability: max eigenvalue real part of A = {max_re:.6e}"
@@ -257,7 +254,7 @@ def cmd_embed(args) -> int:
     lpv_path = Path(args.lpv) if args.lpv else out / f"{stem}_lpv.json"
     save_model(lpv, lpv_path)
     ordering_text = ",".join(str(v) for v in lpv.schedule.ordering)
-    report = _embed_report(model, lpv, ordering_text)
+    report = _embed_report(lpv, ordering_text)
     report_path = out / f"{stem}_embed_report.txt"
     _write(report_path, report)
     print(report, end="")

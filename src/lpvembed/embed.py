@@ -1,12 +1,12 @@
 """Assembly of the affine LPV model from a validated nonlinear-LFR model.
 
 The pipeline is: extract the constant offset, propagate it to input/output
-corrections when nonzero, and factorize the remainder into a scheduling
-map.  Each nonzero scheduling entry is one channel, whose basis quadruple
-the LPV model derives from its structural matrices.  The scheduling vector
-is the flattened nonzero part of the n_w x n_z map, row-major over (r, i);
-structurally zero entries contribute nothing and are pruned.  The
-assembled matrices
+corrections when nonzero (kept as lpv.offset), and factorize the remainder
+into a scheduling map.  Each nonzero scheduling entry is one channel, whose
+basis quadruple the LPV model derives from its structural matrices.  The
+scheduling vector is the flattened nonzero part of the n_w x n_z map,
+row-major over (r, i); structurally zero entries contribute nothing and
+are pruned.  The assembled matrices
 
     A(p) = A + sum_k p_k Ak,   B(p) = Bu + sum_k p_k Bk,
     C(p) = Cy + sum_k p_k Ck,  D(p) = Dyu + sum_k p_k Dk
@@ -17,22 +17,36 @@ LTI core closed by the gain w = P(z) z, and assemble closes it at p.
 
 from __future__ import annotations
 
+import warnings
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ChannelCountMismatch, EmbeddingDegenerate
+from .errors import ChannelCountMismatch, EmbeddingDegenerate, HurwitzWarning
 from .factorize import extract_offset, factorize
 from .model import LpvModel, NlfrModel, core_matrices
-from .offset import solve_offsets_for
+from .offset import check_hurwitz, solve_offsets_for
 
 __all__ = ["embed", "assemble", "scheduling_from_state"]
 
 
 def embed(model: NlfrModel, ordering: Sequence[int] | None = None) -> LpvModel:
-    """Convert a nonlinear-LFR model into an exactly equivalent LPV model."""
+    """Convert a nonlinear-LFR model into an exactly equivalent LPV model.
+
+    The offset solution is kept as lpv.offset.  Propagating an offset
+    through a non-Hurwitz A gives a HurwitzWarning, not a failure.
+    """
     f_tilde, c = extract_offset(model.f)
-    sol = solve_offsets_for(model, c)
+    offset = solve_offsets_for(model, c)
+    if np.any(c != 0.0):
+        hurwitz, max_re = check_hurwitz(model.A)
+        if not hurwitz:
+            warnings.warn(
+                f"A is not Hurwitz (max eigenvalue real part {max_re:.3e}); "
+                "offset corrections are propagated anyway but their "
+                "steady-state interpretation is not guaranteed",
+                HurwitzWarning,
+            )
     schedule = factorize(f_tilde, ordering, c=c)
 
     if not schedule.channels() and not all(row.is_constant() for row in f_tilde):
@@ -40,7 +54,7 @@ def embed(model: NlfrModel, ordering: Sequence[int] | None = None) -> LpvModel:
             "every scheduling entry was pruned although the nonlinearity "
             "depends on z; factorization is internally inconsistent"
         )
-    return LpvModel(schedule=schedule, d=sol.d, y0=sol.y0, **core_matrices(model))
+    return LpvModel(schedule=schedule, offset=offset, **core_matrices(model))
 
 
 def assemble(lpv: LpvModel, p):

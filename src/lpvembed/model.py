@@ -59,7 +59,7 @@ from .factorize import (
     schedule_from_raw,
     schedule_to_raw,
 )
-from .offset import _no_offset, dc_gains, solve_offsets
+from .offset import OffsetSolution, solve_offsets_for
 
 __all__ = [
     "Dims",
@@ -222,12 +222,20 @@ class LpvModel(_Core):
     The structural matrices Bw, Cz, Dzu, Dyw are retained so the scheduling
     input z = Cz x + Dzu u_corrected can be formed during self-scheduled
     simulation.  The basis quadruples are not stored: they follow from the
-    structural matrices and the schedule's nonzero entries.
+    structural matrices and the schedule's nonzero entries.  d and y0
+    are read from the offset solution, which also keeps its residual.
     """
 
     schedule: SchedulingMap
-    d: np.ndarray
-    y0: np.ndarray
+    offset: OffsetSolution
+
+    @property
+    def d(self) -> np.ndarray:
+        return self.offset.d
+
+    @property
+    def y0(self) -> np.ndarray:
+        return self.offset.y0
 
     @property
     def n_p(self) -> int:
@@ -280,15 +288,12 @@ def validate_lpv(raw: Mapping) -> LpvModel:
     Every derived field is rebuilt as embed builds it and must be exactly
     what :func:`serialize_lpv` writes: the schedule cells (checked in
     :func:`schedule_from_raw`), dims.n_p, the basis, and d and y0, which
-    are re-solved from the core and c without embed's stability advisory.
+    are re-solved from the core and c by embed's own solve_offsets_for.
     """
     dd, mats = _read_core(raw)
     schedule = schedule_from_raw(_field(raw, "schedule"), dd.n_w, dd.n_z)
-    if np.any(schedule.c != 0.0):
-        sol = solve_offsets(dc_gains(_Core(**mats)), schedule.c)
-    else:
-        sol = _no_offset(dd.n_u, dd.n_y)
-    lpv = LpvModel(schedule=schedule, d=sol.d, y0=sol.y0, **mats)
+    offset = solve_offsets_for(_Core(**mats), schedule.c)
+    lpv = LpvModel(schedule=schedule, offset=offset, **mats)
 
     n_p = _field(raw["dims"], "n_p", where="dims block")
     basis_raw = _field(raw, "basis", list)

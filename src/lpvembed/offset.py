@@ -18,13 +18,12 @@ state trajectories differ by the constant shift A^-1 (Bw c + Bu d)).  A
 solution d exists whenever G4_0 c lies in the column space of G2_0; the
 minimum-norm least-squares solution is the deterministic canonical pick.
 
-DC gains require A to be invertible; the stability check on A is advisory
-unless an offset actually has to be propagated.
+DC gains require A to be invertible.  The stability check on A is advisory:
+embed warns when an offset is propagated through a non-Hurwitz A.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -33,7 +32,6 @@ import numpy as np
 from .errors import (
     ColumnSpaceViolation,
     EigenvalueFailure,
-    HurwitzWarning,
     NonFiniteEntry,
     SingularA,
 )
@@ -168,27 +166,17 @@ def solve_offsets(gains: DcGains, c) -> OffsetSolution:
     return OffsetSolution(d=d, y0=y0, residual=residual)
 
 
-def solve_offsets_for(model: NlfrModel, c) -> OffsetSolution:
-    """Full offset pipeline for a model: skip path, gains, stability advisory.
+def solve_offsets_for(core, c) -> OffsetSolution:
+    """The offset solution of a model's core for its constant c = f(0).
 
-    The stability requirement only backs the steady-state interpretation;
-    the correction algebra stays well-defined for any invertible A, so a
-    non-Hurwitz A produces a warning rather than a failure.
+    c = 0 takes the exact skip path, which never inverts A; otherwise the
+    core's DC gains are solved for d and y0.  embed and the LPV loader both
+    solve here.  The stability advice is embed's: no eigenvalues here.
     """
     c = np.asarray(c, dtype=float)
     if not np.any(c != 0.0):
-        return _no_offset(model.Bu.shape[1], model.Cy.shape[0])
-    gains = dc_gains(model)
-    ok, max_re = check_hurwitz(model.A)
-    if not ok:
-        warnings.warn(
-            f"A is not Hurwitz (max eigenvalue real part {max_re:.3e}); "
-            "offset corrections are propagated anyway but their "
-            "steady-state interpretation is not guaranteed",
-            HurwitzWarning,
-            stacklevel=2,
-        )
-    return solve_offsets(gains, c)
+        return _no_offset(core.Bu.shape[1], core.Cy.shape[0])
+    return solve_offsets(dc_gains(core), c)
 
 
 def matching_start(lpv: LpvModel) -> np.ndarray | None:

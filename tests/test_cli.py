@@ -334,6 +334,19 @@ def test_embed_report_offset_diagnostics(tmp_path, capsys):
     assert "stability" in report
 
 
+def test_embed_report_reads_the_offset_solution(tmp_path, capsys, monkeypatch):
+    # the report prints embed's offset solution; solving again would fail here
+    def unreachable(*args):
+        raise AssertionError("the offset was solved again after embed")
+
+    monkeypatch.setattr("lpvembed.cli.dc_gains", unreachable)
+    monkeypatch.setattr("lpvembed.cli.solve_offsets", unreachable)
+    path = write_scalar_model(tmp_path / "toy.json", "z1 + 1")
+    code, out, err = run(capsys, "embed", "--model", str(path), "--out", str(tmp_path))
+    assert code == 0, err
+    assert "(residual 0.000e+00)" in out
+
+
 def test_embed_linear_model_yields_lti(tmp_path, capsys):
     raw = {
         "dims": {"n_x": 1, "n_u": 1, "n_y": 1, "n_w": 1, "n_z": 1},

@@ -190,6 +190,25 @@ def test_lpv_round_trip_with_offsets(tmp_path):
     assert np.array_equal(lpv.schedule.c, again.schedule.c)
 
 
+def test_loaded_offset_solution_equals_embeds(tmp_path):
+    # embed and the loader solve the offset in one place, so d, y0 and the
+    # residual of a loaded file are embed's, bit for bit, under every ordering
+    raw = random_nlfr_raw(
+        np.random.default_rng(19), n_x=3, n_u=3, n_y=2, n_w=2, n_z=3,
+        f_rows=["0.2*z1*z2 + 0.1*sin(z3) - 0.3", "z2*z3^2 + 0.1*z1 + 0.7"],
+    )
+    m = validate_nlfr(raw)
+    path = tmp_path / "lpv.json"
+    for ordering in itertools.permutations((1, 2, 3)):
+        lpv = embed(m, ordering)
+        assert np.any(lpv.d != 0.0) and lpv.offset.residual > 0.0
+        save_model(lpv, path)
+        loaded = load_lpv(path).offset
+        assert np.array_equal(loaded.d, lpv.offset.d)
+        assert np.array_equal(loaded.y0, lpv.offset.y0)
+        assert loaded.residual == lpv.offset.residual
+
+
 def test_lpv_empty_basis_round_trip(tmp_path):
     raw = {
         "dims": {"n_x": 1, "n_u": 1, "n_y": 1, "n_w": 1, "n_z": 1},

@@ -1,5 +1,7 @@
 """Offset propagation: DC gains, stability check, correction solving."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,13 @@ from lpvembed import (
     validate_lpv,
     validate_nlfr,
 )
-from lpvembed.errors import ColumnSpaceViolation, Divergence, NonFiniteEntry, SingularA
+from lpvembed.errors import (
+    ColumnSpaceViolation,
+    Divergence,
+    HurwitzWarning,
+    NonFiniteEntry,
+    SingularA,
+)
 from lpvembed.offset import (
     DcGains,
     check_hurwitz,
@@ -244,6 +252,25 @@ def test_non_hurwitz_with_offset_warns_but_proceeds():
         lpv = embed(m)
     assert np.all(np.isfinite(lpv.d))
     assert np.any(lpv.d != 0.0)
+
+
+@pytest.mark.parametrize(
+    "a, f, warns",
+    [(1.0, "0.1*z1 + 0.5 + z1^3", True), (-1.0, "0.1*z1 + 0.5 + z1^3", False),
+     (1.0, "0.1*z1 + z1^3", False), (0.0, "0.1*z1 + z1^3", False)],
+    ids=["offset-unstable", "offset-stable", "no-offset-unstable", "no-offset-singular"],
+)
+def test_hurwitz_warning_only_for_an_offset_through_unstable_a(a, f, warns):
+    m = validate_nlfr(lti_raw([[a]], [[-1.0]], [[1.0]], [[1.0]], [[1.0]], [f]))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        embed(m)
+    assert [(w.category, str(w.message)) for w in caught] == ([(
+        HurwitzWarning,
+        "A is not Hurwitz (max eigenvalue real part 1.000e+00); offset "
+        "corrections are propagated anyway but their steady-state "
+        "interpretation is not guaranteed",
+    )] if warns else [])
 
 
 def test_offset_equivalence_with_guard_and_feedthrough():
