@@ -208,8 +208,8 @@ def cmd_validate(args) -> int:
         )
         sol = solve_offsets(gains, c)
         print(
-            f"check[offset]          PASS  f(0) = {list(c)} propagated: "
-            f"d = {list(sol.d)}, y0 = {list(sol.y0)}, "
+            f"check[offset]          PASS  f(0) = {c.tolist()} propagated: "
+            f"d = {sol.d.tolist()}, y0 = {sol.y0.tolist()}, "
             f"residual = {sol.residual:.3e}"
         )
     print("RESULT: embeddable")
@@ -222,8 +222,8 @@ def _embed_report(lpv: LpvModel, ordering_text: str) -> str:
     if np.any(sched.c != 0.0):
         hurwitz, max_re = check_hurwitz(lpv.A)
         lines.append(
-            f"offset: c = {list(sched.c)} -> d = {list(lpv.d)}, "
-            f"y0 = {list(lpv.y0)} (residual {lpv.offset.residual:.3e})"
+            f"offset: c = {sched.c.tolist()} -> d = {lpv.d.tolist()}, "
+            f"y0 = {lpv.y0.tolist()} (residual {lpv.offset.residual:.3e})"
         )
         lines.append(
             f"stability: max eigenvalue real part of A = {max_re:.6e}"

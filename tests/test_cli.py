@@ -688,21 +688,21 @@ OFFSET_MODELS = {
 # offset model: its check[offset], offset: and stability: lines and its d and y0
 GOLDEN_OFFSET_SHA256 = {
     "stable_validate.txt":
-        "5ee01921595ca55f9b9d2a45b394e5a96c1265cecaf293ac311b050932599750",
+        "a27a9f9cea60693cc385d5f4d8625cf5d6e95bc46390d64f2582d0d177258cdd",
     "1,2/stable_lpv.json":
         "360436e9be9e9edfe68b7e70f6592ec41a453d5e15dd149955ddee54469835d9",
     "1,2/stable_embed_report.txt":
-        "17f57dfc7554c74c23d594db90805c53c79253a2513ff5b924103a085339d4c0",
+        "0b48a0d30f4a4681aa3a0c8bb24a944164efc7f25b35124f981236e76fa2badb",
     "2,1/stable_lpv.json":
         "206c88ea86d3d2f1f133c05b7347c87c2198d2a2cff1505d51aacc25aba514dc",
     "2,1/stable_embed_report.txt":
-        "5e89939b94818c35b78263e15ca936ef316789d86708e8e7aac127277142d339",
+        "26df9bb3eee6a3f6e472d33fc2f2b037a6d2d0c532edf82df2a9129a0d81d6ed",
     "unstable_validate.txt":
-        "9a0e59acb90142780f4527cc9b83b855dfc3430aae0481ae31b1473b19a6c11c",
+        "7aa663bc0335b9d75139c1e937fc4f0efc0ac119f5e12902056e0d005248ea3e",
     "1/unstable_lpv.json":
         "5adedc3295a94c1fce5043c5f95611852e58abb8292ce2e3dc09ff9ba52c86a6",
     "1/unstable_embed_report.txt":
-        "bc41d2c708a54ac2ff7ea6fb41b532cfeea64f24df781f4d734ea56f1f405652",
+        "c024ccfd458c354f895deded353dd19ea1cf4671b296a9e84112e92734017a3a",
 }
 
 
