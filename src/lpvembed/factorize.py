@@ -148,13 +148,6 @@ class SchedulingMap:
             if e is not None
         )
 
-    def evaluate_batch(self, points) -> np.ndarray:
-        Z = np.asarray(points, dtype=float)
-        out = np.zeros((Z.shape[0], self.n_w, self.n_z))
-        for r, i in self.channels():
-            out[:, r - 1, i - 1] = self.entry(r, i).evaluate_batch(Z)
-        return out
-
 
 def factorize(
     f_tilde: Sequence[Expression],

@@ -532,8 +532,9 @@ def test_out_of_range_file_is_typed(tmp_path, msd_file, capsys, make, code_name)
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("command", ["validate", "simulate"])
+@pytest.mark.parametrize("command", ["compare", "simulate"])
 def test_foreign_tau_file_is_typed(tmp_path, msd_file, capsys, command):
+    # both commands load the LPV file through load_lpv
     code, out, err = run(
         capsys, "embed", "--model", str(msd_file), "--ordering", "2,1",
         "--out", str(tmp_path),
@@ -543,13 +544,13 @@ def test_foreign_tau_file_is_typed(tmp_path, msd_file, capsys, command):
     raw = json.loads(lpv_file.read_text())
     raw["schedule"]["entries"][0][0]["tau"] = 7
     lpv_file.write_text(json.dumps(raw))
-    extra = ("--out", str(tmp_path), "--t-end", "0.5") if command == "simulate" else ()
-    code, out, err = run(capsys, command, "--model", str(lpv_file), *extra)
+    models = ("--model", str(msd_file), "--lpv") if command == "compare" else ("--model",)
+    code, out, err = run(
+        capsys, command, *models, str(lpv_file), "--out", str(tmp_path), "--t-end", "0.5"
+    )
     assert code == 1
-    assert "error[ModelFormatError]" in err
+    assert "error[ModelFormatError]" in err and "tau 7" in err
     assert "Traceback" not in err
-    if command == "simulate":
-        assert "tau 7" in err
 
 
 def test_non_removable_quotient_is_refused(tmp_path, msd_file, capsys):

@@ -165,6 +165,18 @@ def test_scheduling_from_state_with_feedthrough():
     assert np.allclose(p, expected, rtol=1e-15)
 
 
+@pytest.mark.parametrize("ordering", [(1, 2), (2, 1)], ids=["1,2", "2,1"])
+def test_scheduling_from_state_is_the_simulated_p(msd_model, ordering):
+    # the scheduling vector the simulator recorded at each sample, from that
+    # sample's state and corrected input, bit for bit
+    lpv = embed(msd_model, ordering)
+    u = multisine(2, 0.0, 2.0, 1.0, 1e-3, 2000, seed=0)
+    t = simulate_lpv_self(lpv, u, dt=1e-3)
+    for k in range(t.n_steps + 1):
+        p = scheduling_from_state(lpv, t.x[k], t.u[k] - lpv.d)
+        assert np.array_equal(p, t.w_or_p[k]), k
+
+
 # --- pruning ------------------------------------------------------------------------
 
 
