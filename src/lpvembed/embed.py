@@ -46,6 +46,7 @@ def embed(model: NlfrModel, ordering: Sequence[int] | None = None) -> LpvModel:
                 "offset corrections are propagated anyway but their "
                 "steady-state interpretation is not guaranteed",
                 HurwitzWarning,
+                stacklevel=2,
             )
     schedule = factorize(f_tilde, ordering, c=c)
 
