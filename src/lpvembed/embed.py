@@ -1,12 +1,12 @@
 """Assembly of the affine LPV model from a validated nonlinear-LFR model.
 
 The pipeline is: extract the constant offset, propagate it to input/output
-corrections when nonzero (kept as lpv.offset), and factorize the remainder
-into a scheduling map.  Each nonzero scheduling entry is one channel, whose
-basis quadruple the LPV model derives from its structural matrices.  The
-scheduling vector is the flattened nonzero part of the n_w x n_z map,
-row-major over (r, i); structurally zero entries contribute nothing and
-are pruned.  The assembled matrices
+corrections when nonzero, and factorize the remainder into a scheduling
+map.  Each nonzero scheduling entry is one channel, whose basis quadruple
+the LPV model derives from its structural matrices.  The scheduling vector
+is the flattened nonzero part of the n_w x n_z map, row-major over (r, i);
+structurally zero entries contribute nothing and are pruned.  The
+assembled matrices
 
     A(p) = A + sum_k p_k Ak,   B(p) = Bu + sum_k p_k Bk,
     C(p) = Cy + sum_k p_k Ck,  D(p) = Dyu + sum_k p_k Dk
