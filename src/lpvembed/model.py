@@ -210,9 +210,25 @@ def _basis_quadruple(core: _Core, r: int, i: int) -> BasisChannel:
     return BasisChannel(r, i, *(_freeze(q) for q in quads))
 
 
+def _shared_rows(m: np.ndarray) -> list:
+    """m.tolist(), with one list per distinct row of m.
+
+    Rows are told apart by their bytes, so a row of 0.0 and a row of -0.0
+    stay two lists.  A basis matrix is a rank-one product whose zero
+    factors repeat whole rows; the writer turns each list into text once.
+    """
+    rows, lists = [], {}
+    for row in m:
+        key = row.tobytes()
+        if key not in lists:
+            lists[key] = row.tolist()
+        rows.append(lists[key])
+    return rows
+
+
 def _channel_raw(b: BasisChannel) -> dict:
-    """One basis channel as the file stores it."""
-    return {"r": b.r, "i": b.i, **{q: getattr(b, q).tolist() for q in _QUADRUPLE}}
+    """One basis channel as the file stores it; equal rows are one list."""
+    return {"r": b.r, "i": b.i, **{q: _shared_rows(getattr(b, q)) for q in _QUADRUPLE}}
 
 
 @dataclass(frozen=True, eq=False)
@@ -315,6 +331,8 @@ def serialize_lpv(model: LpvModel) -> dict:
 
     The derived fields are written for verification only: the loader
     derives them again and rejects a file whose stored copies differ.
+    Equal rows of a basis matrix may be one list object, so editing one
+    row in place edits them all: copy the content before editing it.
     """
     return {
         **_core_raw(model, (*_DIM_KEYS, "n_p")),
@@ -332,9 +350,10 @@ def _encode(value, nl: str) -> str:
     """value as json.dumps writes it with an indent of 2, nested at nl.
 
     json's encoder runs in pure Python once indent is set and yields each
-    float on its own; here a list of finite floats is joined in one call.
-    Every other scalar goes through json.dumps, so its bytes are json's.
-    Keys must be str, as they are in every model document.
+    float on its own; here a list of finite floats is joined in one call,
+    and an item that recurs in one list is encoded once.  Every other
+    scalar goes through json.dumps, so its bytes are json's.  Keys must
+    be str, as they are in every model document.
     """
     inner = nl + "  "
     if isinstance(value, dict):
@@ -353,7 +372,13 @@ def _encode(value, nl: str) -> str:
         if {*map(type, value)} == {float} and all(map(math.isfinite, value)):
             items = map(float.__repr__, value)
         else:
-            items = (_encode(item, inner) for item in value)
+            # an object that recurs in value is encoded once: value keeps
+            # it alive, so its id is not reused, and every item is at inner
+            texts = {}
+            for item in value:
+                if id(item) not in texts:
+                    texts[id(item)] = _encode(item, inner)
+            items = (texts[id(item)] for item in value)
         return "[" + inner + ("," + inner).join(items) + nl + "]"
     return json.dumps(value)
 

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -11,6 +12,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_expression_vector, random_nlfr_raw
 from lpvembed import (
@@ -267,6 +270,11 @@ def test_writer_matches_json_on_embed_outputs():
 
 
 def test_writer_matches_json_on_edge_values():
+    # r is one list object at two positions of a parent and at two depths;
+    # the writer encodes a repeated item once per parent, at that indent
+    r = [0.5, -0.0]
+    s = [1, None, r]
+    assert_written_as_json({"a": [r, r], "b": [[r]], "c": [s, [s, s], {"k": s}]})
     assert_written_as_json({
         "floats": [-0.0, 5e-324, 1e16, 1e22, sys.float_info.max, 0.1, -2.5],
         "scalars": [0, -7, 10**30, True, False, None, 1.5],
@@ -283,6 +291,97 @@ def test_writer_matches_json_on_edge_values():
         '{\n  "p": [\n    NaN,\n    -Infinity\n  ]\n}\n'
     )
     assert _dump({"t": (1.0, 2.0)}) == '{\n  "t": [\n    1.0,\n    2.0\n  ]\n}\n'
+
+
+# A model whose zero rows of Bw and zero entries of Cz and Dzu have both
+# signs, so its basis rows repeat with and without a sign.
+SIGNED_ZERO_RAW = {
+    "dims": {"n_x": 3, "n_u": 1, "n_y": 1, "n_w": 1, "n_z": 2},
+    "A": [[-1.0, 0.0, 0.0], [0.0, -2.0, 0.0], [0.0, 0.0, -3.0]],
+    "Bw": [[0.0], [-0.0], [1.5]],
+    "Bu": [[1.0], [0.0], [0.0]],
+    "Cz": [[0.0, 2.0, -1.0], [-0.0, 0.5, 1.0]],
+    "Cy": [[1.0, 0.0, 0.0]],
+    "Dzu": [[0.0], [-0.0]],
+    "Dyw": [[-0.0]],
+    "Dyu": [[0.0]],
+    "f": ["z1^2 + z2^2"],
+}
+
+# sha256 of its LPV file under each ordering, recorded before equal basis
+# rows were written once
+SIGNED_ZERO_LPV_SHA256 = {
+    (1, 2): "4322d4072d6260f55319324c22645ccd01380282c19eac364ce48593ee92adca",
+    (2, 1): "69cec9810f190f294b0217549be66766252f7ed6edd6de1b5503ccca72fc53eb",
+}
+
+
+@pytest.mark.parametrize("ordering", [(1, 2), (2, 1)], ids=["1,2", "2,1"])
+def test_signed_zero_basis_rows_keep_their_signs(tmp_path, ordering):
+    lpv = embed(validate_nlfr(SIGNED_ZERO_RAW), ordering)
+    content = serialize_lpv(lpv)
+    assert json.dumps(content["basis"][0]["Ak"]) == (
+        "[[0.0, 0.0, -0.0], [-0.0, -0.0, 0.0], [0.0, 3.0, -1.5]]"
+    )
+    assert_written_as_json(content)
+    path = tmp_path / "lpv.json"
+    save_model(lpv, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SIGNED_ZERO_LPV_SHA256[ordering]
+    back = load_lpv(path)
+    assert back.channels == lpv.channels == ((1, 1), (1, 2))
+    for b, again in zip(lpv.basis, back.basis):
+        for q in ("Ak", "Bk", "Ck", "Dk"):
+            assert getattr(again, q).tobytes() == getattr(b, q).tobytes()
+
+
+def test_equal_basis_rows_are_one_list():
+    # rows equal in their bytes share a list; 0.0 and -0.0 rows do not
+    channel = serialize_lpv(embed(validate_nlfr(SIGNED_ZERO_RAW)))["basis"][0]
+    assert json.dumps(channel["Bk"]) == "[[0.0], [-0.0], [0.0]]"
+    assert channel["Bk"][0] is channel["Bk"][2]
+    assert channel["Bk"][0] is not channel["Bk"][1]
+    assert len({*map(id, channel["Ak"])}) == 3
+
+
+# scalars json.dumps writes in every form it has: signed zeros, the least
+# subnormal, NaN and the infinities, ints, bools, None and text
+_SCALARS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, math.nan, math.inf, -math.inf]),
+    st.floats(),
+    st.integers(-10**30, 10**30),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=5),
+)
+
+
+def _picks(items):
+    """Lists of items drawn from items itself, so an object may recur."""
+    return st.lists(st.sampled_from(items), max_size=5) if items else st.just([])
+
+
+@st.composite
+def _documents(draw):
+    # a pool of lists that the document may hold at several places and
+    # depths, some all finite floats (the writer's joined branch)
+    pool = draw(st.lists(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=4)
+        | st.lists(_SCALARS, max_size=4),
+        min_size=1, max_size=3,
+    ))
+    values = st.recursive(
+        _SCALARS | st.sampled_from(pool),
+        lambda kids: st.lists(kids, max_size=4).flatmap(_picks)
+        | st.dictionaries(st.text(max_size=5), kids, max_size=4),
+        max_leaves=24,
+    )
+    return draw(st.dictionaries(st.text(max_size=5), values, max_size=4))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_documents())
+def test_writer_matches_json_on_random_documents(doc):
+    assert_written_as_json(doc)
 
 
 def test_basis_reconstruction_enforced(msd_model):
