@@ -54,6 +54,7 @@ __all__ = [
     "Term",
     "Expression",
     "GuardedQuotient",
+    "ValueTable",
     "parse",
 ]
 
@@ -98,6 +99,59 @@ def _at_rows(evaluate, points, n_vars: int) -> np.ndarray:
     if Z.ndim != 2 or Z.shape[1] != n_vars:
         raise ArityMismatch(f"batch shape {Z.shape} incompatible with arity {n_vars}")
     return np.array([evaluate(z) for z in Z.tolist()], dtype=float)
+
+
+class ValueTable:
+    """The pure values that emitted statements have evaluated so far.
+
+    A value is the text of a function call ``_fnK(arg)``, a power
+    ``z_j ** e`` or a quotient guard's threshold: a pure function of the z
+    locals, so each evaluation of one text gives the same bits.  ``read``
+    binds a value to a name ``vN`` with an assignment expression where it
+    is first evaluated.  Where an evaluation dominates, it reads the bare
+    name; where only some paths have evaluated it, it reads the name if it
+    is not None and evaluates the value otherwise.  So no value is
+    evaluated earlier than without the table, none that would not be, and
+    none twice on one path.  The statements emitted with a table run after
+    ``preamble()``, which sets the names read that way to None, and while
+    the z locals keep their values.
+    """
+
+    def __init__(self):
+        self.names: dict[str, str] = {}
+        self.on_every_path: set[str] = set()
+        self.on_some_path: set[str] = set()
+        self.tested: dict[str, None] = {}  # names read under the test, in order
+
+    def read(self, text: str) -> str:
+        name = self.names.setdefault(text, f"v{len(self.names)}")
+        if text in self.on_every_path:
+            return name
+        code = f"({name} := {text})"
+        if text in self.on_some_path:
+            self.tested[name] = None
+            code = f"({name} if {name} is not None else {code})"
+        self.on_every_path.add(text)
+        self.on_some_path.add(text)
+        return code
+
+    def branches(self, *emitters) -> list[list[str]]:
+        """The statements of alternative branches, emitted by the callables
+        in order, each from the values evaluated where the branches start.
+        After them, a value is evaluated on every path if every branch
+        evaluated it, and on some path if any did."""
+        every, some = self.on_every_path, self.on_some_path
+        out, ends = [], []
+        for emit in emitters:
+            self.on_every_path, self.on_some_path = set(every), set(some)
+            out.append(emit())
+            ends.append((self.on_every_path, self.on_some_path))
+        self.on_every_path = set.intersection(*(e for e, _ in ends))
+        self.on_some_path = set.union(*(s for _, s in ends))
+        return out
+
+    def preamble(self) -> list[str]:
+        return [" = ".join([*self.tested, "None"])] if self.tested else []
 
 
 def _format_float(v: float) -> str:
@@ -318,30 +372,41 @@ class Expression:
             total += v
         return total
 
-    def emit(self, target: str, z: Sequence[str]) -> list[str]:
+    def emit(
+        self, target: str, z: Sequence[str], values: ValueTable | None = None
+    ) -> list[str]:
         """Python statements that set ``target`` to ``evaluate`` at z.
 
         ``z[j]`` names the local holding z_{j+1}.  The statements repeat
         evaluate's float operations in its order, so the value is bit for
         bit the same and ``**`` still raises on overflow; one ``+=`` per
         term keeps a sum of any length within what ``compile`` accepts.
-        Only float literals, integer exponents, the names given and the
-        keys of EMITTED_FUNCTIONS appear.
+        Each call and power is read through ``values`` (a new table when
+        none is given): named at its first evaluation and read by that
+        name where the evaluation dominates, here or in statements emitted
+        later with the same table.  Only float literals, integer
+        exponents, the names given, the table's names, None and the keys
+        of EMITTED_FUNCTIONS appear.
         """
         if len(z) != self.n_vars:
             raise ArityMismatch(
                 f"{len(z)} variable names, expression arity is {self.n_vars}"
             )
+        values = ValueTable() if values is None else values
         lines = [f"{target} = 0.0"]
         for t in self.terms:
+            # listed in the order Python evaluates the product
             v = [repr(float(t.coeff))]
-            v += [f"{z[j]} ** {int(e)}" for j, e in enumerate(t.exponents) if e]
+            v += [
+                values.read(f"{z[j]} ** {int(e)}")
+                for j, e in enumerate(t.exponents) if e
+            ]
             for f in t.factors:
                 arg = repr(float(f.bias)) + "".join(
                     f" + {float(w)!r} * {z[j]}"
                     for j, w in enumerate(f.weights) if w != 0.0
                 )
-                v.append(f"{_EMITTED_NAME[f.name]}({arg})")
+                v.append(values.read(f"{_EMITTED_NAME[f.name]}({arg})"))
             lines.append(f"{target} += {' * '.join(v)}")
         return lines
 
@@ -479,20 +544,31 @@ class GuardedQuotient:
             return self.numerator.evaluate(z) / zi
         return self.derivative.evaluate(z)
 
-    def emit(self, target: str, z: Sequence[str]) -> list[str]:
+    def emit(
+        self, target: str, z: Sequence[str], values: ValueTable | None = None
+    ) -> list[str]:
         """Python statements that set ``target`` to ``evaluate`` at z.
 
         The guard takes the largest of 0.0 and every ``abs(z_j)`` with
-        ``max``, which, like effective_threshold, skips NaN.
+        ``max``, which, like effective_threshold, skips NaN.  The threshold,
+        and each call and power of the two branches, is read through
+        ``values`` as in Expression.emit; the branches are alternatives
+        (ValueTable.branches).
         """
         zi = z[self.divisor_index - 1]
+        values = ValueTable() if values is None else values
         bound = ", ".join(f"abs({v})" for v in z)
+        guard = values.read(f"{float(self.tau)!r} * (1.0 + max(0.0, {bound}))")
+        quotient, derivative = values.branches(
+            lambda: self.numerator.emit(target, z, values),
+            lambda: self.derivative.emit(target, z, values),
+        )
         return [
-            f"if abs({zi}) > {float(self.tau)!r} * (1.0 + max(0.0, {bound})):",
-            *("    " + s for s in self.numerator.emit(target, z)),
+            f"if abs({zi}) > {guard}:",
+            *("    " + s for s in quotient),
             f"    {target} /= {zi}",
             "else:",
-            *("    " + s for s in self.derivative.emit(target, z)),
+            *("    " + s for s in derivative),
         ]
 
     def evaluate_batch(self, points) -> np.ndarray:

@@ -10,11 +10,15 @@ function whose loop keeps M x, the increment and the divergence check in
 numpy and writes the four stages out as float arithmetic -- the stage z
 with its corrections, and the rule for w inlined from the model's
 expressions by their ``emit`` methods, in the operation order of
-``evaluate``.  The source holds only numeric literals, fixed local names,
-a few builtins and the names of the six functions; no text from a model
-file reaches ``compile``.  The compile costs about 1 to 10 ms per run,
-and nothing is cached between runs, so threads stay safe.  Inputs are
-sampled at n_steps + 1 instants, interpolated linearly at the
+``evaluate``.  Within a stage each repeated pure value -- a function call,
+a power of a z, the guard threshold -- is named at its first evaluation
+and read by that name where the evaluation dominates (expr.ValueTable), so
+the kernel runs a subset of ``evaluate``'s float operations, in their
+order, and no value twice.  The source holds only numeric literals, fixed
+local names, a few builtins and the names of the six functions; no text
+from a model file reaches ``compile``.  The compile costs about 1 to 10
+ms per run, and nothing is cached between runs, so threads stay safe.
+Inputs are sampled at n_steps + 1 instants, interpolated linearly at the
 half-steps.  In self-scheduled LPV simulation the scheduling vector is
 recomputed from the current state and corrected input at every stage,
 which keeps the LPV vector field pointwise equal to the nonlinear one; in
@@ -41,7 +45,7 @@ from .errors import (
     NyquistViolation,
     ShapeMismatch,
 )
-from .expr import EMITTED_FUNCTIONS
+from .expr import EMITTED_FUNCTIONS, ValueTable
 from .model import LpvModel, NlfrModel
 
 __all__ = [
@@ -157,9 +161,14 @@ def _step_map(core, dt: float):
 def _kernel(H, rule, n_steps: int):
     """Compile one run's RK4 loop over the step map, closed by the rule.
 
-    rule(i, z, w) gives the names of the scheduling values of stage i (0 to
-    3), none for a nonlinear run, and the statements that set them and the
-    locals named w to the rule's w at the locals named z.  The stage z and
+    rule(i, z, w, values) gives the names of the scheduling values of stage
+    i (0 to 3), none for a nonlinear run, and the statements that set them
+    and the locals named w to the rule's w at the locals named z.  Each
+    stage rebinds z, so each gets a new ValueTable, and its preamble heads
+    the rule's statements: a call, power or guard threshold is named at its
+    first evaluation in the stage and read by that name where the
+    evaluation dominates, never evaluated earlier, more often or on a path
+    where the rule's expressions do not evaluate it.  The stage z and
     its corrections H (from _step_map) are emitted as float arithmetic,
     nonzero coefficients only, summed left to right; M x, the increment
     Psi w and the divergence check stay numpy.  The source holds only
@@ -190,8 +199,9 @@ def _kernel(H, rule, n_steps: int):
                          f"{z[j]} = {s_ij} + c"]
             else:
                 body.append(f"{z[j]} = {s_ij}")
-        p, lines = rule(i, z, w[i])
-        body += lines
+        values = ValueTable()
+        p, lines = rule(i, z, w[i], values)
+        body += values.preamble() + lines
         if i == 0:
             row = [*z, *w[0], *p]
             body += [f"record(rec, {8 * len(row)} * k, {', '.join(row)})",
@@ -274,8 +284,10 @@ def simulate_nlfr(
     x0 = _check_state(x0, d.n_x)
     f_rows = model.f
 
-    def rule(i, z, w):
-        return [], [line for row, w_r in zip(f_rows, w) for line in row.emit(w_r, z)]
+    def rule(i, z, w, values):
+        return [], [
+            line for row, w_r in zip(f_rows, w) for line in row.emit(w_r, z, values)
+        ]
 
     return _simulate(model, rule, x0, u, u, dt)
 
@@ -283,9 +295,9 @@ def simulate_nlfr(
 def _simulate_lpv(lpv: LpvModel, u, x0, dt, p_stage, played=None):
     """LPV run on the rank-one feedback w_r = sum over (r, i) of p_ri z_i.
 
-    p_stage(i, z) gives the names of p at stage i and the statements that
-    set them, and played yields the pairs of sample rows a played-back p is
-    read from.
+    p_stage(i, z, values) gives the names of p at stage i and the statements
+    that set them, and played yields the pairs of sample rows a played-back
+    p is read from.
     """
     d = lpv.dims
     x0 = _check_state(x0, d.n_x)
@@ -293,8 +305,8 @@ def _simulate_lpv(lpv: LpvModel, u, x0, dt, p_stage, played=None):
     for k, (r, i) in enumerate(lpv.channels):
         rows[r - 1].append((k, i - 1))
 
-    def rule(i, z, w):
-        p, lines = p_stage(i, z)
+    def rule(i, z, w, values):
+        p, lines = p_stage(i, z, values)
         for w_r, row in zip(w, rows):
             lines += [f"{w_r} = 0.0", *(f"{w_r} += {p[k]} * {z[j]}" for k, j in row)]
         return p, lines
@@ -313,8 +325,10 @@ def simulate_lpv_self(lpv: LpvModel, u, x0=None, dt: float = 1e-3) -> Trajectory
     entries = [lpv.schedule.entry(r, i) for r, i in lpv.channels]
     p = [f"p{k}" for k in range(len(entries))]
 
-    def p_stage(i, z):
-        return p, [line for q, p_k in zip(entries, p) for line in q.emit(p_k, z)]
+    def p_stage(i, z, values):
+        return p, [
+            line for q, p_k in zip(entries, p) for line in q.emit(p_k, z, values)
+        ]
 
     return _simulate_lpv(lpv, u, x0, dt, p_stage)
 
@@ -344,7 +358,7 @@ def simulate_lpv_exogenous(
     a, h, b = ([f"{v}{k}" for k in range(d.n_p)] for v in "ahb")
     rows = p.tolist()
 
-    def p_stage(i, z):
+    def p_stage(i, z, values):
         if i == 0:
             return a, [f"[{', '.join(a)}], [{', '.join(b)}] = next(p)"]
         if i == 1:

@@ -31,6 +31,7 @@ from lpvembed.expr import (
     FuncFactor,
     GuardedQuotient,
     Term,
+    ValueTable,
     parse,
 )
 
@@ -472,6 +473,52 @@ def test_emitted_values_match_evaluate_bit_for_bit():
                         checked += 1
     assert names == set(FUNCTIONS)
     assert checked > 5000 and min(guarded) > 1000
+
+
+def emitted_together(entries, n_vars):
+    """The function of z1..zn that runs the statements of every entry,
+    emitted with one ValueTable, and returns their values."""
+    z = [f"z{j}" for j in range(n_vars)]
+    values = ValueTable()
+    targets = [f"t{k}" for k in range(len(entries))]
+    body = [
+        line for entry, t in zip(entries, targets) for line in entry.emit(t, z, values)
+    ]
+    source = "\n".join(
+        [f"def f({', '.join(z)}):"]
+        + ["    " + line for line in values.preamble() + body]
+        + [f"    return [{', '.join(targets)}]"]
+    )
+    namespace = dict(EMITTED_FUNCTIONS)
+    exec(compile(source, "<emitted>", "exec"), namespace)
+    return namespace["f"], source
+
+
+def test_entries_sharing_a_value_table_match_evaluate_bit_for_bit():
+    # an expression and its quotients by each variable share calls and
+    # powers; inside a guard band the derivative branch evaluates values the
+    # quotient branch does not, so later entries read values that only some
+    # paths named
+    rng = np.random.default_rng(43)
+    checked, tested = 0, 0
+    for _ in range(40):
+        n_z = int(rng.integers(2, 5))
+        e = random_expression(rng, n_z)
+        entries = [e] + [
+            GuardedQuotient(e * Expression.variable(i, n_z), i)
+            for i in range(1, n_z + 1)
+        ]
+        run, source = emitted_together(entries, n_z)
+        tested += "is not None" in source
+        for _ in range(10):
+            z = rng.uniform(-2.0, 2.0, n_z)
+            z[rng.random(n_z) < 0.4] = 1e-9  # inside the band
+            pt = z.tolist()
+            got = run(*pt)
+            for entry, v in zip(entries, got):
+                assert v.hex() == entry.evaluate(pt).hex(), (entry, pt)
+                checked += 1
+    assert checked > 1000 and tested > 10
 
 
 def test_emit_checks_arity():

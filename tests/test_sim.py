@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import dataclasses
+import hashlib
 import io
 import keyword
 import math
@@ -33,8 +34,15 @@ from lpvembed.errors import (
     NyquistViolation,
     ShapeMismatch,
 )
-from lpvembed import sim
-from lpvembed.expr import Expression, FuncFactor, GuardedQuotient, Term
+from lpvembed import expr, sim
+from lpvembed.expr import (
+    EMITTED_FUNCTIONS,
+    FUNCTIONS,
+    Expression,
+    FuncFactor,
+    GuardedQuotient,
+    Term,
+)
 from lpvembed.sim import MAX_MULTISINE_TABLE, Trajectory
 
 
@@ -206,17 +214,26 @@ KERNEL_NAMES = {
     "recorded", "k", "sa", "s", "c", "exc", "range", "abs", "max", "next",
     "dot", "tolist", "OverflowError", "ValueError",
 }
-KERNEL_NAME_RE = re.compile(r"(z|p|a|h|b)\d+|w[0-3]_\d+|_fn[0-5]")
+# the stage variables z, w and p, the played-back rows a, h and b, the values
+# a stage names at their first evaluation (v) and the emitted functions
+KERNEL_NAME_RE = re.compile(r"(z|p|a|h|b|v)\d+|w[0-3]_\d+|_fn[0-5]")
 
 
-def test_kernel_source_holds_only_allowed_names(msd_model, monkeypatch):
+def kernel_sources(run):
+    """The source of each kernel that run() compiles, in order."""
     sources = []
 
     def spy(source, *args):
         sources.append(source)
         return compile(source, *args)
 
-    monkeypatch.setattr(sim, "compile", spy, raising=False)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "compile", spy, raising=False)
+        run()
+    return sources
+
+
+def test_kernel_source_holds_only_allowed_names(msd_model):
     rng = np.random.default_rng(5)
     toy = validate_nlfr(random_nlfr_raw(
         rng, n_x=3, n_u=2, n_y=2, n_w=2, n_z=2,
@@ -224,15 +241,20 @@ def test_kernel_source_holds_only_allowed_names(msd_model, monkeypatch):
                 "0.2*sinh(z1)*tanh(z2) - 0.1*z2 + sin(z1 + z2)"],
     ))
     u = np.random.default_rng(4).uniform(-1.0, 1.0, (21, 2))
-    for m in (msd_model, toy):
-        ta = simulate_nlfr(m, u)
-        for ordering in ((1, 2), (2, 1)):
-            lpv = embed(m, ordering)
-            simulate_lpv_self(lpv, u, x0=matching_start(lpv))
-            p = np.column_stack([
-                lpv.schedule.entry(r, i).evaluate_batch(ta.z) for r, i in lpv.channels
-            ])
-            simulate_lpv_exogenous(lpv, u, p)
+
+    def runs():
+        for m in (msd_model, toy):
+            ta = simulate_nlfr(m, u)
+            for ordering in ((1, 2), (2, 1)):
+                lpv = embed(m, ordering)
+                simulate_lpv_self(lpv, u, x0=matching_start(lpv))
+                p = np.column_stack([
+                    lpv.schedule.entry(r, i).evaluate_batch(ta.z)
+                    for r, i in lpv.channels
+                ])
+                simulate_lpv_exogenous(lpv, u, p)
+
+    sources = kernel_sources(runs)
     assert len(sources) == 10
     text = "\n".join(sources)
     assert "if abs(" in text and all(f"_fn{k}(" in text for k in range(6))
@@ -259,6 +281,209 @@ def test_five_thousand_term_row_simulates(msd_model):
     traj = simulate_nlfr(m, u)
     assert traj.n_steps == 10
     assert np.all(np.isfinite(traj.x)) and np.any(traj.w_or_p != 0.0)
+
+
+# --- values named once per stage ------------------------------------------------------
+
+# f rows whose guarded quotients share calls: sin(z1), cos(z2) and tanh(z2)
+# each occur in several entries, and in both branches of a guard
+SHARED_CALL_ROWS = [
+    "0.2*sin(z1 + 0.5*z3)*cos(z2) + 0.1*tanh(z2 - z3)*z1 + 0.05*z3^2",
+    "0.3*sin(z1 + 0.5*z3)*tanh(z2 - z3) - 0.1*cos(z2)*z3 + 0.1*z1^2*z2",
+]
+
+
+def shared_calls_model(**overrides):
+    raw = random_nlfr_raw(
+        np.random.default_rng(23), n_x=4, n_u=2, n_y=2, n_w=2, n_z=3,
+        f_rows=SHARED_CALL_ROWS,
+    )
+    return validate_nlfr({**raw, **overrides})
+
+
+def logged(log, name, fn):
+    """fn of one argument, which first appends (name, argument) to log."""
+    def call(a):
+        log.append((name, a))
+        return fn(a)
+    return call
+
+
+def stage_zero_calls(run):
+    """run()'s trajectory, and for each recorded sample the (name, argument)
+    pairs its kernel passed to the emitted functions in stage 0."""
+    log = []
+
+    def marked(mark, fn):
+        def call(*args):
+            log.append(mark)
+            return fn(*args)
+        return call
+
+    class StepEnd:  # Psi, whose one use in the kernel ends a step
+        def __init__(self, Psi):
+            self.dot = marked("step", Psi.dot)
+
+    kernel_for = sim._kernel
+
+    def traced_kernel(*args):
+        kernel = kernel_for(*args)
+
+        def run_kernel(x, off, states, M, Psi, p, rec, record):
+            # record ends stage 0
+            return kernel(x, off, states, M, StepEnd(Psi), p, rec,
+                          marked("record", record))
+
+        return run_kernel
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "_kernel", traced_kernel)
+        mp.setattr(sim, "EMITTED_FUNCTIONS", {
+            name: logged(log, name, fn) for name, fn in EMITTED_FUNCTIONS.items()
+        })
+        traj = run()
+    stages, calls = [], []
+    for event in log:
+        if event == "record":
+            stages.append(calls)
+            calls = None  # stages 1 to 3
+        elif event == "step":
+            calls = []
+        elif calls is not None:
+            calls.append(event)
+    return traj, stages
+
+
+def evaluate_calls(entries, points):
+    """For each point, the (name, argument) pairs that each entry's evaluate
+    passes to the functions there, by the functions' emitted names."""
+    log = []
+    # copies with nothing cached, which look the functions up anew
+    fresh = [
+        GuardedQuotient(Expression(q.numerator.terms, q.numerator.n_vars),
+                        q.divisor_index)
+        if isinstance(q, GuardedQuotient) else Expression(q.terms, q.n_vars)
+        for q in entries
+    ]
+    for q in fresh:
+        if isinstance(q, GuardedQuotient):
+            q.derivative  # built before the functions are wrapped
+    out = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(expr, "FUNCTIONS", {
+            name: logged(log, emitted, fn)
+            for (name, fn), emitted in zip(FUNCTIONS.items(), EMITTED_FUNCTIONS)
+        })
+        for z in points:
+            log.clear()
+            for q in fresh:
+                q.evaluate(z)
+            out.append(set(log))
+    return out
+
+
+@pytest.mark.parametrize("simulator", ["nlfr", "lpv_self"])
+@pytest.mark.parametrize("case", ["msd 1,2", "msd 2,1", "shared 1,2,3", "shared 3,1,2"])
+def test_stage_zero_calls_each_function_of_the_rule_once(msd_model, case, simulator):
+    # z_1 starts inside the guard band, so the first sample takes the
+    # derivative branch of each quotient by z_1 and the others take the
+    # quotient branch; no coordinate is exactly zero, so distinct arguments
+    # stay distinct floats
+    name, ordering = case.split()
+    if name == "msd":
+        model = msd_model
+        x0 = [1e-9, 0.1, 0.2, -0.05]  # z = (q1, q1dot)
+    else:
+        # z = the first three states
+        model = shared_calls_model(Cz=np.eye(3, 4).tolist(), Dzu=np.zeros((3, 2)).tolist())
+        x0 = [1e-9, 0.3, -0.4, 0.2]
+    lpv = embed(model, tuple(int(v) for v in ordering.split(",")))
+    u = multisine(2, 0.0, 5.0, 0.8, 1e-3, 1000, seed=3)
+    if simulator == "nlfr":
+        entries = model.f
+        traj, stages = stage_zero_calls(lambda: simulate_nlfr(model, u, x0=x0))
+    else:
+        entries = [lpv.schedule.entry(r, i) for r, i in lpv.channels]
+        traj, stages = stage_zero_calls(lambda: simulate_lpv_self(lpv, u, x0=x0))
+    assert len(stages) == traj.x.shape[0] == 1001
+    z = traj.z[0].tolist()
+    quotients = [q for q in entries if isinstance(q, GuardedQuotient)]
+    assert all(z) and any(
+        abs(z[q.divisor_index - 1]) <= q.effective_threshold(z) for q in quotients
+    ) == bool(quotients)
+    want = evaluate_calls(entries, traj.z.tolist())
+    for k, (calls, wanted) in enumerate(zip(stages, want)):
+        assert len(calls) == len(set(calls)), k
+        assert set(calls) == wanted, k
+
+
+# Divergence of the model below under zero input from x0 = (1, 1), dt 1e-2,
+# recorded before the kernel named repeated values: its quotient branches
+# call sinh and their derivative branches cosh, which overflow at the same
+# point, and the run overflows in a quotient branch
+SINH_OVERFLOW = (268, "nonlinearity evaluation overflowed at step 268 (math range error)")
+
+
+def test_overflow_in_the_taken_branch_keeps_its_step_and_message():
+    m = validate_nlfr({
+        "dims": {"n_x": 2, "n_u": 1, "n_y": 1, "n_w": 1, "n_z": 2},
+        "A": [[0.5, 0.1], [0.0, 0.3]], "Bw": [[1.0], [0.5]], "Bu": [[1.0], [0.0]],
+        "Cz": [[1.0, 0.0], [0.0, 1.0]], "Cy": [[1.0, 0.0]],
+        "Dzu": [[0.0], [0.0]], "Dyw": [[0.0]], "Dyu": [[0.0]],
+        "f": ["0.01*sinh(z1 + 0.5*z2)"],
+    })
+    u = np.zeros((3001, 1))
+    runs = [lambda: simulate_nlfr(m, u, x0=[1.0, 1.0], dt=1e-2)]
+    for ordering in ((1, 2), (2, 1)):
+        lpv = embed(m, ordering)
+        for r, i in lpv.channels:
+            q = lpv.schedule.entry(r, i)
+            assert {f.name for t in q.numerator.terms for f in t.factors} == {"sinh"}
+            assert {f.name for t in q.derivative.terms for f in t.factors} == {"cosh"}
+        runs.append(lambda lpv=lpv: simulate_lpv_self(lpv, u, x0=[1.0, 1.0], dt=1e-2))
+    for run in runs:
+        with pytest.raises(Divergence) as exc_info:
+            run()
+        err = exc_info.value
+        assert (err.step, str(err)) == SINH_OVERFLOW
+        assert err.trajectory.x.shape[0] == err.step
+
+
+# sha256 of x, z and w_or_p of the shared-calls model started at rest, so
+# the first sample takes every derivative branch; recorded before the kernel
+# named repeated values, so they pin that the naming changed no bit
+GOLDEN_SHARED_CALLS_SHA256 = {
+    "nlfr": "99625c08e705ecb4af684d3f0a6cfc139abce2df2a1cff37d0b8a0a8fb2da20a",
+    "lpv 1,2,3": "6640dade0f5fe3c189b699f3d0d2d20e2f94be50dcbe3eed0baa7cd661c045ce",
+    "lpv 3,1,2": "1f2c2c7487b3b50d7fe876f478193e70ac08fecf49d7e1e54e9e0f0935f14bac",
+}
+
+
+def test_golden_shared_calls_trajectories():
+    m = shared_calls_model()
+    u = multisine(2, 0.0, 5.0, 0.8, 1e-3, 2000, seed=3)
+    u[0] = 0.0
+
+    def digest(t):
+        h = hashlib.sha256()
+        for a in (t.x, t.z, t.w_or_p):
+            h.update(a.tobytes())
+        return h.hexdigest()
+
+    digests = {}
+
+    def runs():
+        digests["nlfr"] = digest(simulate_nlfr(m, u))
+        for ordering in ((1, 2, 3), (3, 1, 2)):
+            lpv = embed(m, ordering)
+            name = "lpv " + ",".join(map(str, ordering))
+            digests[name] = digest(simulate_lpv_self(lpv, u))
+
+    sources = kernel_sources(runs)
+    assert digests == GOLDEN_SHARED_CALLS_SHA256
+    # each LPV kernel reads some value by its name, not only binds it
+    for source in sources[1:]:
+        assert len(re.findall(r"\bv\d+\b", source)) > source.count(":=")
 
 
 # --- the kernel's record -----------------------------------------------------------
