@@ -107,33 +107,36 @@ class ValueTable:
     A value is the text of a function call ``_fnK(arg)``, a power
     ``z_j ** e`` or a quotient guard's threshold: a pure function of the z
     locals, so each evaluation of one text gives the same bits.  ``read``
-    binds a value to a name ``vN`` with an assignment expression where it
-    is first evaluated.  Where an evaluation dominates, it reads the bare
-    name; where only some paths have evaluated it, it reads the name if it
-    is not None and evaluates the value otherwise.  So no value is
-    evaluated earlier than without the table, none that would not be, and
-    none twice on one path.  The statements emitted with a table run after
-    ``preamble()``, which sets the names read that way to None, and while
-    the z locals keep their values.
+    evaluates a value where no path has yet.  Where an evaluation
+    dominates, it reads the value's name ``vN``; where only some paths
+    have evaluated it, it reads the name if it is not None and evaluates
+    the value otherwise.  So no value is evaluated earlier than without
+    the table, none that would not be, and none twice on one path.  The
+    emitted lines are finished by ``statements``: it binds a value to its
+    name with an assignment expression where it is first evaluated, if and
+    only if some site reads the name, and heads them with the statement
+    that sets the names read under the test to None.  The statements run
+    while the z locals keep their values.
     """
 
     def __init__(self):
-        self.names: dict[str, str] = {}
+        self.names: dict[str, str] = {}  # values some site reads by name
         self.on_every_path: set[str] = set()
         self.on_some_path: set[str] = set()
         self.tested: dict[str, None] = {}  # names read under the test, in order
 
     def read(self, text: str) -> str:
+        if text not in self.on_some_path:
+            self.on_every_path.add(text)
+            self.on_some_path.add(text)
+            # marked until statements() knows whether a later site reads it
+            return f"\0{text}\0"
         name = self.names.setdefault(text, f"v{len(self.names)}")
         if text in self.on_every_path:
             return name
-        code = f"({name} := {text})"
-        if text in self.on_some_path:
-            self.tested[name] = None
-            code = f"({name} if {name} is not None else {code})"
+        self.tested[name] = None
         self.on_every_path.add(text)
-        self.on_some_path.add(text)
-        return code
+        return f"({name} if {name} is not None else ({name} := {text}))"
 
     def branches(self, *emitters) -> list[list[str]]:
         """The statements of alternative branches, emitted by the callables
@@ -150,8 +153,17 @@ class ValueTable:
         self.on_some_path = set.union(*(s for _, s in ends))
         return out
 
-    def preamble(self) -> list[str]:
-        return [" = ".join([*self.tested, "None"])] if self.tested else []
+    def statements(self, lines: list[str]) -> list[str]:
+        """The lines emitted with this table, as statements that run."""
+        # a value's text holds no NUL, so the odd parts are the first
+        # evaluations
+        parts = "\n".join(lines).split("\0")
+        parts[1::2] = [
+            f"({name} := {text})" if (name := self.names.get(text)) else text
+            for text in parts[1::2]
+        ]
+        body = "".join(parts).split("\n") if lines else []
+        return ([" = ".join([*self.tested, "None"])] if self.tested else []) + body
 
 
 def _format_float(v: float) -> str:
@@ -381,24 +393,25 @@ class Expression:
         evaluate's float operations in its order, so the value is bit for
         bit the same and ``**`` still raises on overflow; one ``+=`` per
         term keeps a sum of any length within what ``compile`` accepts.
-        Each call and power is read through ``values`` (a new table when
-        none is given): named at its first evaluation and read by that
-        name where the evaluation dominates, here or in statements emitted
-        later with the same table.  Only float literals, integer
-        exponents, the names given, the table's names, None and the keys
-        of EMITTED_FUNCTIONS appear.
+        Each call and power is read through ``values``: evaluated once and
+        read by its name where the evaluation dominates, here or in
+        statements emitted later with the same table, whose ``statements``
+        then finishes the lines.  Without a table the lines come finished,
+        from a new one.  Only float literals, integer exponents, the names
+        given, the table's names, None and the keys of EMITTED_FUNCTIONS
+        appear.
         """
         if len(z) != self.n_vars:
             raise ArityMismatch(
                 f"{len(z)} variable names, expression arity is {self.n_vars}"
             )
-        values = ValueTable() if values is None else values
+        table = ValueTable() if values is None else values
         lines = [f"{target} = 0.0"]
         for t in self.terms:
             # listed in the order Python evaluates the product
             v = [repr(float(t.coeff))]
             v += [
-                values.read(f"{z[j]} ** {int(e)}")
+                table.read(f"{z[j]} ** {int(e)}")
                 for j, e in enumerate(t.exponents) if e
             ]
             for f in t.factors:
@@ -406,9 +419,9 @@ class Expression:
                     f" + {float(w)!r} * {z[j]}"
                     for j, w in enumerate(f.weights) if w != 0.0
                 )
-                v.append(values.read(f"{_EMITTED_NAME[f.name]}({arg})"))
+                v.append(table.read(f"{_EMITTED_NAME[f.name]}({arg})"))
             lines.append(f"{target} += {' * '.join(v)}")
-        return lines
+        return lines if values is not None else table.statements(lines)
 
     def evaluate_batch(self, points) -> np.ndarray:
         """``evaluate`` at each row of an (m, n_vars) array of points."""
@@ -556,20 +569,21 @@ class GuardedQuotient:
         (ValueTable.branches).
         """
         zi = z[self.divisor_index - 1]
-        values = ValueTable() if values is None else values
+        table = ValueTable() if values is None else values
         bound = ", ".join(f"abs({v})" for v in z)
-        guard = values.read(f"{float(self.tau)!r} * (1.0 + max(0.0, {bound}))")
-        quotient, derivative = values.branches(
-            lambda: self.numerator.emit(target, z, values),
-            lambda: self.derivative.emit(target, z, values),
+        guard = table.read(f"{float(self.tau)!r} * (1.0 + max(0.0, {bound}))")
+        quotient, derivative = table.branches(
+            lambda: self.numerator.emit(target, z, table),
+            lambda: self.derivative.emit(target, z, table),
         )
-        return [
+        lines = [
             f"if abs({zi}) > {guard}:",
             *("    " + s for s in quotient),
             f"    {target} /= {zi}",
             "else:",
             *("    " + s for s in derivative),
         ]
+        return lines if values is not None else table.statements(lines)
 
     def evaluate_batch(self, points) -> np.ndarray:
         """``evaluate`` at each row (see Expression's)."""

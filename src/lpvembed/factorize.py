@@ -27,8 +27,10 @@ from __future__ import annotations
 import itertools
 import numbers
 import reprlib
+import struct
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -343,18 +345,41 @@ def _as_array(name: str, raw, shape: tuple[int, ...]) -> np.ndarray:
     return _freeze(m)
 
 
-def _is_copy(stored, written) -> bool:
+@cache
+def _packer(n: int):
+    """Packs n floats into their bytes, in C; one per length of list read."""
+    return struct.Struct(f"{n}d").pack
+
+
+def _is_copy(stored, written, rows: dict | None = None) -> bool:
     """Whether stored is the JSON value written (no objects inside), type for
-    type: true is not 1 and 1 is not 1.0.  Floats compare as numbers."""
+    type: true is not 1 and 1 is not 1.0.  Floats compare by their bits, so
+    -0.0 is not 0.0.  rows keeps the item types, packer and bytes of each
+    list of floats in written by its id, since the writer repeats one list
+    object for equal rows."""
     if type(stored) is not type(written):
         return False
-    if not isinstance(written, list):
+    if type(written) is float:
+        return _packer(1)(stored) == _packer(1)(written)
+    if type(written) is not list:
         return stored == written
-    kinds = list(map(type, written))
-    if list(map(type, stored)) != kinds:
-        return False
-    # nested lists recurse; a list of numbers or text compares in C
-    return all(map(_is_copy, stored, written)) if list in kinds else stored == written
+    if rows is None:
+        rows = {}
+    row = rows.get(id(written))
+    if row is None:
+        kinds = list(map(type, written))
+        if kinds.count(float) != len(kinds):
+            if list(map(type, stored)) != kinds:
+                return False
+            if list in kinds or float in kinds:
+                return all(map(_is_copy, stored, written, itertools.repeat(rows)))
+            # ints, bools or text compare in C
+            return stored == written
+        pack = _packer(len(kinds))
+        row = rows[id(written)] = kinds, pack, pack(*written)
+    kinds, pack, bits = row
+    # so does a list of floats, by its bytes
+    return list(map(type, stored)) == kinds and pack(*stored) == bits
 
 
 def _check_copy(stored, written: dict, where: str) -> None:

@@ -6,7 +6,7 @@ equivalence residuals measure only the difference between the rules for w
 (f(z), or the rank-one LPV feedback P(z) z), never solver artifacts.  The
 field is affine in x, u and w, so each RK4 step is unrolled once per run
 into a linear map.  Each run then compiles its own step kernel: one Python
-function whose loop keeps M x, the increment and the divergence check in
+function whose loop keeps M x, the increment and the store of the state in
 numpy and writes the four stages out as float arithmetic -- the stage z
 with its corrections, and the rule for w inlined from the model's
 expressions by their ``emit`` methods, in the operation order of
@@ -14,10 +14,16 @@ expressions by their ``emit`` methods, in the operation order of
 a power of a z, the guard threshold -- is named at its first evaluation
 and read by that name where the evaluation dominates (expr.ValueTable), so
 the kernel runs a subset of ``evaluate``'s float operations, in their
-order, and no value twice.  The source holds only numeric literals, fixed
-local names, a few builtins and the names of the six functions; no text
-from a model file reaches ``compile``.  The compile costs about 1 to 10
-ms per run, and nothing is cached between runs, so threads stay safe.
+order, and no value twice; a value read once is not named.  The kernel
+tests the states for divergence once per block of _BLOCK rows; after it
+stops, the simulator finds the first state past the limit in the last
+block it wrote, so a run ends where a test after every step would end it.
+The steps a diverged run takes until its block ends, at most one block on
+values that may be inf or NaN, run under np.errstate and are discarded.
+The source holds only numeric literals, fixed local names, a few builtins
+and the names of the six functions; no text from a model file reaches
+``compile``.  The compile costs about 1 to 10 ms per run, and nothing is
+cached between runs, so threads stay safe (np.errstate is thread-local).
 Inputs are sampled at n_steps + 1 instants, interpolated linearly at the
 half-steps.  In self-scheduled LPV simulation the scheduling vector is
 recomputed from the current state and corrected input at every stage,
@@ -64,6 +70,10 @@ __all__ = [
 
 #: State magnitude beyond which integration aborts.
 DIVERGENCE_LIMIT = 1e12
+
+# Rows of states the kernel tests for divergence at once: rows 1 to 1024,
+# 1025 to 2048, ..., each block after the kernel writes its last row.
+_BLOCK = 1024
 
 #: Default comparison tolerance on per-channel max absolute output error.
 COMPARE_TOL = 1e-9
@@ -164,17 +174,20 @@ def _kernel(H, rule, n_steps: int):
     rule(i, z, w, values) gives the names of the scheduling values of stage
     i (0 to 3), none for a nonlinear run, and the statements that set them
     and the locals named w to the rule's w at the locals named z.  Each
-    stage rebinds z, so each gets a new ValueTable, and its preamble heads
-    the rule's statements: a call, power or guard threshold is named at its
-    first evaluation in the stage and read by that name where the
-    evaluation dominates, never evaluated earlier, more often or on a path
-    where the rule's expressions do not evaluate it.  The stage z and
-    its corrections H (from _step_map) are emitted as float arithmetic,
-    nonzero coefficients only, summed left to right; M x, the increment
-    Psi w and the divergence check stay numpy.  The source holds only
-    float and integer literals, local names, a few builtins and the keys
-    of EMITTED_FUNCTIONS; nothing is cached, so each run compiles its own
-    kernel.
+    stage rebinds z, so each gets a new ValueTable, whose statements()
+    finishes the rule's lines: a call, power or guard threshold that the
+    stage reads again is named at its first evaluation and read by that
+    name where the evaluation dominates, never evaluated earlier, more often
+    or on a path where the rule's expressions do not evaluate it.  The stage
+    z and its corrections H (from _step_map) are emitted as float
+    arithmetic, nonzero coefficients only, summed left to right; M x, the
+    increment Psi w and the store of each new state stay numpy.  After
+    writing rows 1 to _BLOCK, _BLOCK + 1 to 2 _BLOCK, ... of states, the
+    kernel tests that block with one abs(...).max() and stops if a row is
+    past DIVERGENCE_LIMIT or NaN, without saying which (see _simulate).  The
+    source holds only float and integer literals, local names, a few
+    builtins and the keys of EMITTED_FUNCTIONS; nothing is cached, so each
+    run compiles its own kernel.
 
     kernel(x0, off, states, M, Psi, p, rec, record) fills states[1:] and
     has record pack stage 0's z, w and scheduling values of sample k into
@@ -201,7 +214,7 @@ def _kernel(H, rule, n_steps: int):
                 body.append(f"{z[j]} = {s_ij}")
         values = ValueTable()
         p, lines = rule(i, z, w[i], values)
-        body += values.preamble() + lines
+        body += values.statements(lines)
         if i == 0:
             row = [*z, *w[0], *p]
             body += [f"record(rec, {8 * len(row)} * k, {', '.join(row)})",
@@ -217,10 +230,11 @@ def _kernel(H, rule, n_steps: int):
         *("            " + line for line in body),
         # an increment, so its O(dt) terms are not rounded against x
         f"            x = x + (sa[{4 * n_z}:] + Psi.dot([{flat_w}]))",
-        # one comparison that NaN and inf also fail
-        f"            if not abs(x).max() <= {DIVERGENCE_LIMIT!r}:",
-        "                break",
         "            states[k + 1] = x",
+        # one comparison per block of rows, which NaN and inf also fail
+        f"            if k % {_BLOCK} == {_BLOCK - 1} and not "
+        f"abs(states[k - {_BLOCK - 2}:k + 2]).max() <= {DIVERGENCE_LIMIT!r}:",
+        "                break",
         # Python float powers and math.exp raise on overflow, math.sin(inf)
         # on its domain
         "    except (OverflowError, ValueError) as exc:",
@@ -239,6 +253,9 @@ def _simulate(core, rule, x0, u, u_c, dt, y0=0.0, p=None):
 
     The trajectory holds the kernel's record; y = Cy x + Dyu u_c + Dyw w + y0
     reads its w, and a failed run raises Divergence with the samples recorded.
+    The first state past the limit in the last block of states the kernel
+    wrote ends the run at its step, before any overflow that stopped the
+    kernel later; the blocks before it passed the kernel's test.
     """
     # one comparison that NaN also fails; the kernel's source holds dt's
     # coefficients as float literals, which have no spelling for nan or inf
@@ -249,13 +266,26 @@ def _simulate(core, rule, x0, u, u_c, dt, y0=0.0, p=None):
     kernel = _kernel(H, rule, n_steps)
     # the last sample is paired with the first; its stage 0 reads only u_c[n]
     off = np.hstack([u_c, np.roll(u_c, -1, axis=0)]) @ K.T
-    states = np.empty((n_steps + 1, x0.shape[0]))
+    states = np.zeros((n_steps + 1, x0.shape[0]))
     states[0] = x0
     n_z, n_w = core.Cz.shape[0], core.Bw.shape[1]
     rec = np.empty((n_steps + 1, n_z + n_w + core.n_p))
     # packs one row of doubles straight into rec's buffer, at a byte offset
     record = struct.Struct(f"{rec.shape[1]}d").pack_into
-    n, exc = kernel(x0, off, states, M, Psi, p, rec, record)
+    # a run past the limit goes on for at most the rest of its block, on
+    # values that may be inf or NaN; those steps are discarded below
+    with np.errstate(over="ignore", invalid="ignore"):
+        n, exc = kernel(x0, off, states, M, Psi, p, rec, record)
+        # every block before the one holding the last row written passed
+        # the kernel's test, so only that block can hold the first row past
+        # the limit; rows not written are zero
+        last = min(n, n_steps)
+        start = max(1, last - (last - 1) % _BLOCK)
+        beyond = ~(abs(states[start : last + 1]).max(axis=1) <= DIVERGENCE_LIMIT)
+    if beyond.any():
+        # the run stops at the step that wrote that row, as a per-step
+        # test would have stopped it, before any overflow met later
+        n, exc = start + int(beyond.argmax()), None
     Z, W, P = np.hsplit(rec[:n], [n_z, n_z + n_w])
     states = states[:n]
     Y = states @ core.Cy.T + u_c[:n] @ core.Dyu.T + W @ core.Dyw.T + y0

@@ -486,7 +486,7 @@ def emitted_together(entries, n_vars):
     ]
     source = "\n".join(
         [f"def f({', '.join(z)}):"]
-        + ["    " + line for line in values.preamble() + body]
+        + ["    " + line for line in values.statements(body)]
         + [f"    return [{', '.join(targets)}]"]
     )
     namespace = dict(EMITTED_FUNCTIONS)

@@ -334,6 +334,23 @@ def test_signed_zero_basis_rows_keep_their_signs(tmp_path, ordering):
             assert getattr(again, q).tobytes() == getattr(b, q).tobytes()
 
 
+@pytest.mark.parametrize("edit", ["Ak", "d", "both"])
+def test_signed_zero_copies_are_refused(tmp_path, edit):
+    # each edited value equals the written one as a number, not in its bits
+    content = json.loads(json.dumps(serialize_lpv(embed(validate_nlfr(SIGNED_ZERO_RAW)))))
+    assert json.dumps([content["basis"][0]["Ak"][0], content["d"]]) == (
+        "[[0.0, 0.0, -0.0], [0.0]]"
+    )
+    if edit != "d":
+        content["basis"][0]["Ak"][0] = [-0.0, -0.0, 0.0]
+    if edit != "Ak":
+        content["d"] = [-0.0]
+    path = tmp_path / "lpv.json"
+    path.write_text(json.dumps(content))
+    with pytest.raises(ModelFormatError, match="basis channel 0" if edit != "d" else " d "):
+        load_lpv(path)
+
+
 def test_equal_basis_rows_are_one_list():
     # rows equal in their bytes share a list; 0.0 and -0.0 rows do not
     channel = serialize_lpv(embed(validate_nlfr(SIGNED_ZERO_RAW)))["basis"][0]

@@ -486,6 +486,24 @@ def test_golden_shared_calls_trajectories():
         assert len(re.findall(r"\bv\d+\b", source)) > source.count(":=")
 
 
+def test_only_values_read_again_are_named(msd_model):
+    # msd2dof's ordering 1,2 reads each call and power once per stage; the
+    # shared-calls model reads some twice
+    u = np.zeros((21, 2))
+    m = shared_calls_model()
+    sources = kernel_sources(lambda: [
+        simulate_lpv_self(embed(msd_model, (1, 2)), u),
+        simulate_nlfr(m, u),
+        simulate_lpv_self(embed(m, (3, 1, 2)), u),
+    ])
+    assert ":=" not in sources[0]
+    for source in sources[1:]:
+        names = set(re.findall(r"\((v\d+) := ", source))
+        assert names
+        for name in names:
+            assert len(re.findall(rf"\b{name}\b", source)) > source.count(f"({name} := ")
+
+
 # --- the kernel's record -----------------------------------------------------------
 
 
@@ -651,6 +669,200 @@ def test_partial_trajectory_is_write_protected(simulator):
     assert_write_protected(t, u)
     sim.trajectory_csv(t)
     spectrum(t)
+
+
+# --- divergence tested once per block of rows -----------------------------------------
+
+
+def growth_model(a, *f):
+    """x' = a x + w_1 + ... + w_n, w = f(x): from x0 > 0 under zero input it
+    grows by a factor near exp(a dt) per step."""
+    n_w = len(f)
+    return validate_nlfr({
+        "dims": {"n_x": 1, "n_u": 1, "n_y": 1, "n_w": n_w, "n_z": 1},
+        "A": [[a]], "Bw": [[1.0] * n_w], "Bu": [[1.0]], "Cz": [[1.0]], "Cy": [[1.0]],
+        "Dzu": [[0.0]], "Dyw": [[0.5] * n_w], "Dyu": [[0.0]], "f": list(f),
+    })
+
+
+def divergence(run):
+    """Step, message and sha256 of the partial x, z, w_or_p and y of a run
+    that diverges."""
+    with pytest.raises(Divergence) as exc_info:
+        run()
+    err = exc_info.value
+    h = hashlib.sha256()
+    for a in (err.trajectory.x, err.trajectory.z, err.trajectory.w_or_p, err.trajectory.y):
+        h.update(a.tobytes())
+    return err.step, str(err), h.hexdigest()
+
+
+def nlfr_and_lpv(m, u, x0, dt=1e-3):
+    return {
+        "nlfr": lambda: simulate_nlfr(m, u, x0=[x0], dt=dt),
+        "lpv": lambda: simulate_lpv_self(embed(m), u, x0=[x0], dt=dt),
+    }
+
+
+# x0 that puts growth_model(10.0, "0.5*sin(z1)") past the divergence limit
+# at each step, dt 1e-3, 2 100 steps: the first row of the first block, the
+# last rows of and around the first block's end, the next to last row of the
+# second, and a row in and at the end of the partial third block, which the
+# kernel does not test
+X0_AT_STEP = {
+    1: 995012479193.0933,
+    1023: 36252580.276508294,
+    1024: 35891861.07576506,
+    1025: 35534731.09103879,
+    2047: 1294.6829496316539,
+    2090: 842.2030335485226,
+    2100: 762.0568183443945,
+}
+
+# each run's divergence, recorded when the kernel tested the state after
+# every step
+BLOCK_DIVERGENCE = {
+    ("nlfr", 1): (
+        1, "state exceeded 1e+12 at step 1",
+        "c36bf131a06f0befa8d60e63361ef07e40e8dc0c71d9982bf73bb6d24db9f662",
+    ),
+    ("lpv", 1): (
+        1, "state exceeded 1e+12 at step 1",
+        "fc42489aca5254459e647802fcff9dd4d6601dd495cc7fdeb63be3967395f9fb",
+    ),
+    ("nlfr", 1023): (
+        1023, "state exceeded 1e+12 at step 1023",
+        "bf9ae3273de1621c260e25555b2a2b52dae0609df3083017aff8cd3b1489762f",
+    ),
+    ("lpv", 1023): (
+        1023, "state exceeded 1e+12 at step 1023",
+        "102ea9e0079ca1ef681c59d5d15241a2829c5ca55c3f8faf753df23c77af0b02",
+    ),
+    ("nlfr", 1024): (
+        1024, "state exceeded 1e+12 at step 1024",
+        "9348c3b4ad4b8400b49cd46310d646623e3f96fd0811ac522189183431941f91",
+    ),
+    ("lpv", 1024): (
+        1024, "state exceeded 1e+12 at step 1024",
+        "1a71243cd24ef84a25e1e57aab9545652339912293dd07b825ee3be6febd5917",
+    ),
+    ("nlfr", 1025): (
+        1025, "state exceeded 1e+12 at step 1025",
+        "eb8c32ace6a8a8d250a8968dbde96305ffa89081b9905868d49604664ddd1fb4",
+    ),
+    ("lpv", 1025): (
+        1025, "state exceeded 1e+12 at step 1025",
+        "8b7a5c44437f273164f2f42c0f006e2e1c1b47dc2c9372ed00c4ad3d0e4414ca",
+    ),
+    ("nlfr", 2047): (
+        2047, "state exceeded 1e+12 at step 2047",
+        "2d87880757ac10c763d8f0d72dc0f3b619fde854969b9a2cfb1681a94ccd7dfa",
+    ),
+    ("lpv", 2047): (
+        2047, "state exceeded 1e+12 at step 2047",
+        "6a9424219ffcf984ec95741d24c12d17091ee46dd9687e50fbe9d0b1710b6575",
+    ),
+    ("nlfr", 2090): (
+        2090, "state exceeded 1e+12 at step 2090",
+        "45005702d46082503899959c3a43af33c0403da1d5df953c966173286349a57e",
+    ),
+    ("lpv", 2090): (
+        2090, "state exceeded 1e+12 at step 2090",
+        "ef8eb3405534f6789751eb768a4f20a1a23cf4c6d6cc0f0e4b61763059cb791e",
+    ),
+    ("nlfr", 2100): (
+        2100, "state exceeded 1e+12 at step 2100",
+        "045296544a6506f4ba75361181d25531d8069f623d9dcdbb5e68c296e289b4e9",
+    ),
+    ("lpv", 2100): (
+        2100, "state exceeded 1e+12 at step 2100",
+        "b5fedc0363fd20321e9d0f4b1ad218153fd4f8c9acda8cd8982dec0cef9e935c",
+    ),
+    ("nlfr", "nan"): (
+        1071, "state exceeded 1e+12 at step 1071",
+        "06026100bec62615ba47f42b6968c44d550f950df406d8a9f3715fe44f5bf9ab",
+    ),
+    ("lpv", "nan"): (
+        2022, "state exceeded 1e+12 at step 2022",
+        "624f250f42ccb50b8d211b8f6ee45221b77e7e82ce1ade896e5cf2d1e8265862",
+    ),
+    ("nlfr", "inf"): (
+        19, "state exceeded 1e+12 at step 19",
+        "e875338447a69fc94034e0fdcf72d3b7f6065277ef817fc085a8fc3a4d499cde",
+    ),
+    ("lpv", "inf"): (
+        19, "state exceeded 1e+12 at step 19",
+        "737678b92dbadfffeda43f80929936a56e76874800397c41f04b3547880c94e0",
+    ),
+    ("nlfr", "after"): (
+        1497, "state exceeded 1e+12 at step 1497",
+        "3c576a8c4a48679178ab4bca0a5da60c4f7b005ce4e9ebcd984249bdf6572a1e",
+    ),
+    ("lpv", "after"): (
+        1497, "state exceeded 1e+12 at step 1497",
+        "02b4701e0430abfd410b7e0c2b41fd43ab0f6491c14371148b3fe11c9c8217cc",
+    ),
+    ("nlfr", "before"): (
+        1434, "nonlinearity evaluation overflowed at step 1434 (math range error)",
+        "4ff699d3b623c4d83ea3cff536eda47a9d818365579d723e8a73911d135ce44b",
+    ),
+    ("lpv", "before"): (
+        1434, "nonlinearity evaluation overflowed at step 1434 (math range error)",
+        "c1353b7254aa749adc7e97f260baefd6ce9f239898bd9e9c4b3614f463e10a04",
+    ),
+    ("exogenous", 1025): (
+        1025, "state exceeded 1e+12 at step 1025",
+        "afd1e8edff8132719ef08908f9af0cefdff702466f623c4b5e27e7db305b13be",
+    ),
+}
+
+
+@pytest.mark.parametrize("step", list(X0_AT_STEP))
+def test_divergence_at_each_step_of_a_block(step):
+    u = np.zeros((2101, 1))
+    runs = nlfr_and_lpv(growth_model(10.0, "0.5*sin(z1)"), u, X0_AT_STEP[step])
+    for name, run in runs.items():
+        assert divergence(run) == BLOCK_DIVERGENCE[name, step]
+        assert BLOCK_DIVERGENCE[name, step][:2] == (
+            step, f"state exceeded 1e+12 at step {step}"
+        )
+
+
+def test_divergence_to_nan():
+    # cos(1e-300*z1) is 1.0, so w is 0.0 until 1e300*z1^2 overflows to inf,
+    # and then inf - inf; the LPV's p = w / z1 overflows later
+    m = growth_model(10.0, "1e300*z1^2*cos(1e-300*z1) - 1e300*z1^2")
+    u = np.zeros((2101, 1))
+    for name, run in nlfr_and_lpv(m, u, 0.3).items():
+        assert divergence(run) == BLOCK_DIVERGENCE[name, "nan"]
+
+
+def test_steps_past_a_divergence_run_on_inf_without_a_warning():
+    # x grows 4.4-fold a step, passes 1e12 at step 19 and overflows in
+    # numpy some 450 steps later, before its block ends; pytest turns a
+    # RuntimeWarning into an error
+    u = np.zeros((2101, 1))
+    for name, run in nlfr_and_lpv(growth_model(50.0, "0.5*sin(z1)"), u, 1.0, 3e-2).items():
+        assert divergence(run) == BLOCK_DIVERGENCE[name, "inf"]
+
+
+@pytest.mark.parametrize("case", ["after", "before"])
+def test_overflow_and_divergence_in_one_block(case):
+    # sinh(1e-10*z1) overflows a few steps after x passes 1e12, sinh(z1)
+    # long before; the earlier of the two is the run's divergence
+    f = {"after": "sinh(1e-10*z1)", "before": "sinh(z1)"}[case]
+    u = np.zeros((2001, 1))
+    runs = nlfr_and_lpv(growth_model(405.0, f), u, 1.9783926528831333e-252)
+    for name, run in runs.items():
+        assert divergence(run) == BLOCK_DIVERGENCE[name, case]
+
+
+def test_exogenous_divergence_after_a_block():
+    lpv = embed(growth_model(10.0, "0.5*sin(z1)"))
+    u = np.zeros((2101, 1))
+    p = np.zeros((2101, 1))
+    got = divergence(lambda: simulate_lpv_exogenous(lpv, u, p, x0=[X0_AT_STEP[1025]]))
+    assert got == BLOCK_DIVERGENCE["exogenous", 1025]
 
 
 # --- NLFR vs LPV equivalence -----------------------------------------------------
