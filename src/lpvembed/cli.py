@@ -12,16 +12,28 @@ truncated and rewritten, about 50 ms per file, while a fresh file costs
 well under 1 ms.  A hard link to an old output keeps the old bytes, and a
 read-only output is refused with error[IOError].  A symlink, pipe or
 device is written in place, as is a file whose directory forbids removing it.
+
+compare runs the NLFR simulation and its spectrum in a forked child while
+it runs the LPV's itself, on Linux with at least two CPUs in its affinity
+mask and for runs of at least _FORK_MIN_STEPS steps; elsewhere the two run
+one after the other.  The child sends back only the NLFR's y, dt and
+spectrum text, so every artifact and message is byte-identical to the
+sequential run.  A child that fails is replaced by the NLFR run in this
+process, which raises its error again (see _run_pair).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
+import signal
+import struct
 import sys
 import warnings
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -289,14 +301,141 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+#: Fewest steps for which compare runs the NLFR in a forked child.  Forking
+#: and reaping one costs 1 to 3 ms in a 40 MB process, what some 300 to 900
+#: steps of one simulation cost, so shorter runs stay in this process.
+_FORK_MIN_STEPS = 2000
+
+# rows and columns of y, length of the spectrum text, dt: the head of what
+# the child sends
+_HEAD = struct.Struct("=3qd")
+
+
+class _Outputs(NamedTuple):
+    """The part of a trajectory that compare reads."""
+
+    dt: float
+    y: np.ndarray
+
+
+def _nlfr_run(nlfr, u, dt):
+    """The NLFR run of a compare and its spectrum CSV."""
+    traj = simulate_nlfr(nlfr, u, dt=dt)
+    return traj, spectrum_csv(spectrum(traj))
+
+
+def _lpv_run(lpv, u, dt):
+    """The LPV run of a compare, from the start matching the NLFR's, and
+    its spectrum CSV."""
+    traj = simulate_lpv_self(lpv, u, x0=matching_start(lpv), dt=dt)
+    return traj, spectrum_csv(spectrum(traj))
+
+
+def _forks(n_steps: int) -> bool:
+    """Whether a compare of n_steps runs its NLFR in a forked child: on
+    Linux only (Accelerate on macOS is not fork-safe), with a second CPU
+    for the child, and for runs long enough to repay the fork."""
+    return (
+        n_steps >= _FORK_MIN_STEPS
+        and sys.platform == "linux"
+        and hasattr(os, "fork")
+        and len(os.sched_getaffinity(0)) >= 2
+    )
+
+
+def _send(fd: int, *chunks) -> None:
+    """Write the chunks to fd whole, however little each write takes."""
+    for chunk in chunks:
+        view = memoryview(chunk)
+        while view:
+            view = view[os.write(fd, view) :]
+
+
+@contextlib.contextmanager
+def _nlfr_child(nlfr, u, dt):
+    """Run _nlfr_run in a forked child, which sends back y, dt and the
+    spectrum text on a pipe.
+
+    Yields a function that waits for the child and returns (outputs,
+    spectrum text), or None if the child failed.  The child inherits the
+    models and u, runs the same code on the same BLAS, and so computes the
+    bits this process would.  It writes no file, prints nothing and leaves
+    by os._exit, which runs no atexit handler and flushes no inherited
+    buffer; a warning fails it, so that the rerun here shows the warning.
+    On leaving the block the child is killed, if it still runs, and reaped.
+    """
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            warnings.simplefilter("error")
+            traj, text = _nlfr_run(nlfr, u, dt)
+            y = traj.y
+            _send(write_fd, _HEAD.pack(*y.shape, len(text), traj.dt),
+                  y.tobytes(), text.encode())
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    status = None  # the child's wait status, once reaped
+
+    def result():
+        nonlocal status
+        with open(read_fd, "rb", closefd=False) as pipe:
+            data = pipe.read()
+        status = os.waitpid(pid, 0)[1]
+        if status != 0 or len(data) < _HEAD.size:
+            return None
+        rows, cols, size, dt = _HEAD.unpack_from(data)
+        end = _HEAD.size + 8 * rows * cols
+        if len(data) != end + size:
+            return None
+        y = np.frombuffer(data, count=rows * cols, offset=_HEAD.size)
+        return _Outputs(dt, y.reshape(rows, cols)), data[end:].decode()
+
+    try:
+        yield result
+    finally:
+        os.close(read_fd)
+        if status is None:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _run_pair(nlfr, lpv, u, dt):
+    """(NLFR run, LPV run) of a compare, each with its spectrum CSV.
+
+    Where _forks allows, the NLFR runs in a forked child while this process
+    runs the LPV, and the NLFR run is the (dt, y) that compare reads.  A
+    child that fails is replaced by the NLFR run here, which raises its
+    error again; as in the sequential order, an NLFR error is reported
+    before an LPV one.
+    """
+    if not _forks(u.shape[0] - 1):
+        return _nlfr_run(nlfr, u, dt), _lpv_run(lpv, u, dt)
+    with _nlfr_child(nlfr, u, dt) as child_result:
+        try:
+            lpv_run = _lpv_run(lpv, u, dt)
+        except Exception:
+            # re-raised below unless the NLFR, run here, raises first
+            if child_result() is None:
+                _nlfr_run(nlfr, u, dt)
+            raise
+        return child_result() or _nlfr_run(nlfr, u, dt), lpv_run
+
+
 def cmd_compare(args) -> int:
+    """Simulate both models on one input (the NLFR in a forked child where
+    _forks allows), compare their outputs and write the reports and both
+    spectra, in that order."""
     out = _out_dir(args)
     dt, n_steps = _grid(args)
     nlfr = load_nlfr(args.model)
     lpv = load_lpv(args.lpv)
     u = _build_input(args, nlfr.dims.n_u, dt, n_steps)
-    traj_nlfr = simulate_nlfr(nlfr, u, dt=dt)
-    traj_lpv = simulate_lpv_self(lpv, u, x0=matching_start(lpv), dt=dt)
+    (traj_nlfr, spectrum_nlfr), (traj_lpv, spectrum_lpv) = _run_pair(nlfr, lpv, u, dt)
     report = compare(traj_nlfr, traj_lpv, tol=args.tol)
 
     _write(out / "compare_report.txt", str(report) + "\n")
@@ -304,8 +443,8 @@ def cmd_compare(args) -> int:
     for k, (ma, rr) in enumerate(zip(report.max_abs_error, report.relative_rms)):
         csv_lines.append(f"y{k + 1},{ma!r},{rr!r}")
     _write(out / "compare_report.csv", "\n".join(csv_lines) + "\n")
-    _write(out / "spectrum_nlfr.csv", spectrum_csv(spectrum(traj_nlfr)))
-    _write(out / "spectrum_lpv.csv", spectrum_csv(spectrum(traj_lpv)))
+    _write(out / "spectrum_nlfr.csv", spectrum_nlfr)
+    _write(out / "spectrum_lpv.csv", spectrum_lpv)
     print(report)
     print(f"wrote {out / 'compare_report.txt'}")
     if not report.passed:

@@ -356,7 +356,20 @@ def _is_copy(stored, written, rows: dict | None = None) -> bool:
     type: true is not 1 and 1 is not 1.0.  Floats compare by their bits, so
     -0.0 is not 0.0.  rows keeps the item types, packer and bytes of each
     list of floats in written by its id, since the writer repeats one list
-    object for equal rows."""
+    object for equal rows.  A float matrix written as its rows may be given
+    as the array itself, whose bytes are then read instead of packed."""
+    if type(written) is np.ndarray:
+        n_rows, n_cols = written.shape
+        # rows of n_cols items each, all floats, packed at once
+        if not (
+            type(stored) is list and len(stored) == n_rows
+            and {*map(type, stored)} <= {list} and {*map(len, stored)} <= {n_cols}
+        ):
+            return False
+        flat = [*itertools.chain.from_iterable(stored)]
+        return {*map(type, flat)} <= {float} and (
+            _packer(len(flat))(*flat) == written.tobytes()
+        )
     if type(stored) is not type(written):
         return False
     if type(written) is float:
@@ -382,6 +395,11 @@ def _is_copy(stored, written, rows: dict | None = None) -> bool:
     return list(map(type, stored)) == kinds and pack(*stored) == bits
 
 
+def _listed(value):
+    """value, with an array as the lists it is written as."""
+    return value.tolist() if type(value) is np.ndarray else value
+
+
 def _check_copy(stored, written: dict, where: str) -> None:
     """ModelFormatError unless the JSON object stored holds exactly the keys
     of written, each with a copy of its value (:func:`_is_copy`)."""
@@ -392,7 +410,7 @@ def _check_copy(stored, written: dict, where: str) -> None:
             stored[key], written[key]
         ):
             has, gives = (
-                f"{key} {reprlib.repr(doc[key])}" if key in doc else f"no {key}"
+                f"{key} {reprlib.repr(_listed(doc[key]))}" if key in doc else f"no {key}"
                 for doc in (stored, written)
             )
             raise ModelFormatError(

@@ -319,7 +319,9 @@ def validate_lpv(raw: Mapping) -> LpvModel:
             f"but the schedule has {lpv.n_p} nonzero entries"
         )
     for k, (stored, b) in enumerate(zip(basis_raw, lpv.basis)):
-        _check_copy(stored, _channel_raw(b),
+        # each matrix as the array, whose bytes the stored rows must pack to
+        matrices = {q: getattr(b, q) for q in _QUADRUPLE}
+        _check_copy(stored, {"r": b.r, "i": b.i, **matrices},
                     f"basis channel {k} (row-major over the nonzero schedule entries)")
     _check_copy({"d": _field(raw, "d"), "y0": _field(raw, "y0")},
                 {"d": lpv.d.tolist(), "y0": lpv.y0.tolist()}, "model file")

@@ -43,6 +43,9 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+# numpy loads its fft module on first use; loaded here, so that a forked
+# child running spectrum imports nothing
+import numpy.fft
 
 from .errors import (
     ChannelCountMismatch,
@@ -285,7 +288,17 @@ def _simulate(core, rule, x0, u, u_c, dt, y0=0.0, p=None):
     if beyond.any():
         # the run stops at the step that wrote that row, as a per-step
         # test would have stopped it, before any overflow met later
-        n, exc = start + int(beyond.argmax()), None
+        n = start + int(beyond.argmax())
+        # a row that fails the test with no entry past the limit holds a NaN
+        failure = (
+            f"state exceeded {DIVERGENCE_LIMIT:.0e} at step {n}"
+            if (abs(states[n]) > DIVERGENCE_LIMIT).any() else
+            f"state became NaN at step {n}"
+        )
+    elif exc is not None:
+        failure = f"nonlinearity evaluation overflowed at step {n} ({exc})"
+    else:
+        failure = None
     Z, W, P = np.hsplit(rec[:n], [n_z, n_z + n_w])
     states = states[:n]
     Y = states @ core.Cy.T + u_c[:n] @ core.Dyu.T + W @ core.Dyw.T + y0
@@ -295,12 +308,7 @@ def _simulate(core, rule, x0, u, u_c, dt, y0=0.0, p=None):
     for a in arrays:
         a.setflags(write=False)
     traj = Trajectory(dt, *arrays, label)
-    if n <= n_steps:
-        failure = (
-            f"state exceeded {DIVERGENCE_LIMIT:.0e} at step {n}"
-            if exc is None else
-            f"nonlinearity evaluation overflowed at step {n} ({exc})"
-        )
+    if failure is not None:
         raise Divergence(failure, step=n, trajectory=traj)
     return traj
 

@@ -6,7 +6,9 @@ import json
 import math
 import os
 import stat
+import sys
 import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -14,6 +16,7 @@ import numpy as np
 import pytest
 
 import lpvembed
+from lpvembed import cli
 from lpvembed.cli import MAX_STEPS, main
 from lpvembed.errors import HurwitzWarning
 
@@ -730,6 +733,166 @@ def test_golden_offset_artifacts(tmp_path, capsys, monkeypatch):
                 assert [w.category for w in caught] == expected
         digests = {name: sha256(tmp_path / name) for name in GOLDEN_OFFSET_SHA256}
         assert digests == GOLDEN_OFFSET_SHA256
+
+
+# --- compare's NLFR run in a forked child ---------------------------------------
+
+
+@pytest.fixture()
+def parent_nlfr_runs(monkeypatch):
+    """Lets compare fork whatever the CPU count, and lists the NLFR runs made
+    in this process: a run the child makes is not listed.  No child may be
+    left afterwards."""
+    if sys.platform != "linux" or not hasattr(os, "fork"):
+        pytest.skip("compare forks on Linux only")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    runs, simulate = [], cli.simulate_nlfr
+
+    def listed(*args, **kwargs):
+        runs.append(os.getpid())
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "simulate_nlfr", listed)
+    yield runs
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def compare_both_ways(capsys, monkeypatch, out, *argv):
+    """compare with the child and in process, each into a directory of its
+    own: (exit code, stdout with that directory as OUT, stderr, artifacts)."""
+    results = []
+    for way, floor in (("child", cli._FORK_MIN_STEPS), ("in-process", math.inf)):
+        monkeypatch.setattr(cli, "_FORK_MIN_STEPS", floor)
+        where = out / way
+        where.mkdir()
+        code, stdout, stderr = run(capsys, "compare", *argv, "--out", str(where))
+        artifacts = {p.name: p.read_bytes() for p in sorted(where.iterdir())}
+        results.append((code, stdout.replace(str(where), "OUT"), stderr, artifacts))
+    return results
+
+
+def embedded(capsys, tmp_path, name, model_text=None, ordering="1,2", **scalar):
+    """(model, LPV file) of msd2dof under ordering, or of a scalar model."""
+    if model_text is None:
+        run(capsys, "example", "msd2dof", "--out", str(tmp_path))
+        model = tmp_path / "msd2dof_nlfr.json"
+    else:
+        model = write_scalar_model(tmp_path / f"{name}.json", model_text, **scalar)
+    lpv = tmp_path / f"{name}_lpv.json"
+    code, _, err = run(capsys, "embed", "--model", str(model), "--lpv", str(lpv),
+                       "--ordering", ordering, "--out", str(tmp_path))
+    assert code == 0, err
+    return model, lpv
+
+
+@pytest.mark.parametrize("case", ["1,2", "2,1", "offset"])
+def test_compare_child_matches_in_process(tmp_path, capsys, monkeypatch,
+                                          parent_nlfr_runs, case):
+    if case == "offset":
+        model, lpv = embedded(capsys, tmp_path, "toy", "z1 + 1", ordering="1", Dzu=1.0)
+    else:
+        model, lpv = embedded(capsys, tmp_path, "msd", ordering=case)
+    child, in_process = compare_both_ways(
+        capsys, monkeypatch, tmp_path, "--model", str(model), "--lpv", str(lpv)
+    )
+    assert child == in_process
+    assert child[0] == 0 and "compare PASS" in child[1]
+    assert len(child[3]) == 4
+    # the child ran the NLFR at the defaults' 20 000 steps, this process
+    # only the in-process compare's
+    assert parent_nlfr_runs == [os.getpid()]
+
+
+# scalar models (f, A, Bw): from a zero start under the default input,
+# "blowup" passes 1e12 at step 806 and "growth" at step 14121
+DIVERGING = {
+    "blowup": ("z1^3", 1.0, 1.0),
+    "growth": ("0.5*sin(z1)", 2.0, 1.0),
+    "stable": ("0.5*sin(z1)", -1.0, -1.0),
+}
+
+
+@pytest.mark.parametrize("nlfr_name, lpv_name, reported", [
+    ("blowup", "growth", "nlfr"),
+    ("blowup", "stable", "nlfr"),
+    ("stable", "growth", "lpv"),
+], ids=["both", "nlfr-only", "lpv-only"])
+def test_compare_reports_the_nlfr_divergence_first(
+    tmp_path, capsys, monkeypatch, parent_nlfr_runs, nlfr_name, lpv_name, reported
+):
+    paths = {}
+    for name in {nlfr_name, lpv_name}:
+        f, A, Bw = DIVERGING[name]
+        paths[name] = embedded(capsys, tmp_path, name, f, ordering="1", A=A, Bw=Bw)
+    model, lpv = paths[nlfr_name][0], paths[lpv_name][1]
+    # the line simulate gives for the model that is reported
+    code, _, err = run(capsys, "simulate", "--model",
+                       str(model if reported == "nlfr" else lpv), "--out", str(tmp_path))
+    expected = err.splitlines()[-1]
+    assert code == 1 and expected.startswith("error[Divergence]: state exceeded")
+    parent_nlfr_runs.clear()
+    child, in_process = compare_both_ways(
+        capsys, monkeypatch, tmp_path, "--model", str(model), "--lpv", str(lpv)
+    )
+    assert child == in_process == (1, "", expected + "\n", {})
+    # a failed child leaves the NLFR to this process, which raises its error
+    assert parent_nlfr_runs == [os.getpid()] * (2 if reported == "nlfr" else 1)
+
+
+@pytest.mark.parametrize("when", ["at-once", "after-sending"])
+def test_compare_child_that_fails(tmp_path, capsys, monkeypatch, parent_nlfr_runs, when):
+    model, lpv = embedded(capsys, tmp_path, "msd", ordering="2,1")
+    parent = os.getpid()
+    if when == "at-once":
+        nlfr_run = cli._nlfr_run
+        monkeypatch.setattr(
+            cli, "_nlfr_run",
+            lambda *args: nlfr_run(*args) if os.getpid() == parent else os._exit(1),
+        )
+    else:
+        # all of the result arrives, but the exit status says it failed
+        send = cli._send
+
+        def send_and_fail(*args):
+            send(*args)
+            os._exit(1)
+
+        monkeypatch.setattr(cli, "_send", send_and_fail)
+    child, in_process = compare_both_ways(
+        capsys, monkeypatch, tmp_path, "--model", str(model), "--lpv", str(lpv)
+    )
+    assert child == in_process
+    assert child[0] == 0 and len(child[3]) == 4
+    assert parent_nlfr_runs == [os.getpid()] * 2
+
+
+def test_interrupted_compare_reaps_its_child(tmp_path, capsys, monkeypatch,
+                                             parent_nlfr_runs):
+    model, lpv = embedded(capsys, tmp_path, "msd")
+    # the child would run for a minute; the interrupt kills it
+    monkeypatch.setattr(cli, "_nlfr_run", lambda *args: time.sleep(60))
+
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_lpv_run", interrupted)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        main(["compare", "--model", str(model), "--lpv", str(lpv),
+              "--out", str(tmp_path / "out")])
+    assert time.monotonic() - start < 30
+    assert not (tmp_path / "out" / "compare_report.txt").exists()
+
+
+def test_fork_floor_and_cpu_count(monkeypatch):
+    if sys.platform != "linux" or not hasattr(os, "fork"):
+        pytest.skip("compare forks on Linux only")
+    floor = cli._FORK_MIN_STEPS
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert cli._forks(floor) and not cli._forks(floor - 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
+    assert not cli._forks(floor)
 
 
 # --- the artifact writer: outputs are replaced, not truncated -----------------

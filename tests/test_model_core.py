@@ -38,7 +38,7 @@ from lpvembed.errors import (
 )
 from lpvembed.examples import EXAMPLES, builtin_example
 from lpvembed.expr import DEFAULT_GUARD_TAU, Expression, GuardedQuotient, Term
-from lpvembed.factorize import extract_offset
+from lpvembed.factorize import _is_copy, extract_offset
 from lpvembed.model import Dims, _dump
 
 
@@ -358,6 +358,32 @@ def test_equal_basis_rows_are_one_list():
     assert channel["Bk"][0] is channel["Bk"][2]
     assert channel["Bk"][0] is not channel["Bk"][1]
     assert len({*map(id, channel["Ak"])}) == 3
+
+
+# matrix entries with both zeros, so that a copy equal in value may differ
+# in bits; stored cells add the JSON values a float is not
+_ENTRIES = st.sampled_from([0.0, -0.0, 1.5, 5e-324])
+_CELLS = _ENTRIES | st.sampled_from([0, 1, True, None, "x", 1.0])
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(st.data())
+def test_matrix_copy_check_agrees_with_its_lists(data):
+    # the loader checks a basis matrix against the array; it must accept
+    # exactly what the check against the written lists accepts
+    n_rows, n_cols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    m = np.array(data.draw(st.lists(
+        st.lists(_ENTRIES, min_size=n_cols, max_size=n_cols),
+        min_size=n_rows, max_size=n_rows,
+    )))
+    edited = st.lists(
+        st.lists(_CELLS, min_size=n_cols - 1, max_size=n_cols + 1) | _CELLS,
+        min_size=n_rows - 1, max_size=n_rows + 1,
+    )
+    # the lists, the lists with every zero's sign flipped, or an edit
+    flipped = np.where(m == 0.0, -m, m).tolist()
+    stored = data.draw(st.sampled_from([m.tolist(), flipped]) | edited | _CELLS)
+    assert _is_copy(stored, m) == _is_copy(stored, m.tolist())
 
 
 # scalars json.dumps writes in every form it has: signed zeros, the least

@@ -779,11 +779,11 @@ BLOCK_DIVERGENCE = {
         "b5fedc0363fd20321e9d0f4b1ad218153fd4f8c9acda8cd8982dec0cef9e935c",
     ),
     ("nlfr", "nan"): (
-        1071, "state exceeded 1e+12 at step 1071",
+        1071, "state became NaN at step 1071",
         "06026100bec62615ba47f42b6968c44d550f950df406d8a9f3715fe44f5bf9ab",
     ),
     ("lpv", "nan"): (
-        2022, "state exceeded 1e+12 at step 2022",
+        2022, "state became NaN at step 2022",
         "624f250f42ccb50b8d211b8f6ee45221b77e7e82ce1ade896e5cf2d1e8265862",
     ),
     ("nlfr", "inf"): (
