@@ -366,11 +366,14 @@ class Expression:
         return tuple(spec)
 
     def evaluate(self, z: Sequence[float]) -> float:
-        """Exact sum-of-products evaluation at a single point."""
+        """Exact sum-of-products evaluation at a single point, read as Python
+        floats as the kernel reads it: a numpy scalar keeps its bits, an
+        overflowing power raises OverflowError, and the value is a float."""
         if len(z) != self.n_vars:
             raise ArityMismatch(
                 f"point has {len(z)} coordinates, expression arity is {self.n_vars}"
             )
+        z = [*map(float, z)]
         total = 0.0
         for coeff, monos, facs in self._compiled:
             v = coeff
@@ -552,7 +555,9 @@ class GuardedQuotient:
         return self.tau * (1.0 + m)
 
     def evaluate(self, z: Sequence[float]) -> float:
-        zi = z[self.divisor_index - 1]
+        """The guarded quotient at z; each branch reads z as Python floats
+        (see Expression.evaluate), and so does the division."""
+        zi = float(z[self.divisor_index - 1])
         if abs(zi) > self.effective_threshold(z):
             return self.numerator.evaluate(z) / zi
         return self.derivative.evaluate(z)

@@ -20,30 +20,27 @@ ordering.  Different orderings give different but equally valid scheduling
 maps; the defining property, checked by :func:`check_reconstruction`, is
 
     entries(z) @ z + c == f(z)      (to floating-point accuracy).
+
+This module holds the algebra only; the schedule's file form, and the
+whole LPV file format, belong to :mod:`lpvembed.model`.
 """
 
 from __future__ import annotations
 
-import itertools
 import numbers
-import reprlib
-import struct
-from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cache
 from typing import Sequence
 
 import numpy as np
 
 from .errors import (
     ArityMismatch,
-    DimensionMismatch,
     InvalidOrdering,
     ModelFormatError,
     NonFiniteEntry,
     NonzeroAtOrigin,
 )
-from .expr import Expression, GuardedQuotient, parse
+from .expr import Expression, GuardedQuotient, parse  # parse: lpvbench traces it here
 
 __all__ = [
     "SchedulingMap",
@@ -51,8 +48,6 @@ __all__ = [
     "extract_offset",
     "factorize",
     "check_reconstruction",
-    "schedule_to_raw",
-    "schedule_from_raw",
 ]
 
 #: Relative tolerance of the reconstruction identity; pure evaluation noise.
@@ -274,182 +269,3 @@ def check_reconstruction(
         row_max_rel_error=tuple(float(v) for v in np.max(rel_err, axis=0)),
         worst_sample=worst,
     )
-
-
-# --- model-file (de)serialization --------------------------------------------
-
-
-def _cell_raw(e) -> dict:
-    """One schedule entry as the file stores it."""
-    if e is None:
-        return {"type": "zero"}
-    if isinstance(e, GuardedQuotient):
-        return {
-            "type": "quotient",
-            "numerator": str(e.numerator),
-            "derivative": str(e.derivative),
-            "divisor": e.divisor_index,
-            "tau": e.tau,
-        }
-    return {"type": "exact", "expr": str(e)}
-
-
-def schedule_to_raw(m: SchedulingMap) -> dict:
-    """Schedule as plain JSON-ready data: printed expressions + guard metadata."""
-    return {
-        "ordering": list(m.ordering),
-        "c": [float(v) for v in m.c],
-        "entries": [[_cell_raw(e) for e in row] for row in m.entries],
-    }
-
-
-def _field(doc, key: str, kind=object, where: str = "model file"):
-    """``doc[key]``; ModelFormatError unless doc is a JSON object holding key
-    with a value of ``kind``.  A bool is never an int or a number."""
-    if not isinstance(doc, Mapping):
-        raise ModelFormatError(f"{where} is not a JSON object")
-    if key not in doc:
-        raise ModelFormatError(f"{where} is missing {key!r}")
-    value = doc[key]
-    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not object):
-        raise ModelFormatError(
-            f"{where}: {key!r} must be {kind.__name__}, got {value!r}"
-        )
-    return value
-
-
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
-
-
-def _as_array(name: str, raw, shape: tuple[int, ...]) -> np.ndarray:
-    kind = "vector" if len(shape) == 1 else "matrix"
-    # OverflowError: an integer beyond the float range
-    try:
-        m = np.array(raw, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ModelFormatError(f"{kind} {name} is not numeric: {exc}") from exc
-    if m.shape != shape:
-        raise DimensionMismatch(f"{kind} {name} has shape {m.shape}, expected {shape}")
-    # numpy reads true as 1.0 and "1" as 1.0; as in _field, an entry is a
-    # number and never a bool
-    flat = raw
-    for _ in shape[1:]:
-        flat = itertools.chain.from_iterable(flat)
-    for t in set(map(type, flat)) - {float, int}:
-        if t is bool or not issubclass(t, numbers.Real):
-            raise ModelFormatError(f"{kind} {name} has an entry of type {t.__name__}")
-    if not np.all(np.isfinite(m)):
-        raise NonFiniteEntry(f"{kind} {name} contains non-finite entries")
-    return _freeze(m)
-
-
-@cache
-def _packer(n: int):
-    """Packs n floats into their bytes, in C; one per length of list read."""
-    return struct.Struct(f"{n}d").pack
-
-
-def _is_copy(stored, written, rows: dict | None = None) -> bool:
-    """Whether stored is the JSON value written (no objects inside), type for
-    type: true is not 1 and 1 is not 1.0.  Floats compare by their bits, so
-    -0.0 is not 0.0.  rows keeps the item types, packer and bytes of each
-    list of floats in written by its id, since the writer repeats one list
-    object for equal rows.  A float matrix written as its rows may be given
-    as the array itself, whose bytes are then read instead of packed."""
-    if type(written) is np.ndarray:
-        n_rows, n_cols = written.shape
-        # rows of n_cols items each, all floats, packed at once
-        if not (
-            type(stored) is list and len(stored) == n_rows
-            and {*map(type, stored)} <= {list} and {*map(len, stored)} <= {n_cols}
-        ):
-            return False
-        flat = [*itertools.chain.from_iterable(stored)]
-        return {*map(type, flat)} <= {float} and (
-            _packer(len(flat))(*flat) == written.tobytes()
-        )
-    if type(stored) is not type(written):
-        return False
-    if type(written) is float:
-        return _packer(1)(stored) == _packer(1)(written)
-    if type(written) is not list:
-        return stored == written
-    if rows is None:
-        rows = {}
-    row = rows.get(id(written))
-    if row is None:
-        kinds = list(map(type, written))
-        if kinds.count(float) != len(kinds):
-            if list(map(type, stored)) != kinds:
-                return False
-            if list in kinds or float in kinds:
-                return all(map(_is_copy, stored, written, itertools.repeat(rows)))
-            # ints, bools or text compare in C
-            return stored == written
-        pack = _packer(len(kinds))
-        row = rows[id(written)] = kinds, pack, pack(*written)
-    kinds, pack, bits = row
-    # so does a list of floats, by its bytes
-    return list(map(type, stored)) == kinds and pack(*stored) == bits
-
-
-def _listed(value):
-    """value, with an array as the lists it is written as."""
-    return value.tolist() if type(value) is np.ndarray else value
-
-
-def _check_copy(stored, written: dict, where: str) -> None:
-    """ModelFormatError unless the JSON object stored holds exactly the keys
-    of written, each with a copy of its value (:func:`_is_copy`)."""
-    if not isinstance(stored, Mapping):
-        raise ModelFormatError(f"{where} is not a JSON object")
-    for key in {**written, **stored}:
-        if key not in stored or key not in written or not _is_copy(
-            stored[key], written[key]
-        ):
-            has, gives = (
-                f"{key} {reprlib.repr(_listed(doc[key]))}" if key in doc else f"no {key}"
-                for doc in (stored, written)
-            )
-            raise ModelFormatError(
-                f"{where} has {has}, but reconstructing it from the file's "
-                f"primary data gives {gives}"
-            )
-
-
-def schedule_from_raw(raw: dict, n_w: int, n_z: int) -> SchedulingMap:
-    """Rebuild a SchedulingMap from file data, each entry as factorize builds it.
-
-    Each entry is :func:`_entry` of its numerator, ``parse(expr) * z_i`` or
-    ``parse(numerator)``, whose text may be spelled any way the parser
-    reads; the cell's other keys must be what :func:`schedule_to_raw` writes.
-    """
-    ordering = _validate_ordering(_field(raw, "ordering", list, "schedule"), n_z)
-    c = _as_array("c", _field(raw, "c", where="schedule"), (n_w,))
-    rows_raw = _field(raw, "entries", list, "schedule")
-    if len(rows_raw) != n_w or any(
-        not isinstance(r, list) or len(r) != n_z for r in rows_raw
-    ):
-        raise ModelFormatError(f"schedule grid is not {n_w} x {n_z}")
-    grid = []
-    for r, row_raw in enumerate(rows_raw):
-        row: list = []
-        for i, cell in enumerate(row_raw, start=1):
-            where = f"schedule entry ({r + 1},{i})"
-            kind = _field(cell, "type", where=where)
-            # the primary text, which the file may spell its own way; any
-            # other cell has none and must be what a zero entry writes
-            text, entry = {}, None
-            if kind == "exact":
-                text = {"expr": _field(cell, "expr", where=where)}
-                num = parse(text["expr"], n_z) * Expression.variable(i, n_z)
-                entry = _entry(num, i)
-            elif kind == "quotient":
-                text = {"numerator": _field(cell, "numerator", where=where)}
-                entry = _entry(parse(text["numerator"], n_z), i)
-            _check_copy(cell, {**_cell_raw(entry), **text}, where)
-            row.append(entry)
-        grid.append(tuple(row))
-    return SchedulingMap(tuple(grid), ordering, c)

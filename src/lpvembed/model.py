@@ -27,16 +27,25 @@ written with shortest-repr precision); numeric tolerances belong to
 analysis operations, never to the format layer.
 Indices in the file (variable numbers, channel rows/columns, orderings)
 are 1-based to match the expression variables z1, z2, ...
+
+This module owns the file format whole: the schedule's file form
+(schedule_to_raw, schedule_from_raw) and every field and copy check live
+here, and the algebra they call (the entry rule, the ordering check) is
+imported from :mod:`lpvembed.factorize`.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import numbers
 import os
+import reprlib
 import stat
+import struct
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from json.encoder import encode_basestring_ascii
 from typing import Mapping
 
@@ -46,19 +55,11 @@ from .errors import (
     DimensionMismatch,
     ExpressionArityMismatch,
     ModelFormatError,
+    NonFiniteEntry,
     NonzeroDzw,
 )
-from .expr import Expression, parse
-from .factorize import (
-    SchedulingMap,
-    _as_array,
-    _check_copy,
-    _field,
-    _freeze,
-    _is_copy,
-    schedule_from_raw,
-    schedule_to_raw,
-)
+from .expr import Expression, GuardedQuotient, parse
+from .factorize import SchedulingMap, _entry, _validate_ordering
 from .offset import OffsetSolution, solve_offsets_for
 
 __all__ = [
@@ -74,6 +75,8 @@ __all__ = [
     "load_nlfr",
     "load_lpv",
     "save_model",
+    "schedule_to_raw",
+    "schedule_from_raw",
 ]
 
 _DIM_KEYS = ("n_x", "n_u", "n_y", "n_w", "n_z")
@@ -92,6 +95,112 @@ _MATRIX_SHAPES = {
 
 #: The eight stored core matrices; Dzw is structurally zero and not kept.
 _CORE = tuple(name for name in _MATRIX_SHAPES if name != "Dzw")
+
+
+# --- fields and checked copies ---------------------------------------------
+
+
+def _field(doc, key: str, kind=object, where: str = "model file"):
+    """``doc[key]``; ModelFormatError unless doc is a JSON object holding key
+    with a value of ``kind``.  A bool is never an int or a number."""
+    if not isinstance(doc, Mapping):
+        raise ModelFormatError(f"{where} is not a JSON object")
+    if key not in doc:
+        raise ModelFormatError(f"{where} is missing {key!r}")
+    value = doc[key]
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not object):
+        raise ModelFormatError(
+            f"{where}: {key!r} must be {kind.__name__}, got {value!r}"
+        )
+    return value
+
+
+def _freeze(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+def _as_array(name: str, raw, shape: tuple[int, ...]) -> np.ndarray:
+    kind = "vector" if len(shape) == 1 else "matrix"
+    # OverflowError: an integer beyond the float range
+    try:
+        m = np.array(raw, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ModelFormatError(f"{kind} {name} is not numeric: {exc}") from exc
+    if m.shape != shape:
+        raise DimensionMismatch(f"{kind} {name} has shape {m.shape}, expected {shape}")
+    # numpy reads true as 1.0 and "1" as 1.0; as in _field, an entry is a
+    # number and never a bool
+    flat = raw
+    for _ in shape[1:]:
+        flat = itertools.chain.from_iterable(flat)
+    for t in set(map(type, flat)) - {float, int}:
+        if t is bool or not issubclass(t, numbers.Real):
+            raise ModelFormatError(f"{kind} {name} has an entry of type {t.__name__}")
+    if not np.all(np.isfinite(m)):
+        raise NonFiniteEntry(f"{kind} {name} contains non-finite entries")
+    return _freeze(m)
+
+
+@cache
+def _packer(n: int):
+    """Packs n floats into their bytes, in C; one per length of list read."""
+    return struct.Struct(f"{n}d").pack
+
+
+def _is_copy(stored, written) -> bool:
+    """Whether stored is the JSON value written (no objects inside), type for
+    type: true is not 1 and 1 is not 1.0.  Floats compare by their bits, so
+    -0.0 is not 0.0.  A float vector or matrix, written as a list or as its
+    rows, is given as the array itself, whose bytes are read instead of
+    packed."""
+    if type(written) is np.ndarray:
+        # n_rows items, or rows of n_cols items each, all floats, packed at once
+        if type(stored) is not list or len(stored) != len(written):
+            return False
+        flat = stored
+        if written.ndim == 2:
+            if not ({*map(type, stored)} <= {list}
+                    and {*map(len, stored)} <= {written.shape[1]}):
+                return False
+            flat = [*itertools.chain.from_iterable(stored)]
+        return {*map(type, flat)} <= {float} and (
+            _packer(len(flat))(*flat) == written.tobytes()
+        )
+    if type(stored) is not type(written):
+        return False
+    if type(written) is float:
+        return _packer(1)(stored) == _packer(1)(written)
+    if type(written) is list:
+        return len(stored) == len(written) and all(map(_is_copy, stored, written))
+    return stored == written
+
+
+def _listed(value):
+    """value, with an array as the lists it is written as."""
+    return value.tolist() if type(value) is np.ndarray else value
+
+
+def _check_copy(stored, written: dict, where: str) -> None:
+    """ModelFormatError unless the JSON object stored holds exactly the keys
+    of written, each with a copy of its value (:func:`_is_copy`)."""
+    if not isinstance(stored, Mapping):
+        raise ModelFormatError(f"{where} is not a JSON object")
+    for key in {**written, **stored}:
+        if key not in stored or key not in written or not _is_copy(
+            stored[key], written[key]
+        ):
+            has, gives = (
+                f"{key} {reprlib.repr(_listed(doc[key]))}" if key in doc else f"no {key}"
+                for doc in (stored, written)
+            )
+            raise ModelFormatError(
+                f"{where} has {has}, but reconstructing it from the file's "
+                f"primary data gives {gives}"
+            )
+
+
+# --- model containers ----------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -298,6 +407,67 @@ def serialize_nlfr(model: NlfrModel) -> dict:
 # --- LPV validation -----------------------------------------------------------
 
 
+def _cell_raw(e) -> dict:
+    """One schedule entry as the file stores it."""
+    if e is None:
+        return {"type": "zero"}
+    if isinstance(e, GuardedQuotient):
+        return {
+            "type": "quotient",
+            "numerator": str(e.numerator),
+            "derivative": str(e.derivative),
+            "divisor": e.divisor_index,
+            "tau": e.tau,
+        }
+    return {"type": "exact", "expr": str(e)}
+
+
+def schedule_to_raw(m: SchedulingMap) -> dict:
+    """Schedule as plain JSON-ready data: printed expressions + guard metadata."""
+    return {
+        "ordering": list(m.ordering),
+        "c": [float(v) for v in m.c],
+        "entries": [[_cell_raw(e) for e in row] for row in m.entries],
+    }
+
+
+def schedule_from_raw(raw: dict, n_w: int, n_z: int) -> SchedulingMap:
+    """Rebuild a SchedulingMap from file data, each entry as factorize builds it.
+
+    Each entry is :func:`~lpvembed.factorize._entry` of its numerator,
+    ``parse(expr) * z_i`` or ``parse(numerator)``, whose text may be spelled
+    any way the parser reads; the cell's other keys must be what
+    :func:`schedule_to_raw` writes.
+    """
+    ordering = _validate_ordering(_field(raw, "ordering", list, "schedule"), n_z)
+    c = _as_array("c", _field(raw, "c", where="schedule"), (n_w,))
+    rows_raw = _field(raw, "entries", list, "schedule")
+    if len(rows_raw) != n_w or any(
+        not isinstance(r, list) or len(r) != n_z for r in rows_raw
+    ):
+        raise ModelFormatError(f"schedule grid is not {n_w} x {n_z}")
+    grid = []
+    for r, row_raw in enumerate(rows_raw):
+        row: list = []
+        for i, cell in enumerate(row_raw, start=1):
+            where = f"schedule entry ({r + 1},{i})"
+            kind = _field(cell, "type", where=where)
+            # the primary text, which the file may spell its own way; any
+            # other cell has none and must be what a zero entry writes
+            text, entry = {}, None
+            if kind == "exact":
+                text = {"expr": _field(cell, "expr", where=where)}
+                num = parse(text["expr"], n_z) * Expression.variable(i, n_z)
+                entry = _entry(num, i)
+            elif kind == "quotient":
+                text = {"numerator": _field(cell, "numerator", where=where)}
+                entry = _entry(parse(text["numerator"], n_z), i)
+            _check_copy(cell, {**_cell_raw(entry), **text}, where)
+            row.append(entry)
+        grid.append(tuple(row))
+    return SchedulingMap(tuple(grid), ordering, c)
+
+
 def validate_lpv(raw: Mapping) -> LpvModel:
     """Validate parsed LPV file content and build an LpvModel.
 
@@ -324,7 +494,7 @@ def validate_lpv(raw: Mapping) -> LpvModel:
         _check_copy(stored, {"r": b.r, "i": b.i, **matrices},
                     f"basis channel {k} (row-major over the nonzero schedule entries)")
     _check_copy({"d": _field(raw, "d"), "y0": _field(raw, "y0")},
-                {"d": lpv.d.tolist(), "y0": lpv.y0.tolist()}, "model file")
+                {"d": lpv.d, "y0": lpv.y0}, "model file")
     return lpv
 
 

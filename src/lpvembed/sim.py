@@ -111,10 +111,19 @@ class Trajectory:
         return self.dt * np.arange(self.x.shape[0])
 
 
+def _floats(value, what: str) -> np.ndarray:
+    """value as a float array; ShapeMismatch if it is ragged or not numeric."""
+    # OverflowError: an integer beyond the float range
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ShapeMismatch(f"{what} cannot be read as numbers: {exc}") from None
+
+
 def _check_state(x0, n_x: int) -> np.ndarray:
     if x0 is None:
         return np.zeros(n_x)
-    arr = np.atleast_1d(np.asarray(x0, dtype=float))
+    arr = np.atleast_1d(_floats(x0, "initial state"))
     if arr.shape != (n_x,):
         raise ShapeMismatch(
             f"initial state has shape {arr.shape}, expected ({n_x},)"
@@ -123,7 +132,7 @@ def _check_state(x0, n_x: int) -> np.ndarray:
 
 
 def _check_samples(u, n_cols: int, name: str) -> np.ndarray:
-    arr = np.asarray(u, dtype=float)
+    arr = _floats(u, f"{name} samples")
     if arr.ndim == 1:
         arr = arr[:, None]
     if arr.ndim != 2 or arr.shape[1] != n_cols:
@@ -381,7 +390,7 @@ def simulate_lpv_exogenous(
     """
     d = lpv.dims
     u = _check_samples(u, d.n_u, "input")
-    p = np.asarray(p, dtype=float)
+    p = _floats(p, "scheduling samples")
     if p.ndim == 1:
         p = p[:, None]
     if p.shape != (u.shape[0], d.n_p):

@@ -166,6 +166,17 @@ def test_scheduling_from_state_with_feedthrough():
 
 
 @pytest.mark.parametrize("ordering", [(1, 2), (2, 1)], ids=["1,2", "2,1"])
+def test_scheduling_from_state_overflow_raises(msd_model, ordering):
+    # z is a numpy vector; its entries evaluate as Python floats, so the
+    # power z1^2 (ordering 1,2) or z1^3 (2,1) raises instead of giving inf
+    lpv = embed(msd_model, ordering)
+    with pytest.raises(OverflowError):
+        scheduling_from_state(lpv, np.array([1e200, 0.0, 0.0, 0.0]), np.zeros(2))
+    p = scheduling_from_state(lpv, np.array([1e100, 0.0, 0.0, 0.0]), np.zeros(2))
+    assert np.all(np.isfinite(p))
+
+
+@pytest.mark.parametrize("ordering", [(1, 2), (2, 1)], ids=["1,2", "2,1"])
 def test_scheduling_from_state_is_the_simulated_p(msd_model, ordering):
     # the scheduling vector the simulator recorded at each sample, from that
     # sample's state and corrected input, bit for bit

@@ -259,6 +259,25 @@ def test_evaluate_batch_overflow_raises_as_evaluate():
             e.evaluate_batch([[0.5], [40.0]])
 
 
+def test_numpy_coordinates_evaluate_as_python_floats():
+    # numpy's scalar power gives inf with a warning where a float raises
+    f = parse(MSD_F, 2)
+    for z in ([np.float64(1e200), np.float64(0.0)], np.array([1e200, 0.0])):
+        with pytest.raises(OverflowError):
+            f.evaluate(z)
+    rng = np.random.default_rng(29)
+    q = GuardedQuotient(parse("z1^2*z2 + sin(z1)*z2", 2), 1)
+    Z = rng.uniform(-2.0, 2.0, (20, 2))
+    Z[:5, 0] = 0.0
+    for e in (f, q):
+        for z, floats in zip(Z, Z.tolist()):
+            assert type(e.evaluate(z)) is float
+            assert e.evaluate(z) == e.evaluate(floats)
+            assert e.evaluate([*z]) == e.evaluate(floats)
+    with pytest.raises(OverflowError):
+        q.evaluate(np.array([1e200, 1.0]))
+
+
 def test_evaluate_finite_everywhere():
     rng = np.random.default_rng(13)
     for _ in range(20):

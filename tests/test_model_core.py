@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_expression_vector, random_nlfr_raw
@@ -38,8 +38,8 @@ from lpvembed.errors import (
 )
 from lpvembed.examples import EXAMPLES, builtin_example
 from lpvembed.expr import DEFAULT_GUARD_TAU, Expression, GuardedQuotient, Term
-from lpvembed.factorize import _is_copy, extract_offset
-from lpvembed.model import Dims, _dump
+from lpvembed.factorize import extract_offset
+from lpvembed.model import Dims, _dump, _is_copy
 
 
 def test_msd_validates(msd_raw):
@@ -386,6 +386,25 @@ def test_matrix_copy_check_agrees_with_its_lists(data):
     assert _is_copy(stored, m) == _is_copy(stored, m.tolist())
 
 
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(st.data())
+def test_vector_copy_check_agrees_with_its_list(data):
+    # d and y0 are checked against their arrays as well: a 1-D array must
+    # accept exactly what the check against the written list accepts
+    n = data.draw(st.integers(1, 4))
+    v = np.array(data.draw(st.lists(_ENTRIES, min_size=n, max_size=n)))
+    listed = v.tolist()
+    k = data.draw(st.integers(0, n - 1))
+    item = data.draw(_CELLS | st.lists(_ENTRIES, max_size=2))
+    one_item = [*listed[:k], item, *listed[k + 1:]]
+    edited = st.lists(_CELLS, min_size=n - 1, max_size=n + 1)
+    # the list, the list with every zero's sign flipped, one item replaced,
+    # or an edit
+    flipped = np.where(v == 0.0, -v, v).tolist()
+    stored = data.draw(st.sampled_from([listed, flipped, one_item]) | edited | _CELLS)
+    assert _is_copy(stored, v) == _is_copy(stored, listed)
+
+
 # scalars json.dumps writes in every form it has: signed zeros, the least
 # subnormal, NaN and the infinities, ints, bools, None and text
 _SCALARS = st.one_of(
@@ -722,6 +741,57 @@ def test_tampered_offset_correction_rejected(key):
     raw[key] = [7]
     with pytest.raises(ModelFormatError, match=rf"has {key} \[7\]"):
         validate_lpv(raw)
+
+
+def _derived_fields(doc):
+    """The fields of an LPV document that the loader derives, as JSON text,
+    so that a type or a sign tells them apart: dims.n_p, the basis, each
+    schedule cell's type, derivative, divisor and tau, and d and y0."""
+    cells = [
+        [{key: cell.get(key) for key in ("type", "derivative", "divisor", "tau")}
+         for cell in row]
+        for row in doc["schedule"]["entries"]
+    ]
+    return json.dumps([doc["dims"]["n_p"], doc["basis"], cells, doc["d"], doc["y0"]])
+
+
+def _one_byte_edit_files():
+    """msd2dof's files under both orderings and the offset toy's, each with
+    its byte positions in a fixed shuffled order: hypothesis draws small
+    integers most often, and the shuffle spreads them over the whole file."""
+    msd = validate_nlfr(builtin_example("msd2dof"))
+    docs = [serialize_lpv(embed(msd, ordering)) for ordering in ((1, 2), (2, 1))]
+    texts = [_dump(doc).encode() for doc in (*docs, _offset_toy_file())]
+    rng = np.random.default_rng(24)
+    return [(text, rng.permutation(len(text)).tolist()) for text in texts]
+
+
+_ONE_BYTE_EDIT_FILES = _one_byte_edit_files()
+
+
+@settings(derandomize=True, database=None, max_examples=3000, deadline=None)
+@given(st.data())
+def test_one_byte_edit_fails_typed_or_loads_its_derived_fields(tmp_path_factory, data):
+    # Any one byte of an LPV file replaced by another: load_lpv raises a
+    # typed error, or the model it loads writes exactly the derived fields
+    # the edited file holds.
+    text, positions = data.draw(st.sampled_from(_ONE_BYTE_EDIT_FILES))
+    k = positions[data.draw(st.integers(0, len(text) - 1))]
+    # mostly bytes that may leave valid JSON: a digit, sign, point, exponent
+    # or separator in place of another
+    byte = data.draw(st.sampled_from(b"0123456789-+.eE ,") | st.integers(0, 255))
+    assume(byte != text[k])
+    edited = text[:k] + bytes([byte]) + text[k + 1:]
+    path = tmp_path_factory.getbasetemp() / "one_byte_edit_lpv.json"
+    # a new file each time: on ext4, rewriting one in place waits for the disk
+    path.unlink(missing_ok=True)
+    path.write_bytes(edited)
+    try:
+        lpv = load_lpv(path)
+    except LpvEmbedError:
+        return
+    written = json.loads(json.dumps(serialize_lpv(lpv)))
+    assert _derived_fields(json.loads(edited)) == _derived_fields(written)
 
 
 def test_divisible_quotient_cell_rejected(msd_model):

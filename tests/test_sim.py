@@ -1161,6 +1161,32 @@ def test_wrong_initial_state_rejected(msd_model):
         simulate_nlfr(msd_model, u, x0=[1.0, 2.0], dt=1e-3)
 
 
+_RAGGED = [[1.0, 2.0], [3.0]]
+_TEXT = [["a", "b"], ["c", "d"]]
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda m, lpv: simulate_nlfr(m, _RAGGED),
+        lambda m, lpv: simulate_nlfr(m, _TEXT),
+        lambda m, lpv: simulate_nlfr(m, [[{}, 0.0], [0.0, 0.0]]),
+        lambda m, lpv: simulate_nlfr(m, [[10**400, 0.0], [0.0, 0.0]]),
+        lambda m, lpv: simulate_nlfr(m, np.zeros((3, 2)), x0=[[1.0, 2.0], [3.0]]),
+        lambda m, lpv: simulate_nlfr(m, np.zeros((3, 2)), x0=["a", "b", "c", "d"]),
+        lambda m, lpv: simulate_lpv_self(lpv, _RAGGED),
+        lambda m, lpv: simulate_lpv_exogenous(lpv, np.zeros((2, 2)), _RAGGED),
+        lambda m, lpv: simulate_lpv_exogenous(lpv, np.zeros((2, 2)), _TEXT),
+    ],
+    ids=["u-ragged", "u-text", "u-object", "u-huge-int", "x0-ragged", "x0-text",
+         "lpv-u-ragged", "p-ragged", "p-text"],
+)
+def test_malformed_simulator_input_is_typed(msd_model, run):
+    # numpy's own ValueError, TypeError or OverflowError would escape untyped
+    with pytest.raises(ShapeMismatch, match="cannot be read as numbers"):
+        run(msd_model, embed(msd_model))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
 def test_exogenous_nonfinite_p_rejected(msd_model, bad):
     lpv = embed(msd_model)
