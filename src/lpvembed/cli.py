@@ -16,7 +16,7 @@ device is written in place, as is a file whose directory forbids removing it.
 compare runs the NLFR simulation and its spectrum in a forked child while
 it runs the LPV's itself, on Linux with at least two CPUs in its affinity
 mask and for runs of at least _FORK_MIN_STEPS steps; elsewhere the two run
-one after the other.  The child sends back only the NLFR's y, dt and
+one after the other.  The child sends back only the NLFR's y and its
 spectrum text, so every artifact and message is byte-identical to the
 sequential run.  A child that fails is replaced by the NLFR run in this
 process, which raises its error again (see _run_pair).
@@ -29,7 +29,6 @@ import contextlib
 import math
 import os
 import signal
-import struct
 import sys
 import warnings
 from pathlib import Path
@@ -306,10 +305,6 @@ def cmd_simulate(args) -> int:
 #: steps of one simulation cost, so shorter runs stay in this process.
 _FORK_MIN_STEPS = 2000
 
-# rows and columns of y, length of the spectrum text, dt: the head of what
-# the child sends
-_HEAD = struct.Struct("=3qd")
-
 
 class _Outputs(NamedTuple):
     """The part of a trajectory that compare reads."""
@@ -353,15 +348,16 @@ def _send(fd: int, *chunks) -> None:
 
 @contextlib.contextmanager
 def _nlfr_child(nlfr, u, dt):
-    """Run _nlfr_run in a forked child, which sends back y, dt and the
-    spectrum text on a pipe.
+    """Run _nlfr_run in a forked child, which sends back the bytes of y and
+    then the spectrum text on a pipe.
 
     Yields a function that waits for the child and returns (outputs,
-    spectrum text), or None if the child failed.  The child inherits the
-    models and u, runs the same code on the same BLAS, and so computes the
-    bits this process would.  It writes no file, prints nothing and leaves
-    by os._exit, which runs no atexit handler and flushes no inherited
-    buffer; a warning fails it, so that the rerun here shows the warning.
+    spectrum text), or None if the child failed; this process knows dt
+    and y's shape already.  The child inherits the models and u, runs the
+    same code on the same BLAS, and so computes the bits this process
+    would.  It writes no file, prints nothing and leaves by os._exit,
+    which runs no atexit handler and flushes no inherited buffer; a
+    warning fails it, so that the rerun here shows the warning.
     On leaving the block the child is killed, if it still runs, and reaped.
     """
     read_fd, write_fd = os.pipe()
@@ -372,9 +368,7 @@ def _nlfr_child(nlfr, u, dt):
             os.close(read_fd)
             warnings.simplefilter("error")
             traj, text = _nlfr_run(nlfr, u, dt)
-            y = traj.y
-            _send(write_fd, _HEAD.pack(*y.shape, len(text), traj.dt),
-                  y.tobytes(), text.encode())
+            _send(write_fd, traj.y.tobytes(), text.encode())
             code = 0
         finally:
             os._exit(code)
@@ -386,14 +380,11 @@ def _nlfr_child(nlfr, u, dt):
         with open(read_fd, "rb", closefd=False) as pipe:
             data = pipe.read()
         status = os.waitpid(pid, 0)[1]
-        if status != 0 or len(data) < _HEAD.size:
+        n = u.shape[0] * nlfr.dims.n_y  # y has a row per row of u
+        if status != 0 or len(data) < 8 * n:
             return None
-        rows, cols, size, dt = _HEAD.unpack_from(data)
-        end = _HEAD.size + 8 * rows * cols
-        if len(data) != end + size:
-            return None
-        y = np.frombuffer(data, count=rows * cols, offset=_HEAD.size)
-        return _Outputs(dt, y.reshape(rows, cols)), data[end:].decode()
+        y = np.frombuffer(data, count=n).reshape(u.shape[0], nlfr.dims.n_y)
+        return _Outputs(dt, y), data[8 * n :].decode()
 
     try:
         yield result

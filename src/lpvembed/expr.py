@@ -23,8 +23,12 @@ Canonical form: terms are merged on exact equality of their exponent tuple
 and factor list (floats compared exactly, no tolerances), zero-coefficient
 terms are dropped, function factors whose weights are all zero are folded
 into the coefficient, and terms are kept sorted by exponent tuple then
-factor list.  The printed form (``str``) is deterministic and reparses to
-the identical Expression.
+factor list.  The printed form (``str``) is deterministic, writes a numpy
+number as a Python float, and reparses to the identical Expression.
+
+Each Expression caches one term spec in Python numbers, ``_compiled``:
+``evaluate`` runs it and ``emit`` renders it as a kernel's statements, so
+both have one term order, one zero filter and one set of numbers.
 """
 
 from __future__ import annotations
@@ -71,7 +75,7 @@ FUNCTIONS: dict[str, Callable[[float], float]] = {
 EMITTED_FUNCTIONS: dict[str, Callable[[float], float]] = {
     f"_fn{k}": fn for k, fn in enumerate(FUNCTIONS.values())
 }
-_EMITTED_NAME = dict(zip(FUNCTIONS, EMITTED_FUNCTIONS))
+_EMITTED_NAME = {fn: name for name, fn in EMITTED_FUNCTIONS.items()}
 
 # d/dx func(x) expressed inside the language: a sum of (coefficient,
 # replacement function names) pairs, every replacement applied to the same
@@ -167,9 +171,16 @@ class ValueTable:
 
 
 def _format_float(v: float) -> str:
+    v = float(v)  # a numpy number prints as a Python float
     if v.is_integer() and abs(v) < 1e16:
         return str(int(v))
     return repr(v)
+
+
+def _signed_sum(pieces: Iterable[tuple[float, str]]) -> str:
+    """(value, text of |value|) pairs written as ``-a + b - c``."""
+    out = "".join([(" - " if v < 0 else " + ") + text for v, text in pieces])
+    return out[3:] if out.startswith(" + ") else "-" + out[3:]
 
 
 @dataclass(frozen=True)
@@ -184,23 +195,13 @@ class FuncFactor:
         return (self.name, self.weights, self.bias)
 
     def __str__(self) -> str:
-        parts = [(w, f"z{j + 1}") for j, w in enumerate(self.weights) if w != 0.0]
-        if self.bias != 0.0 or not parts:
-            parts.append((self.bias, None))
-        out = []
-        for k, (val, var) in enumerate(parts):
-            mag = abs(val)
-            if var is None:
-                piece = _format_float(mag)
-            elif mag == 1.0:
-                piece = var
-            else:
-                piece = f"{_format_float(mag)}*{var}"
-            if k == 0:
-                out.append(("-" if val < 0 else "") + piece)
-            else:
-                out.append((" - " if val < 0 else " + ") + piece)
-        return f"{self.name}({''.join(out)})"
+        pieces = [
+            (w, f"z{j + 1}" if abs(w) == 1.0 else f"{_format_float(abs(w))}*z{j + 1}")
+            for j, w in enumerate(self.weights) if w != 0.0
+        ]
+        if self.bias != 0.0 or not pieces:
+            pieces.append((self.bias, _format_float(abs(self.bias))))
+        return f"{self.name}({_signed_sum(pieces)})"
 
 
 @dataclass(frozen=True)
@@ -351,19 +352,23 @@ class Expression:
 
     @cached_property
     def _compiled(self):
-        spec = []
-        for t in self.terms:
-            monos = tuple((j, e) for j, e in enumerate(t.exponents) if e)
-            facs = tuple(
-                (
-                    FUNCTIONS[f.name],
-                    tuple((j, w) for j, w in enumerate(f.weights) if w != 0.0),
-                    f.bias,
-                )
-                for f in t.factors
+        """The spec ``evaluate`` runs and ``emit`` renders: per term
+        ``(coeff, ((j, e), ...), ((fn, ((j, w), ...), bias), ...))``, only
+        nonzero exponents and weights, every number a Python one."""
+        def nonzero(values, cast):
+            return tuple([(j, cast(v)) for j, v in enumerate(values) if v])
+
+        return tuple([
+            (
+                float(t.coeff),
+                nonzero(t.exponents, int),
+                tuple([
+                    (FUNCTIONS[f.name], nonzero(f.weights, float), float(f.bias))
+                    for f in t.factors
+                ]),
             )
-            spec.append((t.coeff, monos, facs))
-        return tuple(spec)
+            for t in self.terms
+        ])
 
     def evaluate(self, z: Sequence[float]) -> float:
         """Exact sum-of-products evaluation at a single point, read as Python
@@ -392,10 +397,11 @@ class Expression:
     ) -> list[str]:
         """Python statements that set ``target`` to ``evaluate`` at z.
 
-        ``z[j]`` names the local holding z_{j+1}.  The statements repeat
-        evaluate's float operations in its order, so the value is bit for
-        bit the same and ``**`` still raises on overflow; one ``+=`` per
-        term keeps a sum of any length within what ``compile`` accepts.
+        ``z[j]`` names the local holding z_{j+1}.  The statements render
+        ``_compiled``, the spec evaluate runs, so they repeat its float
+        operations, on its numbers, in its order: the value is bit for bit
+        the same and ``**`` still raises on overflow.  One ``+=`` per term
+        keeps a sum of any length within what ``compile`` accepts.
         Each call and power is read through ``values``: evaluated once and
         read by its name where the evaluation dominates, here or in
         statements emitted later with the same table, whose ``statements``
@@ -410,19 +416,13 @@ class Expression:
             )
         table = ValueTable() if values is None else values
         lines = [f"{target} = 0.0"]
-        for t in self.terms:
+        for coeff, monos, facs in self._compiled:
             # listed in the order Python evaluates the product
-            v = [repr(float(t.coeff))]
-            v += [
-                table.read(f"{z[j]} ** {int(e)}")
-                for j, e in enumerate(t.exponents) if e
-            ]
-            for f in t.factors:
-                arg = repr(float(f.bias)) + "".join(
-                    f" + {float(w)!r} * {z[j]}"
-                    for j, w in enumerate(f.weights) if w != 0.0
-                )
-                v.append(table.read(f"{_EMITTED_NAME[f.name]}({arg})"))
+            v = [repr(coeff)]
+            v += [table.read(f"{z[j]} ** {e}") for j, e in monos]
+            for fn, ws, b in facs:
+                arg = repr(b) + "".join(f" + {w!r} * {z[j]}" for j, w in ws)
+                v.append(table.read(f"{_EMITTED_NAME[fn]}({arg})"))
             lines.append(f"{target} += {' * '.join(v)}")
         return lines if values is not None else table.statements(lines)
 
@@ -514,14 +514,7 @@ class Expression:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        out = []
-        for k, t in enumerate(self.terms):
-            body = t.render(abs(t.coeff))
-            if k == 0:
-                out.append(("-" if t.coeff < 0 else "") + body)
-            else:
-                out.append((" - " if t.coeff < 0 else " + ") + body)
-        return "".join(out)
+        return _signed_sum((t.coeff, t.render(abs(t.coeff))) for t in self.terms)
 
 
 # --- guarded quotient ------------------------------------------------------
@@ -547,12 +540,10 @@ class GuardedQuotient:
         return self.numerator.partial(self.divisor_index)
 
     def effective_threshold(self, z: Sequence[float]) -> float:
-        m = 0.0
-        for v in z:
-            a = abs(v)
-            if a > m:
-                m = a
-        return self.tau * (1.0 + m)
+        """``tau * (1 + |z|_inf)``: evaluate runs this formula and emit
+        writes it as the guard's text, so ``max`` keeps 0.0 against a NaN
+        coordinate in both."""
+        return self.tau * (1.0 + max(0.0, *map(abs, z)))
 
     def evaluate(self, z: Sequence[float]) -> float:
         """The guarded quotient at z; each branch reads z as Python floats
@@ -567,16 +558,15 @@ class GuardedQuotient:
     ) -> list[str]:
         """Python statements that set ``target`` to ``evaluate`` at z.
 
-        The guard takes the largest of 0.0 and every ``abs(z_j)`` with
-        ``max``, which, like effective_threshold, skips NaN.  The threshold,
-        and each call and power of the two branches, is read through
-        ``values`` as in Expression.emit; the branches are alternatives
-        (ValueTable.branches).
+        The guard is effective_threshold's formula, so ``max`` skips NaN
+        here as there.  The threshold, and each call and power of the two
+        branches, is read through ``values`` as in Expression.emit; the
+        branches are alternatives (ValueTable.branches).
         """
         zi = z[self.divisor_index - 1]
         table = ValueTable() if values is None else values
         bound = ", ".join(f"abs({v})" for v in z)
-        guard = table.read(f"{float(self.tau)!r} * (1.0 + max(0.0, {bound}))")
+        guard = table.read(f"{self.tau!r} * (1.0 + max(0.0, {bound}))")
         quotient, derivative = table.branches(
             lambda: self.numerator.emit(target, z, table),
             lambda: self.derivative.emit(target, z, table),

@@ -27,6 +27,7 @@ whole LPV file format, belong to :mod:`lpvembed.model`.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Sequence
@@ -54,18 +55,34 @@ __all__ = [
 RECONSTRUCTION_RTOL = 1e-12
 
 
+def _at_origin(rows: Sequence[Expression]) -> list[float]:
+    """Each row's value at z = 0; NonFiniteEntry names the first row whose
+    value there overflows or is not finite."""
+    origin = (0.0,) * rows[0].n_vars
+    values = []
+    for r, row in enumerate(rows, start=1):
+        try:
+            v = row.evaluate(origin)
+        except OverflowError as exc:
+            raise NonFiniteEntry(f"row {r} overflows at z = 0: {exc}") from None
+        if not math.isfinite(v):
+            raise NonFiniteEntry(f"row {r} evaluates to {v} at z = 0")
+        values.append(v)
+    return values
+
+
 def extract_offset(f: Sequence[Expression]):
     """Split f into (f_tilde, c) with c = f(0) and f_tilde(0) = 0 exactly.
 
     c is computed by evaluation; subtracting it as a constant term makes the
-    remainder vanish at the origin bit-exactly.
+    remainder vanish at the origin bit-exactly.  A row that overflows at the
+    origin, or is not finite there, is NonFiniteEntry.
     """
     rows = tuple(f)
     if not rows:
         raise ValueError("empty nonlinearity")
     n_z = rows[0].n_vars
-    origin = (0.0,) * n_z
-    c = np.array([row.evaluate(origin) for row in rows])
+    c = np.array(_at_origin(rows))
     f_tilde = tuple(
         row - Expression.constant(cv, n_z) if cv != 0.0 else row
         for row, cv in zip(rows, c)
@@ -161,7 +178,8 @@ def factorize(
     derivative as its z_i = 0 branch.
 
     Raises :class:`NonzeroAtOrigin` when some row has |f_tilde(0)| > 1e-14
-    (run :func:`extract_offset` first).
+    (run :func:`extract_offset` first), and :class:`NonFiniteEntry` when
+    some row overflows there or is not finite.
     """
     rows = tuple(f_tilde)
     if not rows:
@@ -183,12 +201,10 @@ def factorize(
             )
     c_arr.setflags(write=False)
 
-    origin = (0.0,) * n_z
-    for r, row in enumerate(rows):
-        v = row.evaluate(origin)
+    for r, v in enumerate(_at_origin(rows), start=1):
         if abs(v) > 1e-14:
             raise NonzeroAtOrigin(
-                f"row {r + 1} evaluates to {v:.3e} at z = 0; "
+                f"row {r} evaluates to {v:.3e} at z = 0; "
                 "extract the constant offset first"
             )
 

@@ -65,6 +65,19 @@ def test_validate_rejects_nonzero_dzw(tmp_path, msd_file, capsys):
     assert "error[NonzeroDzw]" in err
 
 
+@pytest.mark.parametrize("command", ["validate", "embed"])
+def test_overflow_at_the_origin_is_typed(tmp_path, msd_file, capsys, command):
+    # exp(800) overflows before the product with z2 = 0 is formed
+    raw = json.loads(msd_file.read_text())
+    raw["f"] = ["exp(z1 + 800)*z2"]
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(raw))
+    argv = ["--out", str(tmp_path / "out")] if command == "embed" else []
+    code, out, err = run(capsys, command, "--model", str(path), *argv)
+    assert code == 1
+    assert err == "error[NonFiniteEntry]: row 1 overflows at z = 0: math range error\n"
+
+
 def test_validate_offset_toy_column_space_violation(tmp_path, capsys):
     # z has two channels but u reaches only the first; the offset needs both
     raw = {

@@ -494,6 +494,22 @@ def test_emitted_values_match_evaluate_bit_for_bit():
     assert checked > 5000 and min(guarded) > 1000
 
 
+def test_term_of_numpy_numbers_evaluates_as_its_emitted_code():
+    # a numpy coefficient, bias and exponent are read as Python numbers, so
+    # evaluate gives the emitted code's bits, as a float, and overflows
+    # where that code does
+    factor = FuncFactor("sin", (np.float64(3.0), 0.0), np.float64(0.25))
+    e = Expression.from_terms([Term(np.float64(0.7), (np.int64(3), 1), (factor,))], 2)
+    assert type(e.terms[0].coeff) is np.float64
+    run = emitted(e, 2)
+    for z in ([0.3, -1.2], [2.5, 0.125], [-1e-3, 7.0]):
+        value = e.evaluate(z)
+        assert type(value) is float and value.hex() == run(*z).hex()
+    for at in (e.evaluate, lambda z: run(*z)):
+        with pytest.raises(OverflowError):
+            at([1e200, 1.0])
+
+
 def emitted_together(entries, n_vars):
     """The function of z1..zn that runs the statements of every entry,
     emitted with one ValueTable, and returns their values."""

@@ -81,6 +81,16 @@ def test_factorize_requires_zero_at_origin():
         factorize((parse("z1^2 + 1", 1),))
 
 
+def test_overflow_at_the_origin_is_typed():
+    f = (parse("z1^2", 2), parse("exp(z1 + 800)*z2", 2))
+    for split in (extract_offset, factorize):
+        with pytest.raises(NonFiniteEntry, match="row 2 overflows at z = 0"):
+            split(f)
+    # a product that overflows to inf without raising is refused too
+    with pytest.raises(NonFiniteEntry, match="row 1 evaluates to inf at z = 0"):
+        factorize((parse("1e300*exp(z1 + 700)", 1),))
+
+
 def test_factorize_rejects_bad_ordering():
     with pytest.raises(InvalidOrdering):
         factorize((parse("z1", 2),), (1, 1))

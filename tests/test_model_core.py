@@ -39,7 +39,7 @@ from lpvembed.errors import (
 from lpvembed.examples import EXAMPLES, builtin_example
 from lpvembed.expr import DEFAULT_GUARD_TAU, Expression, GuardedQuotient, Term
 from lpvembed.factorize import extract_offset
-from lpvembed.model import Dims, _dump, _is_copy
+from lpvembed.model import Dims, _dump, _is_copy, _write
 
 
 def test_msd_validates(msd_raw):
@@ -792,6 +792,64 @@ def test_one_byte_edit_fails_typed_or_loads_its_derived_fields(tmp_path_factory,
         return
     written = json.loads(json.dumps(serialize_lpv(lpv)))
     assert _derived_fields(json.loads(edited)) == _derived_fields(written)
+
+
+def test_rows_of_numpy_numbers_save_and_load(tmp_path, msd_model):
+    # a numpy least-squares fit gives numpy numbers; they print as Python
+    # floats, so both model files load
+    row = msd_model.f[0].scale(np.float64(2.0))
+    assert "np." not in str(row)
+    assert type(row.evaluate([0.3, -0.4])) is float
+    scaled = dataclasses.replace(msd_model, f=(row,))
+    save_model(scaled, tmp_path / "nlfr.json")
+    assert load_nlfr(tmp_path / "nlfr.json").f == (row,)
+    for ordering in ((1, 2), (2, 1)):
+        save_model(embed(scaled, ordering), tmp_path / "lpv.json")
+        assert load_lpv(tmp_path / "lpv.json").schedule.ordering == ordering
+
+
+def _load_then_embed(path, text: str) -> str:
+    """Write text to path with model._write, load it as a nonlinear model
+    and embed that: "load" or "embed" names the step that raised a typed
+    error, "both" says both succeeded, and any other exception escapes."""
+    _write(path, text)
+    try:
+        model = load_nlfr(path)
+    except LpvEmbedError:
+        return "load"
+    try:
+        embed(model)
+    except LpvEmbedError:
+        return "embed"
+    return "both"
+
+
+_NLFR_TEXT = _dump(builtin_example("msd2dof"))
+# byte positions in a fixed shuffled order, as for the LPV files above
+_NLFR_POSITIONS = np.random.default_rng(25).permutation(len(_NLFR_TEXT)).tolist()
+
+
+@settings(derandomize=True, database=None, max_examples=3000, deadline=None)
+@given(st.data())
+def test_one_byte_edit_of_a_nonlinear_file_fails_typed_or_embeds(tmp_path_factory, data):
+    # Any one byte of msd2dof's nonlinear model file replaced by another:
+    # load_nlfr raises a typed error, or embed of what it loads does, or
+    # both succeed.  The file is ASCII; a byte above 127 is written as its
+    # Latin-1 character, so the edited file is still text.
+    k = _NLFR_POSITIONS[data.draw(st.integers(0, len(_NLFR_TEXT) - 1))]
+    char = chr(data.draw(st.sampled_from(b"0123456789-+.eE ,") | st.integers(0, 255)))
+    assume(char != _NLFR_TEXT[k])
+    edited = _NLFR_TEXT[:k] + char + _NLFR_TEXT[k + 1:]
+    path = tmp_path_factory.getbasetemp() / "one_byte_edit_nlfr.json"
+    assert _load_then_embed(path, edited) in ("load", "embed", "both")
+
+
+def test_nonlinear_file_that_overflows_at_the_origin_fails_typed(tmp_path):
+    # the explicit case of the property above: a row that loads, but whose
+    # value at z = 0 overflows when embed extracts the offset
+    raw = builtin_example("msd2dof")
+    raw["f"] = ["exp(z1 + 800)*z2"]
+    assert _load_then_embed(tmp_path / "overflow.json", _dump(raw)) == "embed"
 
 
 def test_divisible_quotient_cell_rejected(msd_model):
