@@ -29,6 +29,16 @@ number as a Python float, and reparses to the identical Expression.
 Each Expression caches one term spec in Python numbers, ``_compiled``:
 ``evaluate`` runs it and ``emit`` renders it as a kernel's statements, so
 both have one term order, one zero filter and one set of numbers.
+
+:func:`parse` reads a text in one pass.  Each printed product becomes one
+term, its coefficients multiplied left to right with the zero drop and
+the overflow check of every product of the operators, and each sum is
+canonicalized once; only a parenthesized sum, or its power, takes part
+in Expression arithmetic.  So a text parses to the Expression, and
+raises the error, that folding it with the operators gives, bit for bit.
+A product by one term without function factors (``scale``, a product by
+a monomial or a constant) and an exact division shift every term's key
+alike, so they keep the canonical order without sorting again.
 """
 
 from __future__ import annotations
@@ -240,40 +250,49 @@ class Term:
         return "*".join(parts)
 
 
+def _finite(coeff: float) -> float:
+    """coeff, unless it is not finite: a product or sum that overflowed."""
+    if not math.isfinite(coeff):
+        raise NonFiniteEntry(f"expression coefficient {coeff} is not finite")
+    return coeff
+
+
 def _canonical_terms(terms: Iterable[Term], n_vars: int) -> tuple[Term, ...]:
-    acc: dict = {}
-    reps: dict = {}
+    """Merge, fold, drop and sort; each term's key is computed once.
+
+    A merged coefficient adds the terms of one key in the order given; the
+    last term of a key gives its exponents and factors, and the first
+    coefficient that is not finite, in order of first appearance, is the
+    one reported.
+    """
+    merged: dict = {}  # key -> (coeff, exponents, factors)
     for t in terms:
-        if len(t.exponents) != n_vars:
-            raise ArityMismatch(
-                f"term has {len(t.exponents)} exponents, expected {n_vars}"
-            )
-        coeff = t.coeff
-        kept = []
-        for f in t.factors:
-            if not all(map(math.isfinite, f.weights)) or not math.isfinite(f.bias):
-                raise NonFiniteEntry(f"function factor {f} is not finite")
-            if all(w == 0.0 for w in f.weights):
+        exps, coeff, factors = t.exponents, t.coeff, t.factors
+        if len(exps) != n_vars:
+            raise ArityMismatch(f"term has {len(exps)} exponents, expected {n_vars}")
+        if factors:
+            kept = []
+            for f in factors:
+                if not all(map(math.isfinite, f.weights)) or not math.isfinite(f.bias):
+                    raise NonFiniteEntry(f"function factor {f} is not finite")
+                if any(f.weights):
+                    kept.append(f)
+                    continue
                 try:
                     coeff *= FUNCTIONS[f.name](f.bias)
                 except OverflowError:
                     raise NonFiniteEntry(f"constant {f} overflows") from None
-            else:
-                kept.append(f)
+            factors = tuple(sorted(kept, key=FuncFactor.key))
         if coeff == 0.0:
             continue
-        factors = tuple(sorted(kept, key=FuncFactor.key))
-        key = (t.exponents, tuple(f.key() for f in factors))
-        acc[key] = acc.get(key, 0.0) + coeff
-        reps[key] = (t.exponents, factors)
-    out = [
-        Term(coeff, *reps[key]) for key, coeff in acc.items() if coeff != 0.0
-    ]
-    for t in out:
-        if not math.isfinite(t.coeff):
-            raise NonFiniteEntry(f"expression coefficient {t.coeff} is not finite")
-    out.sort(key=Term.key)
-    return tuple(out)
+        key = (exps, tuple([f.key() for f in factors]))
+        # each key's sum starts from 0.0 and adds in the order given
+        merged[key] = (merged.get(key, (0.0,))[0] + coeff, exps, factors)
+    for coeff, _, _ in merged.values():
+        _finite(coeff)
+    return tuple([
+        Term(*merged[key]) for key in sorted(merged) if merged[key][0] != 0.0
+    ])
 
 
 @dataclass(frozen=True)
@@ -324,13 +343,31 @@ class Expression:
         return self.scale(-1.0)
 
     def scale(self, s: float) -> "Expression":
-        return Expression.from_terms(
-            [Term(t.coeff * s, t.exponents, t.factors) for t in self.terms],
-            self.n_vars,
-        )
+        """Every coefficient times float(s), so a numpy scalar's precision
+        does not leak into the terms."""
+        return self._times(float(s), None)
+
+    def _times(self, coeff: float, exponents: tuple[int, ...] | None) -> "Expression":
+        """self times ``coeff * z^exponents`` (None: z^0), a term without
+        function factors: every key shifts alike, so the terms stay in
+        canonical order and only the zero drop and the finiteness check of
+        from_terms apply."""
+        out = []
+        for t in self.terms:
+            c = t.coeff * coeff
+            if c != 0.0:
+                exps = t.exponents if exponents is None else tuple(
+                    [a + b for a, b in zip(t.exponents, exponents)]
+                )
+                out.append(Term(_finite(c), exps, t.factors))
+        return Expression(tuple(out), self.n_vars)
 
     def __mul__(self, other: "Expression") -> "Expression":
         self._check_same_arity(other)
+        # one side a single term without function factors: no sort needed
+        for a, b in ((self, other), (other, self)):
+            if len(b.terms) == 1 and not b.terms[0].factors:
+                return a._times(b.terms[0].coeff, b.terms[0].exponents)
         prods = []
         for a in self.terms:
             for b in other.terms:
@@ -497,12 +534,12 @@ class Expression:
         j = i - 1
         if any(t.exponents[j] < 1 for t in self.terms):
             return None
-        out = []
-        for t in self.terms:
-            exps = list(t.exponents)
-            exps[j] -= 1
-            out.append(Term(t.coeff, tuple(exps), t.factors))
-        return Expression.from_terms(out, self.n_vars)
+        # every key loses the same z_i, so the terms stay in canonical order
+        return Expression(tuple([
+            Term(t.coeff, (*t.exponents[:j], t.exponents[j] - 1, *t.exponents[j + 1:]),
+                 t.factors)
+            for t in self.terms
+        ]), self.n_vars)
 
     # --- misc ---------------------------------------------------------------
 
@@ -587,13 +624,16 @@ class GuardedQuotient:
 
 # --- parser -----------------------------------------------------------------
 
+# One match per token, its text in the group of its kind.  Whitespace before
+# a token is skipped; any other character is a token of its own, "bad".
 _TOKEN_RE = re.compile(
-    r"(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"\s*(?:(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>[-+*^()])"
+    r"|(?P<bad>\S))"
 )
 
-_VAR_RE = re.compile(r"z(\d+)\Z")
+_END = ("", "", "", "")  # (num, name, op, bad) of the end of input
 
 #: Deepest nesting of parentheses and function calls the parser accepts;
 #: printed expressions nest at most 2 deep, and the cap keeps the
@@ -605,144 +645,216 @@ MAX_EXPONENT = 256
 
 
 class _Parser:
+    """Recursive descent over the tokens of one text.
+
+    A printed product is folded into one loose term ``(coeff, ((j, e),
+    ...), factors)``: the coefficients multiplied left to right, as
+    Expression's product of single terms multiplies them, the exponents
+    summed and the function factors collected.  Each product is checked as
+    from_terms checks it, so a zero drops the term (a loose None) and an
+    overflow raises NonFiniteEntry at that product.  An operand with
+    several terms, a parenthesized sum or its power, is an Expression, and
+    the rest of its product is Expression arithmetic.  Each sum is
+    canonicalized once, so merges add in written order.
+    """
+
     def __init__(self, text: str, n_vars: int):
         self.text = text
         self.n_vars = n_vars
-        self.tokens: list[tuple[str, str, int]] = []
-        pos = 0
-        while pos < len(text):
-            if text[pos].isspace():
-                pos += 1
-                continue
-            m = _TOKEN_RE.match(text, pos)
-            if m is None:
-                raise ParseError(f"unexpected character {text[pos]!r}", pos)
-            kind = m.lastgroup
-            self.tokens.append((kind, m.group(), pos))
-            pos = m.end()
+        self.tokens = _TOKEN_RE.findall(text)
+        bad = [k for k, (_, _, _, char) in enumerate(self.tokens) if char]
+        if bad:
+            char = self.tokens[bad[0]][3]
+            raise ParseError(f"unexpected character {char!r}", self.pos(bad[0]))
+        self.tokens.append(_END)
         self.k = 0
         self.depth = 0
 
-    def peek(self):
-        if self.k < len(self.tokens):
-            return self.tokens[self.k]
-        return ("end", "", len(self.text))
+    def pos(self, k: int) -> int:
+        """Where token k starts in the text; the end of input is its length."""
+        starts = [m.start(m.lastgroup) for m in _TOKEN_RE.finditer(self.text)]
+        return starts[k] if k < len(starts) else len(self.text)
 
-    def next(self):
-        tok = self.peek()
+    def found(self, k: int) -> str:
+        return "".join(self.tokens[k]) or "end of input"
+
+    def expect_close(self):
+        k = self.k
         self.k += 1
-        return tok
+        if self.tokens[k][2] != ")":
+            raise ParseError(f"expected ')', found {self.found(k)!r}", self.pos(k))
 
-    def expect_op(self, op: str):
-        kind, val, pos = self.next()
-        if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r}, found {val or 'end of input'!r}", pos)
-
-    def group(self, pos: int) -> Expression:
-        """The expression after the "(" at pos, up to its ")"."""
+    def group(self, k: int) -> tuple[Term, ...]:
+        """The canonical terms of the sum after the "(" at token k, up to
+        its ")"."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", pos)
-        e = self.expression()
-        self.expect_op(")")
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", self.pos(k))
+        terms = self.expression()
+        self.expect_close()
         self.depth -= 1
-        return e
+        return terms
 
     def parse(self) -> Expression:
-        e = self.expression()
-        kind, val, pos = self.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected {val!r}", pos)
-        return e
+        terms = self.expression()
+        if self.tokens[self.k] is not _END:
+            raise ParseError(f"unexpected {self.found(self.k)!r}", self.pos(self.k))
+        return Expression(terms, self.n_vars)
 
-    def expression(self) -> Expression:
-        """A signed sum, canonicalized once: merges add in written order."""
-        terms = []
-        kind, val, _ = self.peek()
+    def expression(self) -> tuple[Term, ...]:
+        """A signed sum's canonical terms."""
+        terms: list[Term] = []
+        tokens = self.tokens
         while True:
+            op = tokens[self.k][2]
             sign = 1.0
-            if kind == "op" and val in "+-":
-                self.next()
-                sign = -1.0 if val == "-" else 1.0
-            terms += (
-                Term(sign * t.coeff, t.exponents, t.factors) for t in self.term().terms
-            )
-            kind, val, _ = self.peek()
-            if kind != "op" or val not in "+-":
-                return Expression.from_terms(terms, self.n_vars)
+            if op == "+" or op == "-":
+                self.k += 1
+                sign = -1.0 if op == "-" else 1.0
+            self.product(sign, terms)
+            op = tokens[self.k][2]
+            if op != "+" and op != "-":
+                return _canonical_terms(terms, self.n_vars)
 
-    def term(self) -> Expression:
-        e = self.power()
+    def product(self, sign: float, out: list[Term]) -> None:
+        """Append the terms of one product, times sign, to out."""
+        tokens = self.tokens
+        coeff, exps, factors = 1.0, [0] * self.n_vars, []
+        whole = None  # the product so far, once an operand had several terms
         while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val == "*":
-                self.next()
-                e = e * self.power()
+            p = self.power()
+            if whole is not None:
+                whole = whole * self.as_expression(p)
+            elif coeff == 0.0:
+                pass  # a dropped product stays dropped
+            elif p is None:
+                coeff = 0.0
+            elif type(p) is Expression:
+                so_far = Term(coeff, tuple(exps), tuple(factors))
+                whole = Expression.from_terms([so_far], self.n_vars) * p
             else:
-                return e
+                c, monos, facs = p
+                coeff *= c
+                if coeff != 0.0:
+                    _finite(coeff)
+                    for j, e in monos:
+                        exps[j] += e
+                    factors += facs
+            if tokens[self.k][2] != "*":
+                break
+            self.k += 1
+        if whole is not None:
+            out += [Term(sign * t.coeff, t.exponents, t.factors) for t in whole.terms]
+        elif coeff != 0.0:
+            out.append(Term(sign * coeff, tuple(exps), tuple(factors)))
 
-    def power(self) -> Expression:
-        e = self.atom()
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "^":
-            self.next()
-            kind, val, pos = self.next()
-            if kind == "op" and val == "-":
-                raise NegativeExponent("negative exponent", pos)
-            if kind != "num" or not re.fullmatch(r"\d+", val):
-                raise ParseError("exponent must be a nonnegative integer", pos)
-            digits = val.lstrip("0") or "0"  # int() reads at most 4 300 digits
-            if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
-                raise ParseError(f"exponent is above {MAX_EXPONENT}", pos)
-            e = e ** int(digits)
-        return e
+    def as_expression(self, p) -> Expression:
+        """The Expression of a loose term, or p if it is one."""
+        if type(p) is Expression:
+            return p
+        exps = [0] * self.n_vars
+        terms = []
+        if p is not None:
+            coeff, monos, factors = p
+            for j, e in monos:
+                exps[j] += e
+            terms.append(Term(coeff, tuple(exps), tuple(factors)))
+        return Expression.from_terms(terms, self.n_vars)
 
-    def atom(self) -> Expression:
-        kind, val, pos = self.next()
-        if kind == "num":
-            return Expression.constant(float(val), self.n_vars)
-        if kind == "op" and val == "(":
-            return self.group(pos)
-        if kind == "name":
-            m = _VAR_RE.match(val)
-            if m:
-                idx = int(m.group(1))
-                if not 1 <= idx <= self.n_vars:
-                    raise ParseError(
-                        f"variable {val} out of range for arity {self.n_vars}", pos
-                    )
-                return Expression.variable(idx, self.n_vars)
-            nxt_kind, nxt_val, _ = self.peek()
-            if nxt_kind == "op" and nxt_val == "(":
-                if val not in FUNCTIONS:
-                    raise UnsupportedFunction(
-                        f"unsupported function {val!r} "
-                        f"(supported: {', '.join(sorted(FUNCTIONS))})",
-                        pos,
-                    )
-                arg = self.group(self.next()[2])
-                weights, bias = self._as_affine(arg, pos)
-                factor = FuncFactor(val, weights, bias)
-                return Expression.from_terms(
-                    [Term(1.0, (0,) * self.n_vars, (factor,))], self.n_vars
+    def power(self):
+        """An atom and its power as a loose term, None or an Expression."""
+        p = self.atom()
+        if self.tokens[self.k][2] != "^":
+            return p
+        k = self.k + 1
+        self.k += 2
+        num, _, op, _ = self.tokens[k]
+        if op == "-":
+            raise NegativeExponent("negative exponent", self.pos(k))
+        if not num.isdecimal():
+            raise ParseError("exponent must be a nonnegative integer", self.pos(k))
+        digits = num.lstrip("0") or "0"  # int() reads at most 4 300 digits
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+            raise ParseError(f"exponent is above {MAX_EXPONENT}", self.pos(k))
+        n = int(digits)
+        if n == 0:
+            return 1.0, (), ()
+        if p is None:
+            return None
+        if type(p) is Expression:
+            return self.loose((p ** n).terms)
+        # Expression.__pow__'s n products with p, each checked
+        c, monos, factors = p
+        coeff = 1.0
+        for _ in range(n):
+            coeff *= c
+            if coeff == 0.0:
+                return None
+            _finite(coeff)
+        return coeff, tuple([(j, e * n) for j, e in monos]), factors * n
+
+    def loose(self, terms: tuple[Term, ...]):
+        """Canonical terms as a loose term: None for none, an Expression
+        for several."""
+        if len(terms) > 1:
+            return Expression(terms, self.n_vars)
+        if not terms:
+            return None
+        (t,) = terms
+        return t.coeff, tuple([(j, e) for j, e in enumerate(t.exponents) if e]), t.factors
+
+    def atom(self):
+        k = self.k
+        num, name, op, _ = self.tokens[k]
+        self.k = k + 1
+        if num:  # as Expression.constant
+            coeff = float(num)
+            return None if coeff == 0.0 else (_finite(coeff), (), ())
+        if op == "(":
+            return self.loose(self.group(k))
+        if not name:
+            raise ParseError(f"unexpected {self.found(k)!r}", self.pos(k))
+        if name[0] == "z" and name[1:].isdigit():
+            idx = int(name[1:])
+            if not 1 <= idx <= self.n_vars:
+                raise ParseError(
+                    f"variable {name} out of range for arity {self.n_vars}", self.pos(k)
                 )
-            raise ParseError(f"unknown identifier {val!r}", pos)
-        raise ParseError(f"unexpected {val or 'end of input'!r}", pos)
+            return 1.0, ((idx - 1, 1),), ()
+        if self.tokens[k + 1][2] != "(":
+            raise ParseError(f"unknown identifier {name!r}", self.pos(k))
+        if name not in FUNCTIONS:
+            raise UnsupportedFunction(
+                f"unsupported function {name!r} "
+                f"(supported: {', '.join(sorted(FUNCTIONS))})",
+                self.pos(k),
+            )
+        self.k = k + 2
+        factor = FuncFactor(name, *self.affine(self.group(k + 1), k))
+        if any(factor.weights):
+            return 1.0, (), (factor,)
+        # a constant factor folds into the coefficient 1.0, as in from_terms
+        try:
+            coeff = FUNCTIONS[name](factor.bias)
+        except OverflowError:
+            raise NonFiniteEntry(f"constant {factor} overflows") from None
+        return None if coeff == 0.0 else (_finite(coeff), (), ())
 
-    def _as_affine(self, e: Expression, pos: int):
+    def affine(self, terms: tuple[Term, ...], k: int):
+        """The weights and bias of a function argument; the function's name
+        is token k."""
         weights = [0.0] * self.n_vars
         bias = 0.0
-        for t in e.terms:
+        for t in terms:
             deg = sum(t.exponents)
             if t.factors or deg > 1:
                 raise NonAffineFunctionArgument(
-                    "function argument must be affine in z", pos
+                    "function argument must be affine in z", self.pos(k)
                 )
             if deg == 0:
                 bias += t.coeff
             else:
-                j = next(j for j, ex in enumerate(t.exponents) if ex)
-                weights[j] += t.coeff
+                weights[t.exponents.index(1)] += t.coeff
         return tuple(weights), bias
 
 
@@ -759,7 +871,10 @@ def parse(text: str, n_vars: int) -> Expression:
 
     Function arguments must reduce to affine forms in the variables,
     parentheses and function calls nest at most ``MAX_NESTING`` deep, and
-    an exponent is at most ``MAX_EXPONENT``.
+    an exponent is at most ``MAX_EXPONENT``.  The result is the Expression
+    that folding the text with Expression's operators gives, bit for bit,
+    with the same error at the same place: each term is built in one pass
+    (see _Parser) and each sum canonicalized once.
     """
     if n_vars < 1:
         raise ValueError("n_vars must be >= 1")

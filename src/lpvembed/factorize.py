@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -108,10 +109,17 @@ def _validate_ordering(ordering, n_z: int) -> tuple[int, ...]:
     return ordering
 
 
+@cache
+def _probes(n_vars: int) -> np.ndarray:
+    """The seeded probe points of _check_removable, drawn once per arity."""
+    probes = np.random.default_rng(20240915).uniform(-1.0, 1.0, size=(8, n_vars))
+    probes.setflags(write=False)
+    return probes
+
+
 def _check_removable(numerator: Expression, i: int):
     """Numerically verify the numerator vanishes on the plane z_i = 0."""
-    rng = np.random.default_rng(20240915)
-    probes = rng.uniform(-1.0, 1.0, size=(8, numerator.n_vars))
+    probes = _probes(numerator.n_vars).copy()
     probes[:, i - 1] = 0.0
     scale_probe = probes.copy()
     scale_probe[:, i - 1] = 1.0

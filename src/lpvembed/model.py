@@ -407,19 +407,21 @@ def serialize_nlfr(model: NlfrModel) -> dict:
 # --- LPV validation -----------------------------------------------------------
 
 
-def _cell_raw(e) -> dict:
-    """One schedule entry as the file stores it."""
+def _cell_raw(e, text: str | None = None) -> dict:
+    """One schedule entry as the file stores it; ``text``, if given, is the
+    entry's own expression or numerator as the file spells it, written
+    instead of printing the entry's."""
     if e is None:
         return {"type": "zero"}
     if isinstance(e, GuardedQuotient):
         return {
             "type": "quotient",
-            "numerator": str(e.numerator),
+            "numerator": str(e.numerator) if text is None else text,
             "derivative": str(e.derivative),
             "divisor": e.divisor_index,
             "tau": e.tau,
         }
-    return {"type": "exact", "expr": str(e)}
+    return {"type": "exact", "expr": str(e) if text is None else text}
 
 
 def schedule_to_raw(m: SchedulingMap) -> dict:
@@ -437,7 +439,9 @@ def schedule_from_raw(raw: dict, n_w: int, n_z: int) -> SchedulingMap:
     Each entry is :func:`~lpvembed.factorize._entry` of its numerator,
     ``parse(expr) * z_i`` or ``parse(numerator)``, whose text may be spelled
     any way the parser reads; the cell's other keys must be what
-    :func:`schedule_to_raw` writes.
+    :func:`schedule_to_raw` writes.  Only derived text, a quotient's
+    derivative, is printed: a cell whose entry is of another type than
+    the file says fails on its type, the first key compared.
     """
     ordering = _validate_ordering(_field(raw, "ordering", list, "schedule"), n_z)
     c = _as_array("c", _field(raw, "c", where="schedule"), (n_w,))
@@ -454,15 +458,14 @@ def schedule_from_raw(raw: dict, n_w: int, n_z: int) -> SchedulingMap:
             kind = _field(cell, "type", where=where)
             # the primary text, which the file may spell its own way; any
             # other cell has none and must be what a zero entry writes
-            text, entry = {}, None
+            text, entry = None, None
             if kind == "exact":
-                text = {"expr": _field(cell, "expr", where=where)}
-                num = parse(text["expr"], n_z) * Expression.variable(i, n_z)
-                entry = _entry(num, i)
+                text = _field(cell, "expr", where=where)
+                entry = _entry(parse(text, n_z) * Expression.variable(i, n_z), i)
             elif kind == "quotient":
-                text = {"numerator": _field(cell, "numerator", where=where)}
-                entry = _entry(parse(text["numerator"], n_z), i)
-            _check_copy(cell, {**_cell_raw(entry), **text}, where)
+                text = _field(cell, "numerator", where=where)
+                entry = _entry(parse(text, n_z), i)
+            _check_copy(cell, _cell_raw(entry, text), where)
             row.append(entry)
         grid.append(tuple(row))
     return SchedulingMap(tuple(grid), ordering, c)

@@ -2,9 +2,14 @@
 
 import dataclasses
 import math
+import operator
+import re
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     assert_expr_close,
@@ -15,6 +20,7 @@ from conftest import (
 )
 from lpvembed.errors import (
     ArityMismatch,
+    LpvEmbedError,
     NegativeExponent,
     NonAffineFunctionArgument,
     NonFiniteEntry,
@@ -182,6 +188,221 @@ def test_parse_sum_matches_left_fold():
         got = parse(text, 2)
         assert got.terms == ref.terms, text
         assert str(got) == str(ref)
+
+
+_REF_TOKEN = re.compile(
+    r"(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<op>[-+*^()])"
+)
+
+
+def reference_parse(text: str, n: int) -> Expression:
+    """parse folded from Expression's operators: every number, variable
+    and call an Expression of its own, every product, power and sum an
+    operator, so each step is canonicalized and checked on its own."""
+    tokens, pos = [], 0
+    while pos < len(text):
+        if text[pos].isspace():
+            pos += 1
+            continue
+        m = _REF_TOKEN.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+        tokens.append((m.lastgroup, m.group(), pos))
+        pos = m.end()
+    tokens.append(("end", "", len(text)))
+    state = {"k": 0, "depth": 0}
+
+    def peek_op():
+        kind, val, _ = tokens[state["k"]]
+        return val if kind == "op" else None
+
+    def take():
+        state["k"] += 1
+        return tokens[state["k"] - 1]
+
+    def group(at):
+        state["depth"] += 1
+        if state["depth"] > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", at)
+        e = expression()
+        kind, val, at = take()
+        if (kind, val) != ("op", ")"):
+            raise ParseError(f"expected ')', found {val or 'end of input'!r}", at)
+        state["depth"] -= 1
+        return e
+
+    def expression():
+        # a sum is canonicalized once, after its last term
+        terms = []
+        while True:
+            sign = take()[1] if peek_op() in ("+", "-") else "+"
+            t = term()
+            terms += (t.scale(-1.0) if sign == "-" else t).terms
+            if peek_op() not in ("+", "-"):
+                return Expression.from_terms(terms, n)
+
+    def term():
+        e = power()
+        while peek_op() == "*":
+            take()
+            e = e * power()
+        return e
+
+    def power():
+        e = atom()
+        if peek_op() != "^":
+            return e
+        take()
+        kind, val, at = take()
+        if (kind, val) == ("op", "-"):
+            raise NegativeExponent("negative exponent", at)
+        if kind != "num" or not re.fullmatch(r"\d+", val):
+            raise ParseError("exponent must be a nonnegative integer", at)
+        digits = val.lstrip("0") or "0"
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+            raise ParseError(f"exponent is above {MAX_EXPONENT}", at)
+        return e ** int(digits)
+
+    def atom():
+        kind, val, at = take()
+        if kind == "num":
+            return Expression.constant(float(val), n)
+        if (kind, val) == ("op", "("):
+            return group(at)
+        if kind != "name":
+            raise ParseError(f"unexpected {val or 'end of input'!r}", at)
+        m = re.match(r"z(\d+)\Z", val)
+        if m:
+            if not 1 <= int(m.group(1)) <= n:
+                raise ParseError(f"variable {val} out of range for arity {n}", at)
+            return Expression.variable(int(m.group(1)), n)
+        if peek_op() != "(":
+            raise ParseError(f"unknown identifier {val!r}", at)
+        if val not in FUNCTIONS:
+            raise UnsupportedFunction(
+                f"unsupported function {val!r} (supported: {', '.join(sorted(FUNCTIONS))})",
+                at,
+            )
+        arg = group(take()[2])
+        weights, bias = [0.0] * n, 0.0
+        for t in arg.terms:
+            if t.factors or sum(t.exponents) > 1:
+                raise NonAffineFunctionArgument("function argument must be affine in z", at)
+            if sum(t.exponents) == 0:
+                bias += t.coeff
+            else:
+                weights[t.exponents.index(1)] += t.coeff
+        factor = FuncFactor(val, tuple(weights), bias)
+        return Expression.from_terms([Term(1.0, (0,) * n, (factor,))], n)
+
+    e = expression()
+    kind, val, at = tokens[state["k"]]
+    if kind != "end":
+        raise ParseError(f"unexpected {val!r}", at)
+    return e
+
+
+def _outcome(parser, text, n):
+    """The terms parser gives, every float as its bytes, or its error's
+    type, message and position."""
+    try:
+        e = parser(text, n)
+    except LpvEmbedError as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+    pack = struct.Struct("d").pack
+    return [
+        (pack(t.coeff), t.exponents,
+         [(f.name, [pack(w) for w in f.weights], pack(f.bias)) for f in t.factors])
+        for t in e.terms
+    ]
+
+
+# numbers that overflow or underflow in products and powers, and zeros
+_NUMBERS = ("0", "0.0", "1", "2", "0.5", "2.5", "10", ".5", "3.", "1e308", "1e-200",
+            "1e-160", "1e999", "700", "1000", "0.1", "3e-5")
+# tokens that break the grammar somewhere, or fold, overflow or underflow
+_STRAYS = ("@", ")", "(", "*", "+", "-", "^", "^-1", "^2.5", "^300", "^0", "z3", "z0",
+           "q", "foo(", "sin", "cos(0*z1 + 0.5)", "z1*1e308*10", "1e-200*1e-200*z1",
+           "exp(1000)", "0*", " ")
+
+
+def _grammar_text(tape: list[int]) -> str:
+    """A text of the grammar, each choice read off the tape (the first
+    option once it runs out): signed sums of up to four products of up to
+    four powers 0 to 4 of numbers, variables, calls and parenthesized sums,
+    nested at most three deep."""
+    choices = iter(tape)
+
+    def pick(options):
+        return options[next(choices, 0) % len(options)]
+
+    def more(count):
+        return count < 4 and pick((False, True))
+
+    def power(depth):
+        kind = pick(("leaf", "leaf", "group", "call")) if depth < 3 else "leaf"
+        if kind == "leaf":
+            atom = pick(_LEAVES)
+        elif kind == "group":
+            atom = f"({signed_sum(depth + 1)})"
+        else:
+            atom = f"{pick(sorted(FUNCTIONS))}({signed_sum(depth + 1)})"
+        return atom + pick(("", "^0", "^1", "^2", "^3", "^4"))
+
+    def product(depth):
+        powers = [power(depth)]
+        while more(len(powers)):
+            powers.append(power(depth))
+        return "*".join(powers)
+
+    def signed_sum(depth):
+        text = pick(("", "-", "+")) + product(depth)
+        count = 1
+        while more(count):
+            text += pick((" + ", " - ")) + product(depth)
+            count += 1
+        return text
+
+    return signed_sum(0)
+
+
+_LEAVES = ("z1", "z2", "cos(0*z1 + 0.5)", "0*z1") + _NUMBERS
+
+
+@settings(derandomize=True, database=None, max_examples=1500, deadline=None)
+@given(st.lists(st.integers(0, 2**16), min_size=8, max_size=160), st.data())
+def test_parse_matches_operator_fold(tape, data):
+    # the one-pass parser gives the Expression, or the error, that folding
+    # the tokens with Expression's operators gives, bit for bit
+    text = _grammar_text(tape)
+    if data.draw(st.booleans()):  # a stray token somewhere
+        k = data.draw(st.integers(0, len(text)))
+        text = text[:k] + data.draw(st.sampled_from(_STRAYS)) + text[k:]
+    assert _outcome(parse, text, 2) == _outcome(reference_parse, text, 2), text
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("z1*1e308*10", (NonFiniteEntry, "expression coefficient inf is not finite", None)),
+    ("-z1*1e308*10 + foo(z1)", (NonFiniteEntry, "expression coefficient inf is not finite", None)),
+    ("1e-200*1e-200*z1*1e308*1e308", []),
+    ("0^0*z2", "z2"),
+    ("(1e-200*z1 + 1e-200)^2*z2", []),
+    ("cos(0*z1 + 0.5)*z1", f"{math.cos(0.5)!r}*z1"),
+    ("exp(1000)*0", (NonFiniteEntry, "constant exp(1000) overflows", None)),
+    ("2*(z1 - z2)*3*z1", "-6*z1*z2 + 6*z1^2"),
+])
+def test_parse_fold_cases(text, expected):
+    # a product checks each step as Expression's operators do: an overflow
+    # raises at its product, before later atoms are read, and a product
+    # that underflows to zero is dropped with what follows it
+    got = _outcome(parse, text, 2)
+    assert got == _outcome(reference_parse, text, 2)
+    if isinstance(expected, str):
+        assert str(parse(text, 2)) == expected
+    else:
+        assert got == expected
 
 
 def test_canonical_merge_and_constant_fold():
@@ -396,6 +617,40 @@ def test_divide_soundness_property():
             lhs = back.evaluate(z) * z[i - 1]
             rhs = multiplied.evaluate(z)
             assert abs(lhs - rhs) <= 1e-14 * (1.0 + abs(rhs))
+
+
+def test_products_by_one_plain_term_keep_canonical_order():
+    # a product by one term without function factors, scale and exact
+    # division build their terms without sorting; they are what
+    # from_terms of the same terms gives, zero drops included
+    rng = np.random.default_rng(26)
+    for _ in range(60):
+        n = int(rng.integers(1, 5))
+        e = random_expression(rng, n)
+        exps = tuple(int(v) for v in rng.integers(0, 3, n))
+        coeff = float(rng.choice([1.0, -2.5, 1e-320, 0.0]))
+        plain = Expression.from_terms([Term(coeff, exps, ())], n)
+        products = Expression.from_terms(
+            [Term(t.coeff * coeff, tuple(map(operator.add, t.exponents, exps)), t.factors)
+             for t in e.terms], n)
+        assert (e * plain).terms == (plain * e).terms == products.terms
+        assert e.scale(coeff).terms == Expression.from_terms(
+            [Term(t.coeff * coeff, t.exponents, t.factors) for t in e.terms], n).terms
+        i = int(rng.integers(1, n + 1))
+        shifted = e * Expression.variable(i, n)
+        assert shifted.try_exact_divide(i).terms == e.terms
+    with pytest.raises(NonFiniteEntry, match="coefficient inf"):
+        parse("1e300*z1 + 1e300", 1) * parse("1e10*z1^2", 1)
+
+
+def test_scale_multiplies_by_a_python_float():
+    # numpy 2 keeps float32 in float32 * float products; scale converts
+    # first, so a float32 factor prints as the float it holds
+    row = parse(MSD_F, 2)
+    expected = "0.30000000000000004*z2*sin(10*z1) + 0.6000000000000001*z2^2 + 30*z1^3"
+    assert str(row.scale(3.0)) == expected
+    assert str(row.scale(np.float32(3.0))) == expected
+    assert {type(t.coeff) for t in row.scale(np.float32(3.0)).terms} == {float}
 
 
 # --- guarded quotients ----------------------------------------------------------------

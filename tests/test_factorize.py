@@ -14,6 +14,7 @@ from lpvembed.errors import InvalidOrdering, NonFiniteEntry, NonzeroAtOrigin
 from lpvembed.expr import GuardedQuotient, parse
 from lpvembed.factorize import (
     SchedulingMap,
+    _probes,
     check_reconstruction,
     extract_offset,
     factorize,
@@ -227,3 +228,14 @@ def test_guard_continuity_of_produced_entries():
                     found += 1
                     assert_guard_continuous(entry, rng, n_contexts=4)
     assert found > 0  # the sample must actually exercise guarded entries
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_removability_probes_are_drawn_once_per_arity(n):
+    # the seeded draw each check made for itself, now kept read-only
+    probes = _probes(n)
+    expected = np.random.default_rng(20240915).uniform(-1.0, 1.0, (8, n))
+    assert probes.tobytes() == expected.tobytes() and probes.shape == (8, n)
+    assert _probes(n) is probes
+    with pytest.raises(ValueError, match="read-only"):
+        probes[0, 0] = 0.0

@@ -3,12 +3,14 @@
 import copy
 import dataclasses
 import hashlib
+import importlib.util
 import itertools
 import json
 import math
 import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -210,6 +212,42 @@ def test_loaded_offset_solution_equals_embeds(tmp_path):
         assert np.array_equal(loaded.d, lpv.offset.d)
         assert np.array_equal(loaded.y0, lpv.offset.y0)
         assert loaded.residual == lpv.offset.residual
+
+
+def _synth():
+    """lpvbench's seeded synthetic model family, read from its file."""
+    path = Path(__file__).resolve().parent.parent / "lpvbench" / "synth.py"
+    spec = importlib.util.spec_from_file_location("lpvbench_synth", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", ["synth5", "synth64"])
+def test_loaded_lpv_files_save_to_their_bytes(tmp_path, name):
+    # the benchmark's models: synth5 has an offset and exact, guarded and
+    # zero cells, and each of its 120 orderings is checked; synth64 has
+    # n_x = 64 and four terms per row
+    synth = _synth()
+    if name == "synth5":
+        raw = synth.synth_model(1, n_x=16, n_u=5, n_y=2, n_w=3, n_z=5,
+                                terms_per_row=2, offset=True)
+        orderings = list(itertools.permutations(range(1, 6)))
+    else:
+        raw = synth.synth_model(1, n_x=64, n_u=2, n_y=2, n_w=4, n_z=6, terms_per_row=4)
+        orderings = [None]
+    m = validate_nlfr(raw)
+    kinds = set()
+    for k, ordering in enumerate(orderings):
+        path, again = tmp_path / f"{k}.json", tmp_path / f"{k}_again.json"
+        lpv = embed(m, ordering)
+        save_model(lpv, path)
+        save_model(load_lpv(path), again)
+        assert again.read_bytes() == path.read_bytes(), ordering
+        kinds |= {type(e) for row in lpv.schedule.entries for e in row}
+    if name == "synth5":
+        assert np.all(m.f[0].evaluate([0.0] * 5) != 0.0)
+        assert kinds == {type(None), Expression, GuardedQuotient}
 
 
 def test_lpv_empty_basis_round_trip(tmp_path):
