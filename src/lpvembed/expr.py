@@ -23,12 +23,13 @@ Canonical form: terms are merged on exact equality of their exponent tuple
 and factor list (floats compared exactly, no tolerances), zero-coefficient
 terms are dropped, function factors whose weights are all zero are folded
 into the coefficient, and terms are kept sorted by exponent tuple then
-factor list.  The printed form (``str``) is deterministic, writes a numpy
-number as a Python float, and reparses to the identical Expression.
+factor list.  Every number is a Python float and every exponent an int,
+converted where the terms are canonicalized.  The printed form (``str``)
+is deterministic and reparses to the identical Expression.
 
-Each Expression caches one term spec in Python numbers, ``_compiled``:
-``evaluate`` runs it and ``emit`` renders it as a kernel's statements, so
-both have one term order, one zero filter and one set of numbers.
+Each Expression caches one term spec, ``_compiled``: ``evaluate`` runs
+it and ``emit`` renders it as a kernel's statements, so both have one
+term order, one zero filter and one set of numbers.
 
 :func:`parse` reads a text in one pass.  Each printed product becomes one
 term, its coefficients multiplied left to right with the zero drop and
@@ -44,6 +45,7 @@ alike, so they keep the canonical order without sorting again.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -181,7 +183,6 @@ class ValueTable:
 
 
 def _format_float(v: float) -> str:
-    v = float(v)  # a numpy number prints as a Python float
     if v.is_integer() and abs(v) < 1e16:
         return str(int(v))
     return repr(v)
@@ -257,10 +258,32 @@ def _finite(coeff: float) -> float:
     return coeff
 
 
+def _real(v, what: str) -> float:
+    """v as a Python float: ParseError for a bool or a number that is not
+    real, NonFiniteEntry for one beyond float range."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise ParseError(f"{what} {v!r} is not a real number")
+    try:
+        return float(v)
+    except OverflowError:
+        raise NonFiniteEntry(f"{what} {v!r} is beyond float range") from None
+
+
+def _exponent(e) -> int:
+    """e as a Python int: ParseError unless an integer, NegativeExponent below 0."""
+    if isinstance(e, bool) or not isinstance(e, numbers.Integral):
+        raise ParseError(f"exponent {e!r} is not a nonnegative integer")
+    if e < 0:
+        raise NegativeExponent(f"negative exponent {e}")
+    return int(e)
+
+
 def _canonical_terms(terms: Iterable[Term], n_vars: int) -> tuple[Term, ...]:
     """Merge, fold, drop and sort; each term's key is computed once.
 
-    A merged coefficient adds the terms of one key in the order given; the
+    Numbers are stored as Python floats, exponents as ints, and what would
+    not reparse from its printed text is refused (_real, _exponent).  A
+    merged coefficient adds the terms of one key in the order given; the
     last term of a key gives its exponents and factors, and the first
     coefficient that is not finite, in order of first appearance, is the
     one reported.
@@ -270,9 +293,18 @@ def _canonical_terms(terms: Iterable[Term], n_vars: int) -> tuple[Term, ...]:
         exps, coeff, factors = t.exponents, t.coeff, t.factors
         if len(exps) != n_vars:
             raise ArityMismatch(f"term has {len(exps)} exponents, expected {n_vars}")
+        # cheap tests let Python numbers through (and a bool exponent, as
+        # the int it equals); anything else is converted or refused
+        if type(coeff) is not float:
+            coeff = _real(coeff, "coefficient")
+        if type(sum(exps)) is not int or min(exps) < 0:
+            exps = tuple(map(_exponent, exps))
         if factors:
             kept = []
             for f in factors:
+                if type(f.bias) is not float or {*map(type, f.weights)} != {float}:
+                    weights = tuple([_real(w, "weight") for w in f.weights])
+                    f = FuncFactor(f.name, weights, _real(f.bias, "bias"))
                 if not all(map(math.isfinite, f.weights)) or not math.isfinite(f.bias):
                     raise NonFiniteEntry(f"function factor {f} is not finite")
                 if any(f.weights):
@@ -314,7 +346,7 @@ class Expression:
 
     @classmethod
     def constant(cls, value: float, n_vars: int) -> "Expression":
-        return cls.from_terms([Term(float(value), (0,) * n_vars, ())], n_vars)
+        return cls.from_terms([Term(value, (0,) * n_vars, ())], n_vars)
 
     @classmethod
     def variable(cls, i: int, n_vars: int) -> "Expression":
@@ -391,19 +423,13 @@ class Expression:
     def _compiled(self):
         """The spec ``evaluate`` runs and ``emit`` renders: per term
         ``(coeff, ((j, e), ...), ((fn, ((j, w), ...), bias), ...))``, only
-        nonzero exponents and weights, every number a Python one."""
-        def nonzero(values, cast):
-            return tuple([(j, cast(v)) for j, v in enumerate(values) if v])
+        nonzero exponents and weights."""
+        def nonzero(values):
+            return tuple([(j, v) for j, v in enumerate(values) if v])
 
         return tuple([
-            (
-                float(t.coeff),
-                nonzero(t.exponents, int),
-                tuple([
-                    (FUNCTIONS[f.name], nonzero(f.weights, float), float(f.bias))
-                    for f in t.factors
-                ]),
-            )
+            (t.coeff, nonzero(t.exponents),
+             tuple([(FUNCTIONS[f.name], nonzero(f.weights), f.bias) for f in t.factors]))
             for t in self.terms
         ])
 
@@ -661,6 +687,7 @@ class _Parser:
     def __init__(self, text: str, n_vars: int):
         self.text = text
         self.n_vars = n_vars
+        self.index_digits = len(str(n_vars))  # the most a variable's index has
         self.tokens = _TOKEN_RE.findall(text)
         bad = [k for k, (_, _, _, char) in enumerate(self.tokens) if char]
         if bad:
@@ -815,7 +842,8 @@ class _Parser:
         if not name:
             raise ParseError(f"unexpected {self.found(k)!r}", self.pos(k))
         if name[0] == "z" and name[1:].isdigit():
-            idx = int(name[1:])
+            digits = name[1:].lstrip("0") or "0"  # int() reads at most 4 300 digits
+            idx = int(digits) if len(digits) <= self.index_digits else 0
             if not 1 <= idx <= self.n_vars:
                 raise ParseError(
                     f"variable {name} out of range for arity {self.n_vars}", self.pos(k)

@@ -1,11 +1,13 @@
 """End-to-end command-line tests driving the full pipeline."""
 
 import ast
+import dataclasses
 import hashlib
 import json
 import math
 import os
 import stat
+import subprocess
 import sys
 import threading
 import time
@@ -18,7 +20,9 @@ import pytest
 import lpvembed
 from lpvembed import cli
 from lpvembed.cli import MAX_STEPS, main
+from lpvembed.embed import embed
 from lpvembed.errors import HurwitzWarning
+from lpvembed.factorize import SchedulingMap
 
 
 def run(capsys, *argv):
@@ -52,7 +56,7 @@ def test_validate_msd(msd_file, capsys):
     code, out, err = run(capsys, "validate", "--model", str(msd_file))
     assert code == 0
     assert "RESULT: embeddable" in out
-    assert "check[offset]" in out and "PASS" in out
+    assert "offset: c = 0" in out and "reconstruction PASS" in out
 
 
 def test_validate_rejects_nonzero_dzw(tmp_path, msd_file, capsys):
@@ -519,6 +523,11 @@ def _integer_beyond_str_limit(msd_file):
     return "validate", text.replace('"n_x": 4,', '"n_x": ' + "9" * 5000 + ",").encode()
 
 
+def _variable_beyond_str_limit(msd_file):
+    # a variable's index is read with int() too
+    return "validate", _msd_edited(msd_file, "f", ["z" + "9" * 5000])
+
+
 @pytest.mark.parametrize(
     "make, code_name",
     [
@@ -528,9 +537,10 @@ def _integer_beyond_str_limit(msd_file):
         (_input_not_utf8, "InputFormatError"),
         (_integer_beyond_float_range, "ModelFormatError"),
         (_integer_beyond_str_limit, "ModelFormatError"),
+        (_variable_beyond_str_limit, "ParseError"),
     ],
     ids=["f-row-nested-300", "dims-nested-100000", "model-0xff", "input-0xff",
-         "A-401-digits", "n_x-5000-digits"],
+         "A-401-digits", "n_x-5000-digits", "f-variable-5000-digits"],
 )
 def test_out_of_range_file_is_typed(tmp_path, msd_file, capsys, make, code_name):
     command, model_bytes = make(msd_file)
@@ -597,7 +607,7 @@ GOLDEN_SHA256 = {
     "msd2dof_nlfr.json":
         "0577ff21e952947fbc476cbb3424d463760a3735949570c3220987210e264a16",
     "validate.txt":
-        "741f06edf90dc40eb372c7577f68576560d894bc2a39572227be8267c1758c3c",
+        "decf997e7c7ea33447a2cfaaa02fdc664aa87695ac9d8ca5b52f3ca0d6f86f5b",
     "1,2/msd2dof_nlfr_lpv.json":
         "dde163c6f1675675a93221f7c8fc202b69341336a71b99907d34b76a7b4f21dc",
     "1,2/msd2dof_nlfr_embed_report.txt":
@@ -702,10 +712,10 @@ OFFSET_MODELS = {
 }
 
 # sha256 of validate's stdout, the embed report and the LPV file of each
-# offset model: its check[offset], offset: and stability: lines and its d and y0
+# offset model: its offset: and stability: lines and its d and y0
 GOLDEN_OFFSET_SHA256 = {
     "stable_validate.txt":
-        "a27a9f9cea60693cc385d5f4d8625cf5d6e95bc46390d64f2582d0d177258cdd",
+        "029f4215fad1e84ab6abc0bb51c90a0fae25ed6b049368aedfe2797a91a4892c",
     "1,2/stable_lpv.json":
         "360436e9be9e9edfe68b7e70f6592ec41a453d5e15dd149955ddee54469835d9",
     "1,2/stable_embed_report.txt":
@@ -715,7 +725,7 @@ GOLDEN_OFFSET_SHA256 = {
     "2,1/stable_embed_report.txt":
         "26df9bb3eee6a3f6e472d33fc2f2b037a6d2d0c532edf82df2a9129a0d81d6ed",
     "unstable_validate.txt":
-        "7aa663bc0335b9d75139c1e937fc4f0efc0ac119f5e12902056e0d005248ea3e",
+        "3addcbfc8320ba65d923c122a6fafc0ff21bcf69f78f689f98e979c1fd0048f4",
     "1/unstable_lpv.json":
         "5adedc3295a94c1fce5043c5f95611852e58abb8292ce2e3dc09ff9ba52c86a6",
     "1/unstable_embed_report.txt":
@@ -740,12 +750,104 @@ def test_golden_offset_artifacts(tmp_path, capsys, monkeypatch):
                         "--ordering", ordering, "--out", ordering,
                     )
                 assert code == 0, err
-                # only embed gives the stability advice, and only for a
-                # non-Hurwitz A
+                # embed gives the stability advice only for a non-Hurwitz A
                 expected = [HurwitzWarning] if name == "unstable" else []
                 assert [w.category for w in caught] == expected
         digests = {name: sha256(tmp_path / name) for name in GOLDEN_OFFSET_SHA256}
         assert digests == GOLDEN_OFFSET_SHA256
+
+
+# --- validate: embed's pipeline, without the files ----------------------------
+
+
+def _model_file(tmp_path, msd_file, name):
+    """msd2dof's file, or an OFFSET_MODELS one written to tmp_path."""
+    if name == "msd2dof":
+        return msd_file
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(OFFSET_MODELS[name][0]))
+    return path
+
+
+@pytest.mark.parametrize("name", ["msd2dof", "stable", "unstable"])
+def test_validate_prints_the_default_embed_report(tmp_path, msd_file, capsys,
+                                                  monkeypatch, name):
+    # validate's lines between model: and its reconstruction line are the
+    # report embed writes at the default ordering, and validate writes no file
+    model = _model_file(tmp_path, msd_file, name)
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    with warnings.catch_warnings(record=True):
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "validate", "--model", str(model))
+        assert code == 0, err
+        assert sorted(tmp_path.rglob("*")) == before
+        assert run(capsys, "embed", "--model", str(model), "--out", "out")[0] == 0
+    lines = out.splitlines(keepends=True)
+    assert lines[0] == f"model: {model}\n"
+    assert lines[-2].startswith("reconstruction PASS: ")
+    assert lines[-1] == "RESULT: embeddable\n"
+    report = (tmp_path / "out" / f"{model.stem}_embed_report.txt").read_text()
+    assert "".join(lines[1:-2]) == report
+
+
+@pytest.mark.parametrize(
+    "name, edit, code_name, message",
+    [
+        ("unstable", {"f": ["exp(z1 + 800)*z1"]}, "NonFiniteEntry",
+         "row 1 overflows at z = 0"),
+        ("unstable", {"A": [[0.0]]}, "SingularA", "A is singular"),
+        # no path from u to z, so the offset cannot be cancelled
+        ("stable", {"Bu": [[0.0, 0.0]] * 2, "Dzu": [[0.0, 0.0]] * 2},
+         "ColumnSpaceViolation", "outside the column space"),
+        # embed succeeds; exp(900*z1) overflows at the third probe
+        ("stable", {"f": ["exp(900*z1)*z2", "z2^3"]}, "NonFiniteEntry",
+         "overflow at sample #2"),
+    ],
+    ids=["overflow-at-origin", "singular-A-offset", "column-space", "overflow-at-probe"],
+)
+def test_validate_refusal_prints_nothing(tmp_path, capsys, name, edit, code_name, message):
+    # validate prints nothing before embed and the check have returned
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({**OFFSET_MODELS[name][0], **edit}))
+    code, out, err = run(capsys, "validate", "--model", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error[{code_name}]: ") and message in err
+    assert err.count("\n") == 1
+
+
+def test_validate_unstable_offset_warns_on_stderr(tmp_path):
+    # the console script's own stderr, where pytest would record the warning
+    path = tmp_path / "unstable.json"
+    path.write_text(json.dumps(OFFSET_MODELS["unstable"][0]))
+    src = str(Path(lpvembed.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-m", "lpvembed.cli", "validate", "--model", str(path)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "(NOT Hurwitz; corrections propagated anyway)\n" in proc.stdout
+    assert "HurwitzWarning: A is not Hurwitz" in proc.stderr
+    assert proc.stdout.endswith("RESULT: embeddable\n")
+
+
+def test_validate_reconstruction_failure_is_refused(msd_file, capsys, monkeypatch):
+    # an embedding whose entry (1, 1) was zeroed, as in test_factorize's
+    # negative control, fails the sampled check
+    def broken_embed(model):
+        lpv = embed(model)
+        m = lpv.schedule
+        rows = ((None, m.entry(1, 2)),)
+        return dataclasses.replace(lpv, schedule=SchedulingMap(rows, m.ordering, m.c))
+
+    monkeypatch.setattr(cli, "embed", broken_embed)
+    code, out, err = run(capsys, "validate", "--model", str(msd_file))
+    assert code == 1
+    assert out.splitlines()[-1].startswith("reconstruction FAIL: ")
+    assert "RESULT" not in out
+    assert err == "error[ToleranceExceeded]: the sampled reconstruction check failed\n"
 
 
 # --- compare's NLFR run in a forked child ---------------------------------------

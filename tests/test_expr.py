@@ -653,6 +653,63 @@ def test_scale_multiplies_by_a_python_float():
     assert {type(t.coeff) for t in row.scale(np.float32(3.0)).terms} == {float}
 
 
+def test_terms_store_python_numbers():
+    # numpy and other real numbers become Python floats and ints where the
+    # terms are canonicalized, so a float32 coefficient's products are
+    # float64 products of the float it holds
+    factor = FuncFactor("sin", (np.float32(0.5), np.int64(2)), np.float32(0.25))
+    e = Expression.from_terms([Term(np.float32(0.1), (np.int64(2), 1), (factor,))], 2)
+    (t,) = e.terms
+    assert type(t.coeff) is float and t.coeff == float(np.float32(0.1))
+    assert [type(v) for v in t.exponents] == [int, int]
+    assert [type(v) for v in (*t.factors[0].weights, t.factors[0].bias)] == [float] * 3
+    want = Expression.from_terms(
+        [Term(float(np.float32(0.1)), (2, 1), (FuncFactor("sin", (0.5, 2.0), 0.25),))], 2
+    )
+    three = Expression.constant(np.float32(3.0), 2)
+    assert str(e * three) == str(want * Expression.constant(3.0, 2))
+    assert parse(str(e), 2) == e
+    assert type(Expression.constant(np.int64(4), 1).terms[0].coeff) is float
+
+
+@pytest.mark.parametrize(
+    "term, error, message",
+    [
+        (Term(2.0, (-1,), ()), NegativeExponent, "negative exponent -1"),
+        (Term(2.0, (np.int64(-2),), ()), NegativeExponent, "negative exponent -2"),
+        (Term(2.0, (1.5,), ()), ParseError, "exponent 1.5 is not"),
+        (Term(2.0, (2.0,), ()), ParseError, "exponent 2.0 is not"),
+        (Term(True, (1,), ()), ParseError, "coefficient True is not a real"),
+        (Term(np.bool_(True), (1,), ()), ParseError, "is not a real number"),
+        (Term(1j, (1,), ()), ParseError, "coefficient 1j is not a real"),
+        (Term("2", (1,), ()), ParseError, "coefficient '2' is not a real"),
+        (Term(1.0, (1,), (FuncFactor("sin", (False,), 0.0),)), ParseError,
+         "weight False is not a real"),
+        (Term(1.0, (1,), (FuncFactor("sin", (1.0,), 1j),)), ParseError,
+         "bias 1j is not a real"),
+        (Term(10**400, (1,), ()), NonFiniteEntry, "beyond float range"),
+    ],
+    ids=["exponent-1", "exponent-int64-2", "exponent-1.5", "exponent-2.0",
+         "coeff-True", "coeff-bool_", "coeff-1j", "coeff-text", "weight-False",
+         "bias-1j", "coeff-10^400"],
+)
+def test_terms_refuse_what_would_not_reparse(term, error, message):
+    # unchecked, Term(2.0, (-1,), ()) would print "2", (1.5,) "z1^1.5" and
+    # Term(True, ...) "z1": texts that do not parse back to the term
+    with pytest.raises(error, match=re.escape(message)):
+        Expression.from_terms([term], 1)
+
+
+def test_variable_index_beyond_int_digits_is_a_parse_error():
+    # int() reads at most 4 300 digits; leading zeros are still read
+    with pytest.raises(ParseError, match="out of range for arity 2") as info:
+        parse("z1 + z" + "9" * 5000, 2)
+    assert str(info.value).endswith("(at position 5)")
+    assert parse("z" + "0" * 5000 + "2", 2) == parse("z2", 2)
+    with pytest.raises(ParseError, match="out of range for arity 2"):
+        parse("z" + "0" * 5000, 2)
+
+
 # --- guarded quotients ----------------------------------------------------------------
 
 
@@ -755,7 +812,7 @@ def test_term_of_numpy_numbers_evaluates_as_its_emitted_code():
     # where that code does
     factor = FuncFactor("sin", (np.float64(3.0), 0.0), np.float64(0.25))
     e = Expression.from_terms([Term(np.float64(0.7), (np.int64(3), 1), (factor,))], 2)
-    assert type(e.terms[0].coeff) is np.float64
+    assert type(e.terms[0].coeff) is float
     run = emitted(e, 2)
     for z in ([0.3, -1.2], [2.5, 0.125], [-1e-3, 7.0]):
         value = e.evaluate(z)
