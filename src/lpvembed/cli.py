@@ -6,9 +6,9 @@ trajectory and spectrum CSVs, reports) are deterministic for a fixed
 configuration and seed.  The output directory defaults to the LPVEMBED_OUT
 environment variable, then the current directory.
 
-validate runs embed at the default ordering and a sampled reconstruction
-check, and writes no file; it prints embed's report and the check's line
-only after both have run, so a refused model leaves stdout empty.
+validate runs embed at the default ordering and a reconstruction check at
+8 seeded points, writing no file; it prints embed's report and the check's
+line only after both have run, so a refused model leaves stdout empty.
 
 Each artifact is written by model._write, which replaces an existing
 regular file instead of truncating it: ext4 flushes a file that is
@@ -53,7 +53,7 @@ from .errors import (
 )
 from .examples import builtin_example
 from .expr import GuardedQuotient
-from .factorize import _probes, check_reconstruction
+from .factorize import check_reconstruction
 from .model import (
     LpvModel,
     _dump,
@@ -197,7 +197,8 @@ def cmd_example(args) -> int:
 def cmd_validate(args) -> int:
     model = load_nlfr(args.model)
     lpv = embed(model)
-    check = check_reconstruction(lpv.schedule, model.f, _probes(model.dims.n_z))
+    samples = np.random.default_rng(20240915).uniform(-1.0, 1.0, (8, model.dims.n_z))
+    check = check_reconstruction(lpv.schedule, model.f, samples)
     print(f"model: {args.model}")
     print(_embed_report(lpv), end="")
     print(check)

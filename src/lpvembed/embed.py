@@ -26,6 +26,7 @@ from .errors import ChannelCountMismatch, EmbeddingDegenerate, HurwitzWarning
 from .factorize import extract_offset, factorize
 from .model import LpvModel, NlfrModel, core_matrices
 from .offset import check_hurwitz, solve_offsets_for
+from .sim import _check_state
 
 __all__ = ["embed", "assemble", "scheduling_from_state"]
 
@@ -83,11 +84,11 @@ def assemble(lpv: LpvModel, p):
 def scheduling_from_state(lpv: LpvModel, x, u_corrected) -> np.ndarray:
     """Scheduling vector p from the current state and corrected input.
 
-    Forms z = Cz x + Dzu u_corrected and evaluates the retained scheduling
-    entries at it.
+    Forms z = Cz x + Dzu u_corrected, each read as an initial state is
+    (ShapeMismatch), and evaluates the retained scheduling entries at it.
     """
-    x = np.asarray(x, dtype=float)
-    u_corrected = np.asarray(u_corrected, dtype=float)
+    x = _check_state(x, lpv.dims.n_x, "state")
+    u_corrected = _check_state(u_corrected, lpv.dims.n_u, "corrected input")
     z = lpv.Cz @ x + lpv.Dzu @ u_corrected
     return np.array(
         [lpv.schedule.entry(r, i).evaluate(z) for r, i in lpv.channels]

@@ -282,11 +282,11 @@ def _canonical_terms(terms: Iterable[Term], n_vars: int) -> tuple[Term, ...]:
     """Merge, fold, drop and sort; each term's key is computed once.
 
     Numbers are stored as Python floats, exponents as ints, and what would
-    not reparse from its printed text is refused (_real, _exponent).  A
-    merged coefficient adds the terms of one key in the order given; the
-    last term of a key gives its exponents and factors, and the first
-    coefficient that is not finite, in order of first appearance, is the
-    one reported.
+    not reparse from its printed text is refused (_real, _exponent, an
+    UnsupportedFunction).  A merged coefficient adds the terms of one key
+    in the order given; the last term of a key gives its exponents and
+    factors, and the first coefficient that is not finite, in order of
+    first appearance, is the one reported.
     """
     merged: dict = {}  # key -> (coeff, exponents, factors)
     for t in terms:
@@ -297,11 +297,17 @@ def _canonical_terms(terms: Iterable[Term], n_vars: int) -> tuple[Term, ...]:
         # the int it equals); anything else is converted or refused
         if type(coeff) is not float:
             coeff = _real(coeff, "coefficient")
-        if type(sum(exps)) is not int or min(exps) < 0:
+        try:
+            plain = type(sum(exps)) is int and min(exps) >= 0
+        except TypeError:  # an exponent that is not a number
+            plain = False
+        if not plain:
             exps = tuple(map(_exponent, exps))
         if factors:
             kept = []
             for f in factors:
+                if not isinstance(f.name, str) or f.name not in FUNCTIONS:
+                    raise UnsupportedFunction(f"unsupported function {f.name!r}")
                 if type(f.bias) is not float or {*map(type, f.weights)} != {float}:
                     weights = tuple([_real(w, "weight") for w in f.weights])
                     f = FuncFactor(f.name, weights, _real(f.bias, "bias"))
@@ -587,10 +593,11 @@ class Expression:
 class GuardedQuotient:
     """``numerator(z) / z_i`` with the analytic derivative near ``z_i = 0``.
 
-    The numerator vanishes identically on ``z_i = 0``, so the quotient is
-    removable; evaluation switches to ``d numerator / d z_i`` (at the actual
-    point, z_i as given) whenever ``|z_i| <= tau * (1 + |z|_inf)``.  The
-    result is continuous in z up to O(tau) across the guard.
+    The numerator vanishes on ``z_i = 0`` (factorize and the loader prove
+    it by restriction), so the quotient is removable; evaluation switches
+    to ``d numerator / d z_i`` (at the actual point, z_i as given) whenever
+    ``|z_i| <= tau * (1 + |z|_inf)``.  The result is continuous in z up to
+    O(tau) across the guard.
     """
 
     numerator: Expression

@@ -10,7 +10,8 @@ first k ordered variables and setting the others to zero, and dividing each
 difference by its variable.  The division is exact whenever every term of
 the difference carries the variable; otherwise the entry is a
 :class:`~lpvembed.expr.GuardedQuotient`, whose derivative branch keeps the
-entry finite and continuous through z_i = 0.  Entries with a structurally
+entry finite and continuous through z_i = 0, where :func:`_check_removable`
+proves its numerator zero by restriction.  Entries with a structurally
 empty numerator are stored as ``None`` (zero) and later pruned from the LPV
 basis.
 
@@ -30,7 +31,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -109,29 +109,19 @@ def _validate_ordering(ordering, n_z: int) -> tuple[int, ...]:
     return ordering
 
 
-@cache
-def _probes(n_vars: int) -> np.ndarray:
-    """The seeded probe points of _check_removable, drawn once per arity."""
-    probes = np.random.default_rng(20240915).uniform(-1.0, 1.0, size=(8, n_vars))
-    probes.setflags(write=False)
-    return probes
-
-
 def _check_removable(numerator: Expression, i: int):
-    """Numerically verify the numerator vanishes on the plane z_i = 0."""
-    probes = _probes(numerator.n_vars).copy()
-    probes[:, i - 1] = 0.0
-    scale_probe = probes.copy()
-    scale_probe[:, i - 1] = 1.0
-    try:
-        vals = numerator.evaluate_batch(probes)
-        scale = np.max(np.abs(numerator.evaluate_batch(scale_probe)))
-    except (OverflowError, ValueError):  # an overflow leaves no bound: pass
-        return
-    if np.max(np.abs(vals)) > 1e-9 * (1.0 + scale):
+    """Prove numerator = 0 on z_i = 0 by restriction.  A term left must be
+    rounding residue: |coeff| <= 1e-9 * the summed |coeff| of the terms that
+    restrict, each alone, to its key.  An overflowing fold: NonFiniteEntry."""
+    keep = {*range(1, numerator.n_vars + 1)} - {i}
+    rest = numerator.restrict(keep)
+    bound: dict = {}
+    for t in numerator.terms if rest.terms else ():  # no term left: a proof
+        for r in Expression((t,), numerator.n_vars).restrict(keep).terms:
+            bound[r.key()] = bound.get(r.key(), 0.0) + abs(r.coeff)
+    if any(abs(t.coeff) > 1e-9 * bound[t.key()] for t in rest.terms):
         raise ModelFormatError(
-            f"quotient numerator does not vanish on z{i} = 0: "
-            f"max |N| = {np.max(np.abs(vals)):.3e}"
+            f"quotient numerator does not vanish on z{i} = 0: it restricts to {rest}"
         )
 
 

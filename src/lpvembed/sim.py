@@ -120,14 +120,12 @@ def _floats(value, what: str) -> np.ndarray:
         raise ShapeMismatch(f"{what} cannot be read as numbers: {exc}") from None
 
 
-def _check_state(x0, n_x: int) -> np.ndarray:
+def _check_state(x0, n_x: int, what: str = "initial state") -> np.ndarray:
     if x0 is None:
         return np.zeros(n_x)
-    arr = np.atleast_1d(_floats(x0, "initial state"))
+    arr = np.atleast_1d(_floats(x0, what))
     if arr.shape != (n_x,):
-        raise ShapeMismatch(
-            f"initial state has shape {arr.shape}, expected ({n_x},)"
-        )
+        raise ShapeMismatch(f"{what} has shape {arr.shape}, expected ({n_x},)")
     return arr
 
 

@@ -579,8 +579,16 @@ def test_foreign_tau_file_is_typed(tmp_path, msd_file, capsys, command):
     assert "Traceback" not in err
 
 
-def test_non_removable_quotient_is_refused(tmp_path, msd_file, capsys):
-    # a quotient numerator that does not vanish on z1 = 0 has a pole there
+@pytest.mark.parametrize(
+    "appended",
+    [" + 0.5*z2", " + exp(1000*z2)", " + z2*exp(900*z2)"],
+    ids=["0.5z2", "exp-1000z2", "z2-exp-900z2"],
+)
+def test_non_removable_quotient_is_refused(tmp_path, msd_file, capsys, appended):
+    # a quotient numerator that does not vanish on z1 = 0 has a pole there;
+    # the appended terms hold no z1, so the stored derivative stays right,
+    # and the last two overflow on part of the plane z1 = 0, so only a check
+    # that evaluates nothing refuses each of them
     code, out, err = run(
         capsys, "embed", "--model", str(msd_file), "--ordering", "2,1",
         "--out", str(tmp_path),
@@ -590,7 +598,7 @@ def test_non_removable_quotient_is_refused(tmp_path, msd_file, capsys):
     raw = json.loads(lpv_file.read_text())
     cell = raw["schedule"]["entries"][0][0]
     assert cell["type"] == "quotient" and cell["divisor"] == 1
-    cell["numerator"] += " + 0.5*z2"
+    cell["numerator"] += appended
     lpv_file.write_text(json.dumps(raw))
     code, out, err = run(
         capsys, "simulate", "--model", str(lpv_file), "--out", str(tmp_path),

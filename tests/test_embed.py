@@ -1,6 +1,7 @@
 """LPV assembly: basis construction, affinity, scheduling."""
 
 import itertools
+import re
 import warnings
 
 import numpy as np
@@ -19,7 +20,7 @@ from lpvembed import (
     simulate_nlfr,
     validate_nlfr,
 )
-from lpvembed.errors import ChannelCountMismatch
+from lpvembed.errors import ChannelCountMismatch, ShapeMismatch
 
 
 def test_msd_basis_placement(msd_model):
@@ -176,6 +177,24 @@ def test_scheduling_from_state_overflow_raises(msd_model, ordering):
     assert np.all(np.isfinite(p))
 
 
+@pytest.mark.parametrize(
+    "x, u, message",
+    [
+        (np.zeros(3), np.zeros(2), "state has shape (3,), expected (4,)"),
+        (np.zeros(4), np.zeros(3), "corrected input has shape (3,), expected (2,)"),
+        (np.zeros((4, 1)), np.zeros(2), "state has shape (4, 1), expected (4,)"),
+        ([[0.0, 1.0], [2.0], 0.0, 0.0], np.zeros(2), "state cannot be read as numbers"),
+        (np.zeros(4), ["a", "b"], "corrected input cannot be read as numbers"),
+    ],
+    ids=["x-short", "u-long", "x-column", "x-ragged", "u-text"],
+)
+def test_scheduling_from_state_shapes_are_typed(msd_model, x, u, message):
+    # read as the simulators read an initial state; numpy's matmul would
+    # raise an untyped ValueError or broadcast a column
+    with pytest.raises(ShapeMismatch, match=re.escape(message)):
+        scheduling_from_state(embed(msd_model), x, u)
+
+
 @pytest.mark.parametrize("ordering", [(1, 2), (2, 1)], ids=["1,2", "2,1"])
 def test_scheduling_from_state_is_the_simulated_p(msd_model, ordering):
     # the scheduling vector the simulator recorded at each sample, from that
@@ -238,9 +257,10 @@ def test_rounded_removable_numerator_embeds(tmp_path, ordering):
     [("exp(800*z1) - 1", 1), ("exp(800*z2)*sin(z1)", 2), ("exp(800*z1) - 1 + z2", 2)],
 )
 def test_overflowing_removability_probe_embeds(tmp_path, f, n_z):
-    # exp(800*z) overflows at some removability probes of these quotient
-    # numerators; an overflow leaves the check without a bound, so each
-    # ordering embeds, saves and loads with no warning and no exception
+    # these quotient numerators overflow on part of their planes z_i = 0
+    # (exp(800*z) for z > 0.89); the removability check restricts to the
+    # plane and evaluates nothing, so each ordering embeds, saves and loads
+    # with no warning and no exception
     raw = random_nlfr_raw(
         np.random.default_rng(5), n_x=2, n_u=1, n_y=1, n_w=1, n_z=n_z, f_rows=[f]
     )

@@ -688,14 +688,25 @@ def test_terms_store_python_numbers():
         (Term(1.0, (1,), (FuncFactor("sin", (1.0,), 1j),)), ParseError,
          "bias 1j is not a real"),
         (Term(10**400, (1,), ()), NonFiniteEntry, "beyond float range"),
+        (Term(1.0, ("a",), ()), ParseError, "exponent 'a' is not"),
+        (Term(1.0, (None,), ()), ParseError, "exponent None is not"),
+        (Term(1.0, (1,), (FuncFactor("foo", (1.0,), 0.0),)), UnsupportedFunction,
+         "unsupported function 'foo'"),
+        (Term(1.0, (1,), (FuncFactor("foo", (0.0,), 0.0),)), UnsupportedFunction,
+         "unsupported function 'foo'"),
+        (Term(1.0, (1,), (FuncFactor(["sin"], (1.0,), 0.0),)), UnsupportedFunction,
+         "unsupported function ['sin']"),
     ],
     ids=["exponent-1", "exponent-int64-2", "exponent-1.5", "exponent-2.0",
          "coeff-True", "coeff-bool_", "coeff-1j", "coeff-text", "weight-False",
-         "bias-1j", "coeff-10^400"],
+         "bias-1j", "coeff-10^400", "exponent-text", "exponent-None", "function-foo",
+         "constant-function-foo", "function-list"],
 )
 def test_terms_refuse_what_would_not_reparse(term, error, message):
     # unchecked, Term(2.0, (-1,), ()) would print "2", (1.5,) "z1^1.5" and
-    # Term(True, ...) "z1": texts that do not parse back to the term
+    # Term(True, ...) "z1": texts that do not parse back to the term; a text
+    # exponent or a function name the parser does not know fails as the
+    # parser fails on it, not with a TypeError or a KeyError
     with pytest.raises(error, match=re.escape(message)):
         Expression.from_terms([term], 1)
 

@@ -5,16 +5,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     assert_guard_continuous,
     random_expression_vector,
 )
-from lpvembed.errors import InvalidOrdering, NonFiniteEntry, NonzeroAtOrigin
-from lpvembed.expr import GuardedQuotient, parse
+from lpvembed.errors import (
+    InvalidOrdering,
+    ModelFormatError,
+    NonFiniteEntry,
+    NonzeroAtOrigin,
+)
+from lpvembed.expr import Expression, FuncFactor, GuardedQuotient, Term, parse
 from lpvembed.factorize import (
     SchedulingMap,
-    _probes,
+    _check_removable,
     check_reconstruction,
     extract_offset,
     factorize,
@@ -230,12 +237,62 @@ def test_guard_continuity_of_produced_entries():
     assert found > 0  # the sample must actually exercise guarded entries
 
 
-@pytest.mark.parametrize("n", range(1, 7))
-def test_removability_probes_are_drawn_once_per_arity(n):
-    # the seeded draw each check made for itself, now kept read-only
-    probes = _probes(n)
-    expected = np.random.default_rng(20240915).uniform(-1.0, 1.0, (8, n))
-    assert probes.tobytes() == expected.tobytes() and probes.shape == (8, n)
-    assert _probes(n) is probes
-    with pytest.raises(ValueError, match="read-only"):
-        probes[0, 0] = 0.0
+# few distinct numbers, so that terms meet on one key when variables are
+# restricted away and merges in different orders round differently
+_COEFFS = st.sampled_from([0.1, 0.2, 0.3, -0.6, 0.7, -1.1, 1.3])
+_WEIGHTS = st.sampled_from([0.0, 0.0, 1.0, -1.0, 0.5])
+_EXPONENTS = st.sampled_from([0, 0, 0, 1, 2])
+
+
+def _term(data, n_z: int, biases) -> Term:
+    factors = tuple(
+        FuncFactor(
+            data.draw(st.sampled_from(["sin", "cos", "tanh", "exp"])),
+            tuple(data.draw(st.lists(_WEIGHTS, min_size=n_z, max_size=n_z))),
+            data.draw(biases),
+        )
+        for _ in range(data.draw(st.integers(0, 2)))
+    )
+    exps = data.draw(st.lists(_EXPONENTS, min_size=n_z, max_size=n_z))
+    return Term(data.draw(_COEFFS), tuple(exps), factors)
+
+
+def _free_of(t: Term, i: int) -> Term:
+    """t with z_i's exponent and weights set to zero."""
+    def drop(values, zero):
+        return (*values[: i - 1], zero, *values[i:])
+
+    factors = tuple(FuncFactor(f.name, drop(f.weights, 0.0), f.bias) for f in t.factors)
+    return Term(t.coeff, drop(t.exponents, 0), factors)
+
+
+def test_removability_of_merge_prone_rows():
+    # every guarded numerator factorize builds, under every ordering, passes
+    # the restriction check, rounding residues included; the numerator plus
+    # any term free of z_i (its biases nonzero, so no factor folds to 0) is
+    # refused
+    seen = {"quotients": 0, "residues": 0}
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.data())
+    def check(data):
+        n_z = data.draw(st.integers(1, 4))
+        terms = [_term(data, n_z, st.sampled_from([0.0, 0.0, 0.5]))
+                 for _ in range(data.draw(st.integers(2, 7)))]
+        extra = _term(data, n_z, st.sampled_from([0.5, -0.25, 1.0]))
+        f_tilde, c = extract_offset([Expression.from_terms(terms, n_z)])
+        for ordering in itertools.permutations(range(1, n_z + 1)):
+            for q in factorize(f_tilde, ordering, c).entries[0]:
+                if not isinstance(q, GuardedQuotient):
+                    continue
+                i = q.divisor_index
+                _check_removable(q.numerator, i)
+                seen["quotients"] += 1
+                others = [j for j in range(1, n_z + 1) if j != i]
+                seen["residues"] += bool(q.numerator.restrict(others).terms)
+                pole = q.numerator + Expression.from_terms([_free_of(extra, i)], n_z)
+                with pytest.raises(ModelFormatError, match=f"not vanish on z{i} = 0"):
+                    _check_removable(pole, i)
+
+    check()
+    assert seen["residues"] > 0, seen  # the draw must exercise rounding residues

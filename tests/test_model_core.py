@@ -7,6 +7,7 @@ import importlib.util
 import itertools
 import json
 import math
+import re
 import sys
 import time
 import warnings
@@ -901,6 +902,31 @@ def test_divisible_quotient_cell_rejected(msd_model):
                 "derivative": "30*z1^2", "divisor": 1, "tau": 1e-07}
     with pytest.raises(ModelFormatError, match="type 'quotient'"):
         validate_lpv(raw)
+
+
+@pytest.mark.parametrize(
+    "numerator, derivative, error, message",
+    [
+        ("z1 + 1e-300*exp(1000*z2)", "1", ModelFormatError,
+         "does not vanish on z1 = 0: it restricts to 1e-300*exp(1000*z2)"),
+        ("z2*exp(z1 + 800)", "z2*exp(z1 + 800)", NonFiniteEntry,
+         "constant exp(800) overflows"),
+    ],
+    ids=["tiny-pole", "overflowing-fold"],
+)
+def test_quotient_with_a_pole_does_not_load(msd_model, tmp_path, numerator,
+                                             derivative, error, message):
+    # msd2dof's quotient at (1, 1) under ordering 2,1, replaced by a numerator
+    # with its true derivative: the first is 1e-300*exp(1000*z2) on z1 = 0,
+    # and restricting the second to z1 = 0 folds exp(800), which overflows
+    raw = json.loads(json.dumps(serialize_lpv(embed(msd_model, (2, 1)))))
+    cell = raw["schedule"]["entries"][0][0]
+    assert cell["type"] == "quotient" and cell["divisor"] == 1
+    cell["numerator"], cell["derivative"] = numerator, derivative
+    path = tmp_path / "pole.json"
+    path.write_text(_dump(raw))
+    with pytest.raises(error, match=re.escape(message)):
+        load_lpv(path)
 
 
 def test_primary_text_may_use_any_spelling(msd_model):
