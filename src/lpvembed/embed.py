@@ -1,12 +1,12 @@
 """Assembly of the affine LPV model from a validated nonlinear-LFR model.
 
-The pipeline is: extract the constant offset, propagate it to input/output
-corrections when nonzero, and factorize the remainder into a scheduling
-map.  Each nonzero scheduling entry is one channel, whose basis quadruple
-the LPV model derives from its structural matrices.  The scheduling vector
-is the flattened nonzero part of the n_w x n_z map, row-major over (r, i);
-structurally zero entries contribute nothing and are pruned.  The
-assembled matrices
+The pipeline is: factorize the nonlinearity into a scheduling map, which
+splits off its constant offset c = f(0), then propagate c to input/output
+corrections (zero when c is).  Each nonzero scheduling entry is one
+channel, whose basis quadruple the LPV model derives from its structural
+matrices.  The scheduling vector is the flattened nonzero part of the
+n_w x n_z map, row-major over (r, i); structurally zero entries contribute
+nothing and are pruned.  The assembled matrices
 
     A(p) = A + sum_k p_k Ak,   B(p) = Bu + sum_k p_k Bk,
     C(p) = Cy + sum_k p_k Ck,  D(p) = Dyu + sum_k p_k Dk
@@ -22,11 +22,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ChannelCountMismatch, EmbeddingDegenerate, HurwitzWarning
+from .errors import ChannelCountMismatch, HurwitzWarning
+# extract_offset: unused here, but lpvbench traces it by this name
 from .factorize import extract_offset, factorize
 from .model import LpvModel, NlfrModel, core_matrices
 from .offset import check_hurwitz, solve_offsets_for
-from .sim import _check_state
+from .sim import _check_state, _floats
 
 __all__ = ["embed", "assemble", "scheduling_from_state"]
 
@@ -37,9 +38,9 @@ def embed(model: NlfrModel, ordering: Sequence[int] | None = None) -> LpvModel:
     The offset solution is kept as lpv.offset.  Propagating an offset
     through a non-Hurwitz A gives a HurwitzWarning, not a failure.
     """
-    f_tilde, c = extract_offset(model.f)
-    offset = solve_offsets_for(model, c)
-    if np.any(c != 0.0):
+    schedule = factorize(model.f, ordering)
+    offset = solve_offsets_for(model, schedule.c)
+    if np.any(schedule.c != 0.0):
         hurwitz, max_re = check_hurwitz(model.A)
         if not hurwitz:
             warnings.warn(
@@ -49,22 +50,16 @@ def embed(model: NlfrModel, ordering: Sequence[int] | None = None) -> LpvModel:
                 HurwitzWarning,
                 stacklevel=2,
             )
-    schedule = factorize(f_tilde, ordering, c=c)
-
-    if not schedule.channels() and not all(row.is_constant() for row in f_tilde):
-        raise EmbeddingDegenerate(
-            "every scheduling entry was pruned although the nonlinearity "
-            "depends on z; factorization is internally inconsistent"
-        )
     return LpvModel(schedule=schedule, offset=offset, **core_matrices(model))
 
 
 def assemble(lpv: LpvModel, p):
     """Frozen system matrices (A(p), B(p), C(p), D(p)) at scheduling value p.
 
-    p is the flattened scheduling vector over the retained channels.
+    p is the flattened scheduling vector over the retained channels;
+    ShapeMismatch if it is not numbers.
     """
-    p = np.asarray(p, dtype=float)
+    p = _floats(p, "scheduling vector")
     if p.shape != (lpv.n_p,):
         raise ChannelCountMismatch(
             f"scheduling vector has shape {p.shape}, model has {lpv.n_p} channels"

@@ -71,14 +71,6 @@ class UnknownExample(LpvEmbedError):
 
 # --- factorization / embedding -----------------------------------------
 
-class NonzeroAtOrigin(LpvEmbedError):
-    """Nonlinearity handed to the factorizer does not vanish at z = 0."""
-
-
-class EmbeddingDegenerate(LpvEmbedError):
-    """Every scheduling entry pruned although the nonlinearity is not zero."""
-
-
 class ChannelCountMismatch(LpvEmbedError):
     """Scheduling vector length differs from the model's channel count."""
 

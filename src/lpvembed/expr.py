@@ -111,7 +111,10 @@ DEFAULT_GUARD_TAU = 1e-7
 def _at_rows(evaluate, points, n_vars: int) -> np.ndarray:
     """evaluate at each row of an (m, n_vars) array, passed as Python floats,
     so every value is bit for bit the scalar one and an overflow raises."""
-    Z = np.asarray(points, dtype=float)
+    try:
+        Z = np.asarray(points, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ArityMismatch(f"batch cannot be read as numbers: {exc}") from None
     if Z.ndim != 2 or Z.shape[1] != n_vars:
         raise ArityMismatch(f"batch shape {Z.shape} incompatible with arity {n_vars}")
     return np.array([evaluate(z) for z in Z.tolist()], dtype=float)
@@ -574,11 +577,6 @@ class Expression:
         ]), self.n_vars)
 
     # --- misc ---------------------------------------------------------------
-
-    def is_constant(self) -> bool:
-        return all(
-            not any(t.exponents) and not t.factors for t in self.terms
-        )
 
     def __str__(self) -> str:
         if not self.terms:

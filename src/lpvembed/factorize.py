@@ -1,7 +1,8 @@
 """Ordered factorization of a static nonlinearity into a scheduling map.
 
-Given a vector nonlinearity f with f = f_tilde + c and f_tilde(0) = 0, and
-a variable ordering m_1, ..., m_n, the ordered scheme writes each row as
+Given a vector nonlinearity f, split by :func:`extract_offset` into
+f = f_tilde + c with c = f(0), and a variable ordering m_1, ..., m_n, the
+ordered scheme writes each row as
 
     f_tilde(z) = sum_k  entry_{m_k}(z_{m_1}, ..., z_{m_k}) * z_{m_k}
 
@@ -35,13 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    ArityMismatch,
-    InvalidOrdering,
-    ModelFormatError,
-    NonFiniteEntry,
-    NonzeroAtOrigin,
-)
+from .errors import ArityMismatch, InvalidOrdering, ModelFormatError, NonFiniteEntry
 from .expr import Expression, GuardedQuotient, parse  # parse: lpvbench traces it here
 
 __all__ = [
@@ -56,34 +51,29 @@ __all__ = [
 RECONSTRUCTION_RTOL = 1e-12
 
 
-def _at_origin(rows: Sequence[Expression]) -> list[float]:
-    """Each row's value at z = 0; NonFiniteEntry names the first row whose
-    value there overflows or is not finite."""
-    origin = (0.0,) * rows[0].n_vars
-    values = []
-    for r, row in enumerate(rows, start=1):
-        try:
-            v = row.evaluate(origin)
-        except OverflowError as exc:
-            raise NonFiniteEntry(f"row {r} overflows at z = 0: {exc}") from None
-        if not math.isfinite(v):
-            raise NonFiniteEntry(f"row {r} evaluates to {v} at z = 0")
-        values.append(v)
-    return values
-
-
 def extract_offset(f: Sequence[Expression]):
-    """Split f into (f_tilde, c) with c = f(0) and f_tilde(0) = 0 exactly.
+    """Split f into (f_tilde, c) with c = f(0), c read-only.
 
-    c is computed by evaluation; subtracting it as a constant term makes the
-    remainder vanish at the origin bit-exactly.  A row that overflows at the
-    origin, or is not finite there, is NonFiniteEntry.
+    c is computed by evaluation and subtracted as a constant term, so
+    f_tilde(0) is zero up to the rounding of the sum of its terms.  A row
+    that overflows at the origin, or is not finite there, is NonFiniteEntry.
     """
     rows = tuple(f)
     if not rows:
         raise ValueError("empty nonlinearity")
     n_z = rows[0].n_vars
-    c = np.array(_at_origin(rows))
+    if any(row.n_vars != n_z for row in rows):
+        raise ModelFormatError("nonlinearity rows have differing arity")
+    values = []
+    for r, row in enumerate(rows, start=1):
+        try:
+            v = row.evaluate((0.0,) * n_z)
+        except OverflowError as exc:
+            raise NonFiniteEntry(f"row {r} overflows at z = 0: {exc}") from None
+        if not math.isfinite(v):
+            raise NonFiniteEntry(f"row {r} evaluates to {v} at z = 0")
+        values.append(v)
+    c = np.array(values)
     f_tilde = tuple(
         row - Expression.constant(cv, n_z) if cv != 0.0 else row
         for row, cv in zip(rows, c)
@@ -131,8 +121,9 @@ class SchedulingMap:
 
     ``entries[r][i]`` is indexed 0-based internally; ``None`` marks a
     structurally zero entry.  ``ordering`` records the 1-based variable
-    order used during construction.  ``c`` is the constant offset removed
-    from the nonlinearity (f = entries . z + c).
+    order used during construction.  ``c`` is the constant offset: f(0)
+    of the rows factorized, or the file's ``c`` for a loaded map
+    (f = entries . z + c).
     """
 
     entries: tuple[tuple[object, ...], ...]
@@ -162,52 +153,24 @@ class SchedulingMap:
 
 
 def factorize(
-    f_tilde: Sequence[Expression],
-    ordering: Sequence[int] | None = None,
-    c: np.ndarray | None = None,
+    f: Sequence[Expression], ordering: Sequence[int] | None = None
 ) -> SchedulingMap:
-    """Factorize a vanishing-at-zero nonlinearity along a variable ordering.
+    """Factorize a nonlinearity along a variable ordering (default 1..n_z).
 
-    For each output row and each position k in the ordering, with i the
-    k-th ordered variable, the numerator is the row with only the first k
-    ordered variables kept minus the row with only the first k-1 kept, both
-    in the model's own variables; the entry (r, i) is the exact quotient by
-    z_i when possible, else a guarded quotient with the symbolic partial
-    derivative as its z_i = 0 branch.
-
-    Raises :class:`NonzeroAtOrigin` when some row has |f_tilde(0)| > 1e-14
-    (run :func:`extract_offset` first), and :class:`NonFiniteEntry` when
-    some row overflows there or is not finite.
+    The offset c = f(0) is split off by :func:`extract_offset` and kept as
+    the map's ``c``, with its refusals.  For each row of the remainder and
+    each position k in the ordering, with i the k-th ordered variable, the
+    numerator is the row with only the first k ordered variables kept
+    minus the row with only the first k-1 kept, both in the model's own
+    variables; the entry (r, i) is the exact quotient by z_i when possible,
+    else a guarded quotient with the symbolic partial derivative as its
+    z_i = 0 branch.
     """
-    rows = tuple(f_tilde)
-    if not rows:
-        raise ValueError("empty nonlinearity")
-    n_z = rows[0].n_vars
-    for row in rows:
-        if row.n_vars != n_z:
-            raise ModelFormatError("nonlinearity rows have differing arity")
-    if ordering is None:
-        ordering = range(1, n_z + 1)
-    ordering = _validate_ordering(ordering, n_z)
-    if c is None:
-        c_arr = np.zeros(len(rows))
-    else:
-        c_arr = np.array(c, dtype=float)
-        if c_arr.shape != (len(rows),):
-            raise ModelFormatError(
-                f"offset vector has shape {c_arr.shape}, expected ({len(rows)},)"
-            )
-    c_arr.setflags(write=False)
-
-    for r, v in enumerate(_at_origin(rows), start=1):
-        if abs(v) > 1e-14:
-            raise NonzeroAtOrigin(
-                f"row {r} evaluates to {v:.3e} at z = 0; "
-                "extract the constant offset first"
-            )
-
+    f_tilde, c = extract_offset(f)
+    n_z = f_tilde[0].n_vars
+    ordering = _validate_ordering(range(1, n_z + 1) if ordering is None else ordering, n_z)
     grid = []
-    for row in rows:
+    for row in f_tilde:
         row_entries: list = [None] * n_z
         prev = row.restrict(())
         for k, i in enumerate(ordering):
@@ -215,7 +178,7 @@ def factorize(
             row_entries[i - 1] = _entry(cur - prev, i)
             prev = cur
         grid.append(tuple(row_entries))
-    return SchedulingMap(tuple(grid), ordering, c_arr)
+    return SchedulingMap(tuple(grid), ordering, c)
 
 
 def _entry(num: Expression, i: int):
@@ -256,12 +219,16 @@ class ReconstructionReport:
 def check_reconstruction(
     m: SchedulingMap, f: Sequence[Expression], samples
 ) -> ReconstructionReport:
-    """Sample |entries(z) @ z + c - f(z)| / (1 + |f(z)|) over the points;
-    NonFiniteEntry names the first sample at which f or an entry overflows
-    or the reconstruction is not finite."""
-    Z = np.asarray(samples, dtype=float)
-    if Z.ndim != 2:
-        raise ArityMismatch(f"samples have shape {Z.shape}, expected (m, {m.n_z})")
+    """Sample |entries(z) @ z + c - f(z)| / (1 + |f(z)|) over the points, an
+    (m >= 1, n_z) array of numbers (ArityMismatch if not); NonFiniteEntry names
+    the first sample at which f or an entry overflows or the reconstruction
+    is not finite."""
+    try:
+        Z = np.asarray(samples, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ArityMismatch(f"samples cannot be read as numbers: {exc}") from None
+    if Z.ndim != 2 or not len(Z):
+        raise ArityMismatch(f"samples have shape {Z.shape}, expected (m >= 1, {m.n_z})")
     P, F = [], []
     for n, z in enumerate(Z.tolist()):
         try:

@@ -436,12 +436,12 @@ def schedule_to_raw(m: SchedulingMap) -> dict:
 def schedule_from_raw(raw: dict, n_w: int, n_z: int) -> SchedulingMap:
     """Rebuild a SchedulingMap from file data, each entry as factorize builds it.
 
-    Each entry is :func:`~lpvembed.factorize._entry` of its numerator,
-    ``parse(expr) * z_i`` or ``parse(numerator)``, whose text may be spelled
-    any way the parser reads; the cell's other keys must be what
-    :func:`schedule_to_raw` writes.  Only derived text, a quotient's
-    derivative, is printed: a cell whose entry is of another type than
-    the file says fails on its type, the first key compared.
+    An exact cell's entry is ``parse(expr)``, None if that has no terms; a
+    quotient's is :func:`~lpvembed.factorize._entry` of ``parse(numerator)``.
+    Either text may be spelled any way the parser reads; the cell's other
+    keys must be what :func:`schedule_to_raw` writes.  Only derived text, a
+    quotient's derivative, is printed: a cell whose entry is of another
+    type than the file says fails on its type, the first key compared.
     """
     ordering = _validate_ordering(_field(raw, "ordering", list, "schedule"), n_z)
     c = _as_array("c", _field(raw, "c", where="schedule"), (n_w,))
@@ -461,7 +461,8 @@ def schedule_from_raw(raw: dict, n_w: int, n_z: int) -> SchedulingMap:
             text, entry = None, None
             if kind == "exact":
                 text = _field(cell, "expr", where=where)
-                entry = _entry(parse(text, n_z) * Expression.variable(i, n_z), i)
+                entry = parse(text, n_z)
+                entry = entry if entry.terms else None
             elif kind == "quotient":
                 text = _field(cell, "numerator", where=where)
                 entry = _entry(parse(text, n_z), i)

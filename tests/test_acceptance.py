@@ -17,7 +17,6 @@ from lpvembed import (
     check_reconstruction,
     compare,
     embed,
-    extract_offset,
     factorize,
     multisine,
     simulate_lpv_self,
@@ -95,14 +94,13 @@ def _reconstruction_suite():
         n_z = int(rng.integers(1, 5))
         n_w = int(rng.integers(1, 4))
         f = random_expression_vector(rng, n_w, n_z)
-        f_tilde, c = extract_offset(f)
         Z = rng.uniform(-3.0, 3.0, (500, n_z))
         if n_z <= 3:
             orderings = list(itertools.permutations(range(1, n_z + 1)))
         else:
             orderings = [tuple(rng.permutation(n_z) + 1)]
         for ordering in orderings:
-            m = factorize(f_tilde, ordering, c=c)
+            m = factorize(f, ordering)
             rep = check_reconstruction(m, f, Z)
             checks += 1
             worst = max(worst, rep.max_rel_error)

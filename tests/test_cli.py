@@ -825,6 +825,18 @@ def test_validate_refusal_prints_nothing(tmp_path, capsys, name, edit, code_name
     assert err.count("\n") == 1
 
 
+def test_invalid_ordering_is_reported_before_singular_a(tmp_path, capsys):
+    # embed factorizes before it solves the offset, so of a model's two
+    # faults the ordering is reported; alone, each keeps its code
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({**OFFSET_MODELS["unstable"][0], "A": [[0.0]]}))
+    for argv, code_name in (["--ordering", "2"], "InvalidOrdering"), ([], "SingularA"):
+        code, out, err = run(capsys, "embed", "--model", str(path),
+                             "--out", str(tmp_path / "out"), *argv)
+        assert code == 1
+        assert err.startswith(f"error[{code_name}]: ") and err.count("\n") == 1
+
+
 def test_validate_unstable_offset_warns_on_stderr(tmp_path):
     # the console script's own stderr, where pytest would record the warning
     path = tmp_path / "unstable.json"

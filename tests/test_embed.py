@@ -10,6 +10,7 @@ import pytest
 from conftest import random_nlfr_raw
 from lpvembed import (
     assemble,
+    check_reconstruction,
     compare,
     embed,
     load_lpv,
@@ -20,7 +21,7 @@ from lpvembed import (
     simulate_nlfr,
     validate_nlfr,
 )
-from lpvembed.errors import ChannelCountMismatch, ShapeMismatch
+from lpvembed.errors import ArityMismatch, ChannelCountMismatch, ShapeMismatch
 
 
 def test_msd_basis_placement(msd_model):
@@ -193,6 +194,33 @@ def test_scheduling_from_state_shapes_are_typed(msd_model, x, u, message):
     # raise an untyped ValueError or broadcast a column
     with pytest.raises(ShapeMismatch, match=re.escape(message)):
         scheduling_from_state(embed(msd_model), x, u)
+
+
+RAGGED = [[0.1, 0.2], [0.3]]
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda lpv, f: assemble(lpv, ["a", "b"]), ShapeMismatch,
+         "scheduling vector cannot be read as numbers"),
+        (lambda lpv, f: check_reconstruction(lpv.schedule, f, RAGGED), ArityMismatch,
+         "samples cannot be read as numbers"),
+        (lambda lpv, f: check_reconstruction(lpv.schedule, f, np.zeros((0, 2))),
+         ArityMismatch, "samples have shape (0, 2), expected (m >= 1, 2)"),
+        (lambda lpv, f: f[0].evaluate_batch(RAGGED), ArityMismatch,
+         "batch cannot be read as numbers"),
+        (lambda lpv, f: lpv.schedule.entry(1, 1).evaluate_batch(RAGGED), ArityMismatch,
+         "batch cannot be read as numbers"),
+    ],
+    ids=["assemble-text", "reconstruction-ragged", "reconstruction-empty",
+         "batch-ragged", "quotient-batch-ragged"],
+)
+def test_library_inputs_are_typed(msd_model, call, error, message):
+    # each input is read through a try, where numpy would raise an untyped
+    # ValueError; at ordering 2,1 entry (1, 1) is a guarded quotient
+    with pytest.raises(error, match=re.escape(message)):
+        call(embed(msd_model, (2, 1)), msd_model.f)
 
 
 @pytest.mark.parametrize("ordering", [(1, 2), (2, 1)], ids=["1,2", "2,1"])

@@ -12,12 +12,7 @@ from conftest import (
     assert_guard_continuous,
     random_expression_vector,
 )
-from lpvembed.errors import (
-    InvalidOrdering,
-    ModelFormatError,
-    NonFiniteEntry,
-    NonzeroAtOrigin,
-)
+from lpvembed.errors import InvalidOrdering, ModelFormatError, NonFiniteEntry
 from lpvembed.expr import Expression, FuncFactor, GuardedQuotient, Term, parse
 from lpvembed.factorize import (
     SchedulingMap,
@@ -57,16 +52,14 @@ def test_extract_offset_transcendental_constant():
 
 
 def test_factorize_msd_default_ordering():
-    f_tilde, c = extract_offset((MSD_F,))
-    m = factorize(f_tilde, (1, 2), c=c)
+    m = factorize((MSD_F,), (1, 2))
     assert m.entry(1, 1) == parse("10*z1^2", 2)
     assert m.entry(1, 2) == parse("0.1*sin(10*z1) + 0.2*z2", 2)
     assert m.channels() == ((1, 1), (1, 2))
 
 
 def test_factorize_msd_reversed_ordering():
-    f_tilde, c = extract_offset((MSD_F,))
-    m = factorize(f_tilde, (2, 1), c=c)
+    m = factorize((MSD_F,), (2, 1))
     assert m.entry(1, 2) == parse("0.2*z2", 2)
     q = m.entry(1, 1)
     assert isinstance(q, GuardedQuotient)
@@ -84,9 +77,20 @@ def test_factorize_cross_term_prunes():
     assert m.channels() == ((1, 2),)
 
 
-def test_factorize_requires_zero_at_origin():
-    with pytest.raises(NonzeroAtOrigin):
-        factorize((parse("z1^2 + 1", 1),))
+def test_factorize_splits_off_the_offset():
+    m = factorize((parse("z1^2 + 1", 1),))
+    assert np.array_equal(m.c, [1.0])
+    assert m.entry(1, 1) == parse("z1", 1)
+
+
+def test_rounding_at_the_origin_is_not_refused():
+    # f_tilde(0) adds -c to the other terms at z = 0 and rounds here to
+    # -1.2e-10; that is no fault of f, and the map reconstructs it
+    f = (parse("1e6*exp(z1) + 0.1*cos(z1) + 0.2*cos(2*z1)", 1),)
+    assert extract_offset(f)[0][0].evaluate([0.0]) != 0.0
+    m = factorize(f)
+    assert np.array_equal(m.c, [1000000.3])
+    assert check_reconstruction(m, f, np.linspace(-2.0, 2.0, 101)[:, None]).passed
 
 
 def test_overflow_at_the_origin_is_typed():
@@ -120,9 +124,8 @@ def test_zero_entries_evaluate_to_zero():
 def test_reconstruction_msd_both_orderings():
     rng = np.random.default_rng(41)
     Z = rng.uniform(-2.0, 2.0, (1000, 2))
-    f_tilde, c = extract_offset((MSD_F,))
     for ordering in ((1, 2), (2, 1)):
-        m = factorize(f_tilde, ordering, c=c)
+        m = factorize((MSD_F,), ordering)
         report = check_reconstruction(m, (MSD_F,), Z)
         assert report.passed, str(report)
 
@@ -130,8 +133,7 @@ def test_reconstruction_msd_both_orderings():
 def test_reconstruction_negative_control():
     rng = np.random.default_rng(43)
     Z = rng.uniform(-2.0, 2.0, (200, 2))
-    f_tilde, c = extract_offset((MSD_F,))
-    m = factorize(f_tilde, (1, 2), c=c)
+    m = factorize((MSD_F,), (1, 2))
     rows = list(m.entries)
     rows[0] = (None, m.entry(1, 2))  # artificially zero one entry
     broken = SchedulingMap(tuple(rows), m.ordering, m.c)
@@ -150,8 +152,7 @@ def test_reconstruction_negative_control():
 )
 def test_reconstruction_overflow_is_typed(text, z1, message):
     f = (parse(text, 1),)
-    f_tilde, c = extract_offset(f)
-    m = factorize(f_tilde, (1,), c=c)
+    m = factorize(f, (1,))
     with pytest.raises(NonFiniteEntry, match=message):
         check_reconstruction(m, f, [[0.1], [-0.5], [z1], [0.2]])
 
@@ -162,14 +163,13 @@ def test_reconstruction_random_vectors_all_orderings():
         n_z = int(rng.integers(1, 5))
         n_w = int(rng.integers(1, 4))
         f = random_expression_vector(rng, n_w, n_z)
-        f_tilde, c = extract_offset(f)
         Z = rng.uniform(-3.0, 3.0, (300, n_z))
         if n_z <= 3:
             orderings = list(itertools.permutations(range(1, n_z + 1)))
         else:
             orderings = [tuple(rng.permutation(n_z) + 1)]
         for ordering in orderings:
-            m = factorize(f_tilde, ordering, c=c)
+            m = factorize(f, ordering)
             report = check_reconstruction(m, f, Z)
             assert report.passed, f"{ordering}: {report}"
 
@@ -181,9 +181,8 @@ def test_ordering_covariance():
     for _ in range(10):
         n_z = int(rng.integers(2, 5))
         f = random_expression_vector(rng, 1, n_z)
-        f_tilde, c = extract_offset(f)
         ordering = tuple(rng.permutation(n_z) + 1)
-        m = factorize(f_tilde, ordering, c=c)
+        m = factorize(f, ordering)
         for k, i in enumerate(ordering):
             entry = m.entry(1, i)
             if entry is None:
@@ -214,8 +213,7 @@ def test_polynomial_closure_no_guards():
                 coeff = rng.uniform(-2, 2)
                 text_terms.append(f"({coeff!r})*z{j}*z{k}")
             rows.append(parse(" + ".join(text_terms), n_z))
-        f_tilde, c = extract_offset(tuple(rows))
-        m = factorize(f_tilde, tuple(rng.permutation(n_z) + 1), c=c)
+        m = factorize(tuple(rows), tuple(rng.permutation(n_z) + 1))
         for row in m.entries:
             for entry in row:
                 assert not isinstance(entry, GuardedQuotient)
@@ -227,8 +225,7 @@ def test_guard_continuity_of_produced_entries():
     for _ in range(15):
         n_z = int(rng.integers(2, 4))
         f = random_expression_vector(rng, 2, n_z)
-        f_tilde, c = extract_offset(f)
-        m = factorize(f_tilde, c=c)
+        m = factorize(f)
         for row in m.entries:
             for entry in row:
                 if isinstance(entry, GuardedQuotient):
@@ -270,7 +267,8 @@ def test_removability_of_merge_prone_rows():
     # every guarded numerator factorize builds, under every ordering, passes
     # the restriction check, rounding residues included; the numerator plus
     # any term free of z_i (its biases nonzero, so no factor folds to 0) is
-    # refused
+    # refused.  Under every ordering the map keeps extract_offset's c, bit
+    # for bit, and a row with a term that is not constant keeps a channel
     seen = {"quotients": 0, "residues": 0}
 
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
@@ -280,9 +278,14 @@ def test_removability_of_merge_prone_rows():
         terms = [_term(data, n_z, st.sampled_from([0.0, 0.0, 0.5]))
                  for _ in range(data.draw(st.integers(2, 7)))]
         extra = _term(data, n_z, st.sampled_from([0.5, -0.25, 1.0]))
-        f_tilde, c = extract_offset([Expression.from_terms(terms, n_z)])
+        f = [Expression.from_terms(terms, n_z)]
+        c = extract_offset(f)[1]
+        varies = any(any(t.exponents) or t.factors for t in f[0].terms)
         for ordering in itertools.permutations(range(1, n_z + 1)):
-            for q in factorize(f_tilde, ordering, c).entries[0]:
+            m = factorize(f, ordering)
+            assert m.c.tobytes() == c.tobytes()
+            assert bool(m.channels()) == varies
+            for q in m.entries[0]:
                 if not isinstance(q, GuardedQuotient):
                     continue
                 i = q.divisor_index
