@@ -170,8 +170,6 @@ def _load_input_file(path: str, n_u: int, n_steps: int) -> np.ndarray:
 
 
 def _entry_text(entry) -> str:
-    if entry is None:
-        return "0"
     if isinstance(entry, GuardedQuotient):
         return (
             f"({entry.numerator}) / z{entry.divisor_index}  "
@@ -267,9 +265,8 @@ def cmd_simulate(args) -> int:
         else:
             traj = simulate_nlfr(model, u, dt=dt)
     except Divergence as div:
-        if div.trajectory is not None:
-            _write(csv_path, trajectory_csv(div.trajectory))
-            print(f"wrote partial {csv_path}", file=sys.stderr)
+        _write(csv_path, trajectory_csv(div.trajectory))
+        print(f"wrote partial {csv_path}", file=sys.stderr)
         raise
     _write(csv_path, trajectory_csv(traj))
     peak = np.max(np.abs(traj.y), axis=0)

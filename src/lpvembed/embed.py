@@ -57,7 +57,7 @@ def assemble(lpv: LpvModel, p):
     """Frozen system matrices (A(p), B(p), C(p), D(p)) at scheduling value p.
 
     p is the flattened scheduling vector over the retained channels;
-    ShapeMismatch if it is not numbers.
+    ShapeMismatch if it is not numbers or not finite.
     """
     p = _floats(p, "scheduling vector")
     if p.shape != (lpv.n_p,):

@@ -107,7 +107,7 @@ class HurwitzWarning(UserWarning):
 class Divergence(LpvEmbedError):
     """State magnitude blew past the divergence threshold during integration."""
 
-    def __init__(self, message: str, step: int, trajectory=None):
+    def __init__(self, message: str, step: int, trajectory):
         super().__init__(message)
         self.step = step
         self.trajectory = trajectory

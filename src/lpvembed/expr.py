@@ -464,9 +464,7 @@ class Expression:
             total += v
         return total
 
-    def emit(
-        self, target: str, z: Sequence[str], values: ValueTable | None = None
-    ) -> list[str]:
+    def emit(self, target: str, z: Sequence[str], values: ValueTable) -> list[str]:
         """Python statements that set ``target`` to ``evaluate`` at z.
 
         ``z[j]`` names the local holding z_{j+1}.  The statements render
@@ -477,26 +475,24 @@ class Expression:
         Each call and power is read through ``values``: evaluated once and
         read by its name where the evaluation dominates, here or in
         statements emitted later with the same table, whose ``statements``
-        then finishes the lines.  Without a table the lines come finished,
-        from a new one.  Only float literals, integer exponents, the names
-        given, the table's names, None and the keys of EMITTED_FUNCTIONS
-        appear.
+        then finishes the lines.  Only float literals, integer exponents, the
+        names given, the table's names, None and the keys of
+        EMITTED_FUNCTIONS appear.
         """
         if len(z) != self.n_vars:
             raise ArityMismatch(
                 f"{len(z)} variable names, expression arity is {self.n_vars}"
             )
-        table = ValueTable() if values is None else values
         lines = [f"{target} = 0.0"]
         for coeff, monos, facs in self._compiled:
             # listed in the order Python evaluates the product
             v = [repr(coeff)]
-            v += [table.read(f"{z[j]} ** {e}") for j, e in monos]
+            v += [values.read(f"{z[j]} ** {e}") for j, e in monos]
             for fn, ws, b in facs:
                 arg = repr(b) + "".join(f" + {w!r} * {z[j]}" for j, w in ws)
-                v.append(table.read(f"{_EMITTED_NAME[fn]}({arg})"))
+                v.append(values.read(f"{_EMITTED_NAME[fn]}({arg})"))
             lines.append(f"{target} += {' * '.join(v)}")
-        return lines if values is not None else table.statements(lines)
+        return lines
 
     def evaluate_batch(self, points) -> np.ndarray:
         """``evaluate`` at each row of an (m, n_vars) array of points."""
@@ -621,9 +617,7 @@ class GuardedQuotient:
             return self.numerator.evaluate(z) / zi
         return self.derivative.evaluate(z)
 
-    def emit(
-        self, target: str, z: Sequence[str], values: ValueTable | None = None
-    ) -> list[str]:
+    def emit(self, target: str, z: Sequence[str], values: ValueTable) -> list[str]:
         """Python statements that set ``target`` to ``evaluate`` at z.
 
         The guard is effective_threshold's formula, so ``max`` skips NaN
@@ -632,21 +626,19 @@ class GuardedQuotient:
         branches are alternatives (ValueTable.branches).
         """
         zi = z[self.divisor_index - 1]
-        table = ValueTable() if values is None else values
         bound = ", ".join(f"abs({v})" for v in z)
-        guard = table.read(f"{self.tau!r} * (1.0 + max(0.0, {bound}))")
-        quotient, derivative = table.branches(
-            lambda: self.numerator.emit(target, z, table),
-            lambda: self.derivative.emit(target, z, table),
+        guard = values.read(f"{self.tau!r} * (1.0 + max(0.0, {bound}))")
+        quotient, derivative = values.branches(
+            lambda: self.numerator.emit(target, z, values),
+            lambda: self.derivative.emit(target, z, values),
         )
-        lines = [
+        return [
             f"if abs({zi}) > {guard}:",
             *("    " + s for s in quotient),
             f"    {target} /= {zi}",
             "else:",
             *("    " + s for s in derivative),
         ]
-        return lines if values is not None else table.statements(lines)
 
     def evaluate_batch(self, points) -> np.ndarray:
         """``evaluate`` at each row (see Expression's)."""

@@ -112,18 +112,23 @@ class Trajectory:
 
 
 def _floats(value, what: str) -> np.ndarray:
-    """value as a float array; ShapeMismatch if it is ragged or not numeric."""
+    """value as a float array; ShapeMismatch if it is ragged, not numeric or
+    not finite."""
     # OverflowError: an integer beyond the float range
     try:
-        return np.asarray(value, dtype=float)
+        arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ShapeMismatch(f"{what} cannot be read as numbers: {exc}") from None
+    if not np.isfinite(arr).all():
+        verb = "contain" if what.endswith("s") else "contains"
+        raise ShapeMismatch(f"{what} {verb} non-finite values")
+    return arr
 
 
 def _check_state(x0, n_x: int, what: str = "initial state") -> np.ndarray:
     if x0 is None:
         return np.zeros(n_x)
-    arr = np.atleast_1d(_floats(x0, what))
+    arr = _floats(x0, what)
     if arr.shape != (n_x,):
         raise ShapeMismatch(f"{what} has shape {arr.shape}, expected ({n_x},)")
     return arr
@@ -131,17 +136,13 @@ def _check_state(x0, n_x: int, what: str = "initial state") -> np.ndarray:
 
 def _check_samples(u, n_cols: int, name: str) -> np.ndarray:
     arr = _floats(u, f"{name} samples")
-    if arr.ndim == 1:
-        arr = arr[:, None]
     if arr.ndim != 2 or arr.shape[1] != n_cols:
         raise ShapeMismatch(
-            f"{name} samples have shape {np.asarray(u).shape}, "
+            f"{name} samples have shape {arr.shape}, "
             f"expected (n_steps + 1, {n_cols})"
         )
     if arr.shape[0] < 2:
         raise ShapeMismatch(f"{name} needs at least 2 samples")
-    if not np.all(np.isfinite(arr)):
-        raise ShapeMismatch(f"{name} samples contain non-finite values")
     return arr
 
 
@@ -154,6 +155,8 @@ def _step_map(core, dt: float):
     step is the increment D x + K_x v + sum over j of Psi_j w_j.  Returns
     M = [Cz P_1; ...; Cz P_4; D], K = [K_1; ...; K_4; K_x], the corrections
     H_i = [H_i1 ... H_i,i-1] of stages 2 to 4 and Psi = [Psi_1 ... Psi_4].
+    InvalidConfig if an entry overflows: the kernel's source holds the
+    entries of H as float literals, which have no spelling for nan or inf.
     """
     n_x, n_u = core.Bu.shape
     n_w = core.Bw.shape[1]
@@ -164,14 +167,18 @@ def _step_map(core, dt: float):
     u_m = 0.5 * (u_k + u_n)
     W = cols[n_x + 2 * n_u :].reshape(4, n_w, -1)
     X, rows, incr = X0, [], 0.0
-    for U, Wi, c, b in zip(
-        (u_k, u_m, u_m, u_n), W, (0.5, 0.5, 1.0, 0.0), (1.0, 2.0, 2.0, 1.0)
-    ):
-        rows.append(core.Cz @ X + core.Dzu @ U)
-        k = core.A @ X + core.Bu @ U + core.Bw @ Wi
-        incr = incr + (b * dt / 6.0) * k
-        X = X0 + (c * dt) * k
+    # an overflow is refused below, once, with the whole map
+    with np.errstate(over="ignore", invalid="ignore"):
+        for U, Wi, c, b in zip(
+            (u_k, u_m, u_m, u_n), W, (0.5, 0.5, 1.0, 0.0), (1.0, 2.0, 2.0, 1.0)
+        ):
+            rows.append(core.Cz @ X + core.Dzu @ U)
+            k = core.A @ X + core.Bu @ U + core.Bw @ Wi
+            incr = incr + (b * dt / 6.0) * k
+            X = X0 + (c * dt) * k
     G = np.vstack(rows + [incr])
+    if not np.isfinite(G).all():
+        raise InvalidConfig(f"the RK4 step map at dt = {dt} overflows the float range")
     n_z = core.Cz.shape[0]
     Gw = G[:, n_x + 2 * n_u :]
     H = [Gw[i * n_z : (i + 1) * n_z, : i * n_w] for i in (1, 2, 3)]
@@ -389,15 +396,11 @@ def simulate_lpv_exogenous(
     d = lpv.dims
     u = _check_samples(u, d.n_u, "input")
     p = _floats(p, "scheduling samples")
-    if p.ndim == 1:
-        p = p[:, None]
     if p.shape != (u.shape[0], d.n_p):
         raise ChannelCountMismatch(
             f"scheduling samples have shape {p.shape}, "
             f"expected ({u.shape[0]}, {d.n_p})"
         )
-    if not np.all(np.isfinite(p)):
-        raise ShapeMismatch("scheduling samples contain non-finite values")
     # the rows of the four stages of each step: sample a, half-step h twice,
     # next sample b; the last sample is paired with itself
     a, h, b = ([f"{v}{k}" for k in range(d.n_p)] for v in "ahb")

@@ -211,6 +211,49 @@ def test_simulate_input_file_wrong_columns(tmp_path, msd_file, capsys, text, whe
     assert where in err
 
 
+@pytest.mark.parametrize(
+    "argv, code_name, message",
+    [
+        (("embed", "--ordering", "a,b"), "InvalidOrdering",
+         "cannot parse ordering 'a,b'"),
+        (("simulate", "--input", "multisine:1,2"), "InputFormatError",
+         "multisine spec must be 'multisine:fmin,fmax,amp', got 'multisine:1,2'"),
+        (("simulate", "--input", "foo:1"), "InputFormatError",
+         "unknown input spec 'foo:1'"),
+        (("simulate", "--input", "multisine:0,20,nan"), "ShapeMismatch",
+         "input samples contain non-finite values"),
+        (("simulate", "--input", "file:{dir}/input.csv"), "InputFormatError",
+         "input.csv:3: non-numeric input row"),
+        (("simulate", "--input", "file:{dir}/short.csv"), "InputFormatError",
+         "short.csv: need at least 101 samples, got 2"),
+    ],
+    ids=["ordering-text", "multisine-two-fields", "input-kind", "multisine-nan",
+         "file-text-row", "file-short"],
+)
+def test_command_line_refusals_are_typed(tmp_path, msd_file, capsys, argv,
+                                         code_name, message):
+    (tmp_path / "input.csv").write_text("u1,u2\n0,0\nx,0\n")
+    (tmp_path / "short.csv").write_text("u1,u2\n0,0\n1,1\n")
+    argv = [a.format(dir=tmp_path) for a in argv]
+    if argv[0] == "simulate":
+        argv += ["--t-end", "0.1"]
+    code, out, err = run(capsys, *argv, "--model", str(msd_file), "--out", str(tmp_path))
+    assert code == 1
+    assert f"error[{code_name}]: " in err and message in err
+    assert "Traceback" not in err
+
+
+def test_compare_refuses_an_lpv_file_as_its_model(tmp_path, msd_file, capsys):
+    run(capsys, "embed", "--model", str(msd_file), "--out", str(tmp_path))
+    lpv_path = str(tmp_path / "msd2dof_nlfr_lpv.json")
+    code, out, err = run(
+        capsys, "compare", "--model", lpv_path, "--lpv", lpv_path,
+        "--out", str(tmp_path), "--t-end", "0.1",
+    )
+    assert code == 1
+    assert "error[ModelFormatError]" in err and "expected a nonlinear model" in err
+
+
 def test_compare_pipeline_passes(tmp_path, msd_file, capsys):
     run(capsys, "embed", "--model", str(msd_file), "--out", str(tmp_path))
     lpv_path = tmp_path / "msd2dof_nlfr_lpv.json"
@@ -414,6 +457,23 @@ def test_compare_offset_model_passes(tmp_path, capsys):
     assert float(report[1].split(",")[1]) <= 1e-9
 
 
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_overflowing_step_map_is_typed(tmp_path, capsys, command):
+    # validates and embeds, but at dt = 1e-3 the RK4 step map overflows
+    path = write_scalar_model(tmp_path / "stiff.json", "z1^2", A=-1e200, Bw=1.0)
+    extra = ()
+    if command == "compare":
+        run(capsys, "embed", "--model", str(path), "--out", str(tmp_path))
+        extra = ("--lpv", str(tmp_path / "stiff_lpv.json"))
+    code, out, err = run(
+        capsys, command, "--model", str(path), *extra, "--out", str(tmp_path),
+        "--t-end", "1",
+    )
+    assert code == 1
+    assert err.splitlines()[-1].startswith("error[InvalidConfig]: the RK4 step map")
+    assert "Traceback" not in err
+
+
 def test_simulate_evaluation_overflow_is_typed(tmp_path, capsys):
     path = write_scalar_model(tmp_path / "blowup.json", "exp(z1)", A=1.0, Bw=1.0)
     code, out, err = run(
@@ -461,6 +521,10 @@ def _nlfr_row_not_text(msd_file, capsys, tmp_path):
     return "validate", raw
 
 
+def _model_not_object(msd_file, capsys, tmp_path):
+    return "validate", [1, 2]
+
+
 def _lpv_schedule_cell_text(msd_file, capsys, tmp_path):
     run(capsys, "embed", "--model", str(msd_file), "--out", str(tmp_path))
     raw = json.loads((tmp_path / "msd2dof_nlfr_lpv.json").read_text())
@@ -474,8 +538,9 @@ def _lpv_schedule_cell_text(msd_file, capsys, tmp_path):
         (_nlfr_dims_not_object, "ModelFormatError"),
         (_nlfr_row_not_text, "ParseError"),
         (_lpv_schedule_cell_text, "ModelFormatError"),
+        (_model_not_object, "ModelFormatError"),
     ],
-    ids=["dims-5", "f-row-5", "schedule-cell-x"],
+    ids=["dims-5", "f-row-5", "schedule-cell-x", "model-array"],
 )
 def test_malformed_model_file_is_typed(tmp_path, msd_file, capsys, make, code_name):
     command, raw = make(msd_file, capsys, tmp_path)

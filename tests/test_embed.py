@@ -1,6 +1,7 @@
 """LPV assembly: basis construction, affinity, scheduling."""
 
 import itertools
+import math
 import re
 import warnings
 
@@ -212,13 +213,23 @@ RAGGED = [[0.1, 0.2], [0.3]]
          "batch cannot be read as numbers"),
         (lambda lpv, f: lpv.schedule.entry(1, 1).evaluate_batch(RAGGED), ArityMismatch,
          "batch cannot be read as numbers"),
+        (lambda lpv, f: assemble(lpv, [math.nan, 0.0]), ShapeMismatch,
+         "scheduling vector contains non-finite values"),
+        (lambda lpv, f: scheduling_from_state(lpv, [math.nan, 0, 0, 0], [0, 0]),
+         ShapeMismatch, "state contains non-finite values"),
+        (lambda lpv, f: scheduling_from_state(lpv, np.zeros(4), [math.inf, 0.0]),
+         ShapeMismatch, "corrected input contains non-finite values"),
+        (lambda lpv, f: f[0].evaluate_batch(np.zeros((2, 3))), ArityMismatch,
+         "batch shape (2, 3) incompatible with arity 2"),
     ],
     ids=["assemble-text", "reconstruction-ragged", "reconstruction-empty",
-         "batch-ragged", "quotient-batch-ragged"],
+         "batch-ragged", "quotient-batch-ragged", "assemble-nan",
+         "scheduling-x-nan", "scheduling-u-inf", "batch-wide"],
 )
 def test_library_inputs_are_typed(msd_model, call, error, message):
     # each input is read through a try, where numpy would raise an untyped
-    # ValueError; at ordering 2,1 entry (1, 1) is a guarded quotient
+    # ValueError, and a NaN or inf is refused where it would give NaN; at
+    # ordering 2,1 entry (1, 1) is a guarded quotient
     with pytest.raises(error, match=re.escape(message)):
         call(embed(msd_model, (2, 1)), msd_model.f)
 

@@ -392,6 +392,7 @@ def test_parse_matches_operator_fold(tape, data):
     ("cos(0*z1 + 0.5)*z1", f"{math.cos(0.5)!r}*z1"),
     ("exp(1000)*0", (NonFiniteEntry, "constant exp(1000) overflows", None)),
     ("2*(z1 - z2)*3*z1", "-6*z1*z2 + 6*z1^2"),
+    ("(z1 + z2)*(z1 - z2)", "-z2^2 + z1^2"),
 ])
 def test_parse_fold_cases(text, expected):
     # a product checks each step as Expression's operators do: an overflow
@@ -403,6 +404,14 @@ def test_parse_fold_cases(text, expected):
         assert str(parse(text, 2)) == expected
     else:
         assert got == expected
+
+
+def test_operators_refuse_what_has_no_expression():
+    e = parse("z1", 1)
+    with pytest.raises(ArityMismatch, match="arity mismatch: 1 vs 2"):
+        e + parse("z1", 2)
+    with pytest.raises(NegativeExponent, match="negative exponent -1"):
+        e ** -1
 
 
 def test_canonical_merge_and_constant_fold():
@@ -696,11 +705,12 @@ def test_terms_store_python_numbers():
          "unsupported function 'foo'"),
         (Term(1.0, (1,), (FuncFactor(["sin"], (1.0,), 0.0),)), UnsupportedFunction,
          "unsupported function ['sin']"),
+        (Term(1.0, (1, 1), ()), ArityMismatch, "term has 2 exponents, expected 1"),
     ],
     ids=["exponent-1", "exponent-int64-2", "exponent-1.5", "exponent-2.0",
          "coeff-True", "coeff-bool_", "coeff-1j", "coeff-text", "weight-False",
          "bias-1j", "coeff-10^400", "exponent-text", "exponent-None", "function-foo",
-         "constant-function-foo", "function-list"],
+         "constant-function-foo", "function-list", "exponents-2"],
 )
 def test_terms_refuse_what_would_not_reparse(term, error, message):
     # unchecked, Term(2.0, (-1,), ()) would print "2", (1.5,) "z1^1.5" and
@@ -780,9 +790,10 @@ def test_guarded_quotient_continuity_sweep():
 def emitted(entry, n_vars):
     """The function of z1..zn that runs entry.emit's statements."""
     z = [f"z{j}" for j in range(n_vars)]
+    values = ValueTable()
     source = "\n".join(
         [f"def f({', '.join(z)}):"]
-        + ["    " + line for line in entry.emit("v", z)]
+        + ["    " + line for line in values.statements(entry.emit("v", z, values))]
         + ["    return v"]
     )
     namespace = dict(EMITTED_FUNCTIONS)
@@ -881,4 +892,4 @@ def test_entries_sharing_a_value_table_match_evaluate_bit_for_bit():
 
 def test_emit_checks_arity():
     with pytest.raises(ArityMismatch):
-        parse(MSD_F, 2).emit("v", ["z0"])
+        parse(MSD_F, 2).emit("v", ["z0"], ValueTable())

@@ -48,6 +48,11 @@ def test_extract_offset_transcendental_constant():
     assert f_tilde[0] == parse("sin(z1) + cos(z1) - 1", 1)
 
 
+def test_extract_offset_refuses_rows_of_differing_arity():
+    with pytest.raises(ModelFormatError, match="rows have differing arity"):
+        extract_offset((parse("z1", 1), parse("z1", 2)))
+
+
 # --- orderings on the two-mass example ---------------------------------------------
 
 

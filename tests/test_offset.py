@@ -1,6 +1,7 @@
 """Offset propagation: DC gains, stability check, correction solving."""
 
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -78,6 +79,14 @@ def test_dc_gains_msd_nonsingular(msd_model):
 def test_dc_gains_singular_a():
     raw = lti_raw([[0.0]], [[1.0]], [[1.0]], [[1.0]], [[1.0]], ["0"])
     with pytest.raises(SingularA):
+        dc_gains(validate_nlfr(raw))
+
+
+def test_dc_gains_ill_conditioned_a():
+    # invertible, but past the condition limit
+    raw = lti_raw(np.diag([-1.0, -1e-13]), [[1.0], [1.0]], [[1.0], [1.0]],
+                  [[1.0, 1.0]], [[1.0, 1.0]], ["0"])
+    with pytest.raises(SingularA, match=re.escape("condition estimate 1.000e+13")):
         dc_gains(validate_nlfr(raw))
 
 

@@ -1213,6 +1213,67 @@ def test_library_dt_must_be_positive_finite(msd_model, simulator, dt):
         run()
 
 
+def _runs(model, u, **kw):
+    """The three simulators on model (embedded for the LPV two), played-back
+    p zero."""
+    lpv = embed(model)
+    return {
+        "nlfr": lambda: simulate_nlfr(model, u, **kw),
+        "lpv_self": lambda: simulate_lpv_self(lpv, u, **kw),
+        "lpv_exogenous": lambda: simulate_lpv_exogenous(
+            lpv, u, np.zeros((np.shape(u)[0], lpv.n_p)), **kw),
+    }
+
+
+@pytest.mark.parametrize("simulator", ["nlfr", "lpv_self", "lpv_exogenous"])
+def test_nonfinite_initial_state_is_typed(msd_model, simulator):
+    # a NaN x0 used to run until Divergence at step 1
+    run = _runs(msd_model, np.zeros((11, 2)), x0=[math.nan, 0.0, 0.0, 0.0])[simulator]
+    with pytest.raises(ShapeMismatch, match="initial state contains non-finite values"):
+        run()
+
+
+@pytest.mark.parametrize(
+    "model, u, x0, message",
+    [
+        (first_order_raw(), np.zeros(11), None, "input samples have shape (11,), "
+         "expected (n_steps + 1, 1)"),
+        (None, np.zeros((11, 3)), None, "input samples have shape (11, 3), "
+         "expected (n_steps + 1, 2)"),
+        (None, np.zeros((1, 2)), None, "input needs at least 2 samples"),
+        (first_order_raw(), np.zeros((11, 1)), 0.5, "initial state has shape (), "
+         "expected (1,)"),
+    ],
+    ids=["one-input-1d", "three-columns", "one-sample", "one-state-scalar"],
+)
+@pytest.mark.parametrize("simulator", ["nlfr", "lpv_self", "lpv_exogenous"])
+def test_simulator_input_shapes_are_typed(msd_model, simulator, model, u, x0, message):
+    # samples are 2-D, (n_steps + 1, n_u), and an initial state 1-D, even
+    # for a one-input or one-state model
+    model = msd_model if model is None else validate_nlfr(model)
+    with pytest.raises(ShapeMismatch, match=re.escape(message)):
+        _runs(model, u, x0=x0)[simulator]()
+
+
+def test_one_channel_p_must_be_2d():
+    lpv = embed(validate_nlfr(dict(first_order_raw(), Bw=[[1.0]], f=["z1^2"])))
+    assert lpv.n_p == 1
+    with pytest.raises(ChannelCountMismatch, match=re.escape("shape (11,)")):
+        simulate_lpv_exogenous(lpv, np.zeros((11, 1)), np.zeros(11))
+
+
+@pytest.mark.parametrize("a", [-1e200, -1e80])
+@pytest.mark.parametrize("simulator", ["nlfr", "lpv_self", "lpv_exogenous"])
+def test_overflowing_step_map_is_typed(simulator, a):
+    # the model validates and embeds, but its RK4 step map at dt = 1e-3
+    # overflows: -1e200 reaches inf at the second stage, -1e80 at the
+    # fourth, through dt^3 A^4; an inf in the kernel's source was a
+    # NameError, and the overflow a RuntimeWarning
+    model = validate_nlfr(dict(first_order_raw(), A=[[a]], Bw=[[1.0]], f=["z1^2"]))
+    with pytest.raises(InvalidConfig, match="RK4 step map at dt = 0.001 overflows"):
+        _runs(model, np.zeros((11, 1)))[simulator]()
+
+
 def test_multisine_table_bound_is_typed():
     # 10 000 samples x 2 501 grid lines (k = 1..2501 for f_max = 250.15 Hz
     # over the 9.999 s period): one line more than the bound allows
