@@ -278,8 +278,10 @@ def cmd_simulate(args) -> int:
 
 
 #: Fewest steps for which compare runs the NLFR in a forked child.  Forking
-#: and reaping one costs 1 to 3 ms in a 40 MB process, what some 300 to 900
-#: steps of one simulation cost, so shorter runs stay in this process.
+#: and reaping one costs 1.5 to 3 ms in a 45 MB process, what some 300 to
+#: 900 steps of one msd2dof simulation cost (3.3 to 5 microseconds each,
+#: its step written in float statements), so shorter runs stay in this
+#: process.
 _FORK_MIN_STEPS = 2000
 
 

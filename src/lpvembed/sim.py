@@ -6,18 +6,23 @@ equivalence residuals measure only the difference between the rules for w
 (f(z), or the rank-one LPV feedback P(z) z), never solver artifacts.  The
 field is affine in x, u and w, so each RK4 step is unrolled once per run
 into a linear map.  Each run then compiles its own step kernel: one Python
-function whose loop keeps M x, the increment and the store of the state in
-numpy and writes the four stages out as float arithmetic -- the stage z
-with its corrections, and the rule for w inlined from the model's
+function whose loop writes the four stages out as float arithmetic -- the
+stage z with its corrections, and the rule for w inlined from the model's
 expressions by their ``emit`` methods, in the operation order of
-``evaluate``.  Within a stage each repeated pure value -- a function call,
-a power of a z, the guard threshold -- is named at its first evaluation
-and read by that name where the evaluation dominates (expr.ValueTable), so
-the kernel runs a subset of ``evaluate``'s float operations, in their
-order, and no value twice; a value read once is not named.  The kernel
-tests the states for divergence once per block of _BLOCK rows; after it
-stops, the simulator finds the first state past the limit in the last
-block it wrote, so a run ends where a test after every step would end it.
+``evaluate``.  The products M x and Psi w of the step take one of two
+forms, chosen by their count n_x (4 n_z + n_x + 4 n_w): up to
+_FLOAT_STEP_MAX they are float statements too and the state is held in
+locals, so a step calls numpy only to read its input terms and store the
+state; past it they are one numpy matvec each and the state an array,
+since there numpy's per-call cost is the smaller.  Within a stage each
+repeated pure value -- a function call, a power of a z, the guard
+threshold -- is named at its first evaluation and read by that name where
+the evaluation dominates (expr.ValueTable), so the kernel runs a subset of
+``evaluate``'s float operations, in their order, and no value twice; a
+value read once is not named.  The kernel tests the states for divergence
+once per block of _BLOCK rows; after it stops, the simulator finds the
+first state past the limit in the last block it wrote, so a run ends where
+a test after every step would end it.
 The steps a diverged run takes until its block ends, at most one block on
 values that may be inf or NaN, run under np.errstate and are discarded.
 The source holds only numeric literals, fixed local names, a few builtins
@@ -77,6 +82,11 @@ DIVERGENCE_LIMIT = 1e12
 # Rows of states the kernel tests for divergence at once: rows 1 to 1024,
 # 1025 to 2048, ..., each block after the kernel writes its last row.
 _BLOCK = 1024
+
+# Most products in M x and Psi w, n_x (4 n_z + n_x + 4 n_w), for which the
+# kernel writes them as float statements; past it the numpy calls of a step
+# cost less than its float arithmetic (see _kernel).
+_FLOAT_STEP_MAX = 192
 
 #: Default comparison tolerance on per-channel max absolute output error.
 COMPARE_TOL = 1e-9
@@ -185,7 +195,19 @@ def _step_map(core, dt: float):
     return G[:, :n_x], G[:, n_x : n_x + 2 * n_u], H, Gw[4 * n_z :]
 
 
-def _kernel(H, rule, n_steps: int):
+def _products(A, names, keep_zeros: bool = False) -> list[str]:
+    """Each row of A v, v held in the locals names, as one float expression
+    summed left to right over its coefficients, the zero ones only with
+    keep_zeros; 0.0 for a row with no term."""
+    return [
+        " + ".join(
+            f"{a!r} * {n}" for a, n in zip(row, names) if keep_zeros or a != 0.0
+        ) or "0.0"
+        for row in A.tolist()
+    ]
+
+
+def _kernel(M, H, Psi, rule, n_steps: int):
     """Compile one run's RK4 loop over the step map, closed by the rule.
 
     rule(i, z, w, values) gives the names of the scheduling values of stage
@@ -197,12 +219,23 @@ def _kernel(H, rule, n_steps: int):
     name where the evaluation dominates, never evaluated earlier, more often
     or on a path where the rule's expressions do not evaluate it.  The stage
     z and its corrections H (from _step_map) are emitted as float
-    arithmetic, nonzero coefficients only, summed left to right; M x, the
-    increment Psi w and the store of each new state stay numpy.  After
+    arithmetic, nonzero coefficients only, summed left to right.
+
+    M x and the increment Psi w take one of two forms, chosen by their
+    count of products, M.size + Psi.size = n_x (4 n_z + n_x + 4 n_w).  Up
+    to _FLOAT_STEP_MAX, the state is held in locals x0, x1, ..., and M x
+    and Psi w are float statements (_products), M x over its nonzero
+    coefficients like the stage corrections and Psi w over all of them, so
+    a step calls numpy only to take its row of off and to store the new
+    state.  Past it, where a step's float arithmetic costs more than
+    numpy's per-call overhead, M x, the increment and the state stay numpy
+    arrays.  Each row of the float form is the sum a BLAS gemv that sums
+    left to right computes, but for the sign of a zero sum; other BLAS
+    kernels may round M x and Psi w differently in the last bits.  After
     writing rows 1 to _BLOCK, _BLOCK + 1 to 2 _BLOCK, ... of states, the
     kernel tests that block with one abs(...).max() and stops if a row is
-    past DIVERGENCE_LIMIT or NaN, without saying which (see _simulate).  The
-    source holds only float and integer literals, local names, a few
+    past DIVERGENCE_LIMIT or NaN, without saying which (see _simulate).
+    The source holds only float and integer literals, local names, a few
     builtins and the keys of EMITTED_FUNCTIONS; nothing is cached, so each
     run compiles its own kernel.
 
@@ -214,12 +247,17 @@ def _kernel(H, rule, n_steps: int):
     run, else None.
     """
     n_z, n_w = H[0].shape
+    n_x = M.shape[1]
+    floats = M.size + Psi.size <= _FLOAT_STEP_MAX
     z = [f"z{j}" for j in range(n_z)]
     w = [[f"w{i}_{r}" for r in range(n_w)] for i in range(4)]
+    flat_w = [name for stage in w for name in stage]
+    x = [f"x{j}" for j in range(n_x)]
+    s = [f"s{r}" if floats else f"s[{r}]" for r in range(M.shape[0])]
     body = []
     for i in range(4):
         for j in range(n_z):
-            s_ij = f"s[{i * n_z + j}]"
+            s_ij = s[i * n_z + j]
             terms = [] if i == 0 else [
                 f"{float(h)!r} * {w[c // n_w][c % n_w]}"
                 for c, h in enumerate(H[i - 1][j]) if h != 0.0
@@ -236,18 +274,32 @@ def _kernel(H, rule, n_steps: int):
             row = [*z, *w[0], *p]
             body += [f"record(rec, {8 * len(row)} * k, {', '.join(row)})",
                      "recorded = k + 1", f"if k == {n_steps}:", "    break"]
-    flat_w = ", ".join(name for stage in w for name in stage)
+    # the new state is x plus an increment, so that the increment's O(dt)
+    # terms are not rounded against x
+    if floats:
+        start = [f"[{', '.join(x)}] = x.tolist()"]
+        head = ["o = off[k].tolist()"] + [
+            f"{s[r]} = ({mx}) + o[{r}]" for r, mx in enumerate(_products(M, x))
+        ]
+        # Psi w keeps its zero coefficients, so that an inf or NaN w reaches
+        # the state and its divergence test as through numpy's matvec, even
+        # a w that drives no state
+        tail = [
+            f"{x_j} = {x_j} + ({s_j} + ({pw}))"
+            for x_j, s_j, pw in zip(x, s[4 * n_z :], _products(Psi, flat_w, True))
+        ] + [f"states[k + 1] = [{', '.join(x)}]"]
+    else:
+        start = []
+        head = ["sa = M @ x + off[k]", "s = sa.tolist()"]
+        tail = [f"x = x + (sa[{4 * n_z}:] + Psi.dot([{', '.join(flat_w)}]))",
+                "states[k + 1] = x"]
     source = "\n".join([
         "def kernel(x, off, states, M, Psi, p, rec, record):",
+        *("    " + line for line in start),
         "    recorded = 0",
         "    try:",
         f"        for k in range({n_steps + 1}):",
-        "            sa = M @ x + off[k]",
-        "            s = sa.tolist()",
-        *("            " + line for line in body),
-        # an increment, so its O(dt) terms are not rounded against x
-        f"            x = x + (sa[{4 * n_z}:] + Psi.dot([{flat_w}]))",
-        "            states[k + 1] = x",
+        *("            " + line for line in head + body + tail),
         # one comparison per block of rows, which NaN and inf also fail
         f"            if k % {_BLOCK} == {_BLOCK - 1} and not "
         f"abs(states[k - {_BLOCK - 2}:k + 2]).max() <= {DIVERGENCE_LIMIT!r}:",
@@ -280,7 +332,7 @@ def _simulate(core, rule, x0, u, u_c, dt, y0=0.0, p=None):
         raise InvalidConfig(f"dt must be positive and finite, got {dt}")
     M, K, H, Psi = _step_map(core, dt)
     n_steps = u_c.shape[0] - 1
-    kernel = _kernel(H, rule, n_steps)
+    kernel = _kernel(M, H, Psi, rule, n_steps)
     # the last sample is paired with the first; its stage 0 reads only u_c[n]
     off = np.hstack([u_c, np.roll(u_c, -1, axis=0)]) @ K.T
     states = np.zeros((n_steps + 1, x0.shape[0]))

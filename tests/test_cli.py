@@ -714,29 +714,29 @@ def test_golden_artifacts(tmp_path, capsys, monkeypatch):
         assert digests == GOLDEN_SHA256
 
 
-# sha256 of the simulation artifacts on msd2dof.  The compare and spectrum
-# digests were recorded before the generated stage kernel replaced the
-# per-stage rule calls; the trajectory digests pin the w and p the kernel
-# integrated.
+# sha256 of the simulation artifacts on msd2dof; the trajectory digests pin
+# the w and p the kernel integrated.  Recorded again when msd2dof's step
+# became float statements, which sum M x and Psi w left to right where
+# OpenBLAS's Haswell gemv did not.
 GOLDEN_SIM_SHA256 = {
     "msd2dof_nlfr_traj.csv":
-        "e7c91f1cb296d8af69545436e0de574c2a408a6850ea19eea98ef73c87ad4d1b",
+        "9c5b5026964a11fa23fdd9b5f796494d2f77cc0925c90091b54423d9dc9bcd9f",
     "1,2/msd2dof_nlfr_lpv_traj.csv":
-        "8f8799ae5a172dc6896e0bbed9c0a695fc691844efd1d973685cde095fed5d5a",
+        "66478cf5db2523a9ad86541519c85ec74a49b8703dd2661881ab1039cdc490b9",
     "1,2/compare_report.csv":
-        "25f1053bc386d4d1b90732001dd68d42193eaa33d04b8529f81b61de312fa7af",
+        "0e9cb961d5c864873587bb29d4fab06102307efa3f057f33e8591ad312ef6704",
     "1,2/spectrum_nlfr.csv":
-        "3493cbd99f238e989b055d33df5d1290e52961a17b26cff9267a4816c9eb10ec",
+        "1edb0208414a0f8cc8e20e924b15d367534c7bf1ffe3299b77b08f06936d4614",
     "1,2/spectrum_lpv.csv":
-        "a28cb8b36923577a48d0facdfa6d734083fa0402655c83e4b14082278b834417",
+        "ee959b7e7c7366fbb26612b6a551e02b694b60a8865b2471f7ef596695650a68",
     "2,1/msd2dof_nlfr_lpv_traj.csv":
-        "12dd6633879fc042f1b0efdb1c8ab1ca51f4350d9ddcac3c9850ed3bae30f4d1",
+        "e98fedf15dc0b066c0b52c259e387c2528b3d3c24c6a21ab6cae785e6bdc1175",
     "2,1/compare_report.csv":
-        "1bc5964d51c036f46309b0db8293e03bab7b0776576b0417bad8fb8b0993ba62",
+        "0e9cb961d5c864873587bb29d4fab06102307efa3f057f33e8591ad312ef6704",
     "2,1/spectrum_nlfr.csv":
-        "3493cbd99f238e989b055d33df5d1290e52961a17b26cff9267a4816c9eb10ec",
+        "1edb0208414a0f8cc8e20e924b15d367534c7bf1ffe3299b77b08f06936d4614",
     "2,1/spectrum_lpv.csv":
-        "3493cbd99f238e989b055d33df5d1290e52961a17b26cff9267a4816c9eb10ec",
+        "ee959b7e7c7366fbb26612b6a551e02b694b60a8865b2471f7ef596695650a68",
 }
 
 

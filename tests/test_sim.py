@@ -7,9 +7,13 @@ import hashlib
 import io
 import keyword
 import math
+import os
 import re
+import subprocess
+import sys
 import tokenize
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -211,12 +215,16 @@ def test_evaluation_overflow_is_divergence(f):
 # numpy methods it calls, and the stage variables z, w and p
 KERNEL_NAMES = {
     "kernel", "x", "off", "states", "M", "Psi", "p", "rec", "record",
-    "recorded", "k", "sa", "s", "c", "exc", "range", "abs", "max", "next",
+    "recorded", "k", "sa", "s", "o", "c", "exc", "range", "abs", "max", "next",
     "dot", "tolist", "OverflowError", "ValueError",
 }
 # the stage variables z, w and p, the played-back rows a, h and b, the values
-# a stage names at their first evaluation (v) and the emitted functions
-KERNEL_NAME_RE = re.compile(r"(z|p|a|h|b|v)\d+|w[0-3]_\d+|_fn[0-5]")
+# a stage names at their first evaluation (v), the state and the products
+# M x of a float step (x and s) and the emitted functions
+KERNEL_NAME_RE = re.compile(r"(z|p|a|h|b|v|x|s)\d+|w[0-3]_\d+|_fn[0-5]")
+
+# _FLOAT_STEP_MAX values that put every model on one form of the step
+STEP_FORMS = {"float": math.inf, "numpy": -1}
 
 
 def kernel_sources(run):
@@ -233,7 +241,7 @@ def kernel_sources(run):
     return sources
 
 
-def test_kernel_source_holds_only_allowed_names(msd_model):
+def test_kernel_source_holds_only_allowed_names(msd_model, monkeypatch):
     rng = np.random.default_rng(5)
     toy = validate_nlfr(random_nlfr_raw(
         rng, n_x=3, n_u=2, n_y=2, n_w=2, n_z=2,
@@ -254,18 +262,21 @@ def test_kernel_source_holds_only_allowed_names(msd_model):
                 ])
                 simulate_lpv_exogenous(lpv, u, p)
 
-    sources = kernel_sources(runs)
-    assert len(sources) == 10
-    text = "\n".join(sources)
-    assert "if abs(" in text and all(f"_fn{k}(" in text for k in range(6))
-    for source in sources:
-        tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
-        assert not any(t.type == tokenize.STRING for t in tokens)
-        names = {t.string for t in tokens if t.type == tokenize.NAME}
-        assert all(
-            keyword.iskeyword(n) or n in KERNEL_NAMES or KERNEL_NAME_RE.fullmatch(n)
-            for n in names
-        ), names
+    for form, limit in STEP_FORMS.items():
+        monkeypatch.setattr(sim, "_FLOAT_STEP_MAX", limit)
+        sources = kernel_sources(runs)
+        assert len(sources) == 10
+        text = "\n".join(sources)
+        assert "if abs(" in text and all(f"_fn{k}(" in text for k in range(6))
+        for source in sources:
+            assert ("M @ x" in source) == (form == "numpy"), form
+            tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
+            assert not any(t.type == tokenize.STRING for t in tokens)
+            names = {t.string for t in tokens if t.type == tokenize.NAME}
+            assert all(
+                keyword.iskeyword(n) or n in KERNEL_NAMES or KERNEL_NAME_RE.fullmatch(n)
+                for n in names
+            ), names
 
 
 def test_five_thousand_term_row_simulates(msd_model):
@@ -320,9 +331,12 @@ def stage_zero_calls(run):
             return fn(*args)
         return call
 
-    class StepEnd:  # Psi, whose one use in the kernel ends a step
-        def __init__(self, Psi):
-            self.dot = marked("step", Psi.dot)
+    class StepStart:  # off, which each step of either form indexes once, first
+        def __init__(self, off):
+            self.row = marked("step", off.__getitem__)
+
+        def __getitem__(self, k):
+            return self.row(k)
 
     kernel_for = sim._kernel
 
@@ -331,7 +345,7 @@ def stage_zero_calls(run):
 
         def run_kernel(x, off, states, M, Psi, p, rec, record):
             # record ends stage 0
-            return kernel(x, off, states, M, StepEnd(Psi), p, rec,
+            return kernel(x, StepStart(off), states, M, Psi, p, rec,
                           marked("record", record))
 
         return run_kernel
@@ -384,7 +398,9 @@ def evaluate_calls(entries, points):
 
 @pytest.mark.parametrize("simulator", ["nlfr", "lpv_self"])
 @pytest.mark.parametrize("case", ["msd 1,2", "msd 2,1", "shared 1,2,3", "shared 3,1,2"])
-def test_stage_zero_calls_each_function_of_the_rule_once(msd_model, case, simulator):
+def test_stage_zero_calls_each_function_of_the_rule_once(
+    msd_model, case, simulator, monkeypatch
+):
     # z_1 starts inside the guard band, so the first sample takes the
     # derivative branch of each quotient by z_1 and the others take the
     # quotient branch; no coordinate is exactly zero, so distinct arguments
@@ -399,22 +415,26 @@ def test_stage_zero_calls_each_function_of_the_rule_once(msd_model, case, simula
         x0 = [1e-9, 0.3, -0.4, 0.2]
     lpv = embed(model, tuple(int(v) for v in ordering.split(",")))
     u = multisine(2, 0.0, 5.0, 0.8, 1e-3, 1000, seed=3)
-    if simulator == "nlfr":
-        entries = model.f
-        traj, stages = stage_zero_calls(lambda: simulate_nlfr(model, u, x0=x0))
-    else:
-        entries = [lpv.schedule.entry(r, i) for r, i in lpv.channels]
-        traj, stages = stage_zero_calls(lambda: simulate_lpv_self(lpv, u, x0=x0))
-    assert len(stages) == traj.x.shape[0] == 1001
-    z = traj.z[0].tolist()
-    quotients = [q for q in entries if isinstance(q, GuardedQuotient)]
-    assert all(z) and any(
-        abs(z[q.divisor_index - 1]) <= q.effective_threshold(z) for q in quotients
-    ) == bool(quotients)
-    want = evaluate_calls(entries, traj.z.tolist())
-    for k, (calls, wanted) in enumerate(zip(stages, want)):
-        assert len(calls) == len(set(calls)), k
-        assert set(calls) == wanted, k
+    entries = model.f if simulator == "nlfr" else [
+        lpv.schedule.entry(r, i) for r, i in lpv.channels
+    ]
+    run = {
+        "nlfr": lambda: simulate_nlfr(model, u, x0=x0),
+        "lpv_self": lambda: simulate_lpv_self(lpv, u, x0=x0),
+    }[simulator]
+    for form, limit in STEP_FORMS.items():
+        monkeypatch.setattr(sim, "_FLOAT_STEP_MAX", limit)
+        traj, stages = stage_zero_calls(run)
+        assert len(stages) == traj.x.shape[0] == 1001
+        z = traj.z[0].tolist()
+        quotients = [q for q in entries if isinstance(q, GuardedQuotient)]
+        assert all(z) and any(
+            abs(z[q.divisor_index - 1]) <= q.effective_threshold(z) for q in quotients
+        ) == bool(quotients)
+        want = evaluate_calls(entries, traj.z.tolist())
+        for k, (calls, wanted) in enumerate(zip(stages, want)):
+            assert len(calls) == len(set(calls)), (form, k)
+            assert set(calls) == wanted, (form, k)
 
 
 # Divergence of the model below under zero input from x0 = (1, 1), dt 1e-2,
@@ -450,12 +470,13 @@ def test_overflow_in_the_taken_branch_keeps_its_step_and_message():
 
 
 # sha256 of x, z and w_or_p of the shared-calls model started at rest, so
-# the first sample takes every derivative branch; recorded before the kernel
-# named repeated values, so they pin that the naming changed no bit
+# the first sample takes every derivative branch.  Recorded before the
+# kernel named repeated values, where they pinned that the naming changed no
+# bit, and again when the model's step became float statements
 GOLDEN_SHARED_CALLS_SHA256 = {
-    "nlfr": "99625c08e705ecb4af684d3f0a6cfc139abce2df2a1cff37d0b8a0a8fb2da20a",
-    "lpv 1,2,3": "6640dade0f5fe3c189b699f3d0d2d20e2f94be50dcbe3eed0baa7cd661c045ce",
-    "lpv 3,1,2": "1f2c2c7487b3b50d7fe876f478193e70ac08fecf49d7e1e54e9e0f0935f14bac",
+    "nlfr": "528716d273bf3499a700e7fa708e195091135904b5727ba202e9170e984d0ec4",
+    "lpv 1,2,3": "5d7a0eaed8a91170833a285d86567e56a0ceaed4ec0149358c5c88feb59755c7",
+    "lpv 3,1,2": "1bf951c46ef869276c589fb3d6677a0f0a8d6ea6388592627f77fa435aed87b3",
 }
 
 
@@ -720,7 +741,8 @@ X0_AT_STEP = {
 }
 
 # each run's divergence, recorded when the kernel tested the state after
-# every step
+# every step; the partial trajectory of ("nlfr" and "lpv", "before") again
+# when the step of one-state models became float statements
 BLOCK_DIVERGENCE = {
     ("nlfr", 1): (
         1, "state exceeded 1e+12 at step 1",
@@ -804,11 +826,11 @@ BLOCK_DIVERGENCE = {
     ),
     ("nlfr", "before"): (
         1434, "nonlinearity evaluation overflowed at step 1434 (math range error)",
-        "4ff699d3b623c4d83ea3cff536eda47a9d818365579d723e8a73911d135ce44b",
+        "681bfaaae113ed2eff5fe47fd80afee9e9172436d27101d9c11d606084f8379a",
     ),
     ("lpv", "before"): (
         1434, "nonlinearity evaluation overflowed at step 1434 (math range error)",
-        "c1353b7254aa749adc7e97f260baefd6ce9f239898bd9e9c4b3614f463e10a04",
+        "f0c6e709812c2d7d43c7327b726f3a6af0edce09254c45268710ae8ffe501246",
     ),
     ("exogenous", 1025): (
         1025, "state exceeded 1e+12 at step 1025",
@@ -863,6 +885,209 @@ def test_exogenous_divergence_after_a_block():
     p = np.zeros((2101, 1))
     got = divergence(lambda: simulate_lpv_exogenous(lpv, u, p, x0=[X0_AT_STEP[1025]]))
     assert got == BLOCK_DIVERGENCE["exogenous", 1025]
+
+
+# --- the two forms of the step ---------------------------------------------------
+
+def openblas_dynamic_arch() -> bool:
+    """Whether numpy's BLAS is an OpenBLAS that picks its kernels at run
+    time, and so honours OPENBLAS_CORETYPE."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # an older numpy only prints its config
+        return False
+    return (
+        "openblas" in blas.get("name", "")
+        and "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+    )
+
+
+# OpenBLAS's Prescott gemv sums a row of up to 5 columns left to right, like
+# the float step, so on msd2dof (M x over 4 columns, Psi w over 4) the two
+# forms of the step compute the same bits under it
+PRESCOTT = os.environ.get("OPENBLAS_CORETYPE") == "Prescott" and openblas_dynamic_arch()
+
+
+def products(m) -> int:
+    """The count of products in M x and Psi w, the size of a step."""
+    d = m.dims
+    return d.n_x * (4 * d.n_z + d.n_x + 4 * d.n_w)
+
+
+def by_form(monkeypatch, run):
+    """run()'s result with the step in each form."""
+    out = {}
+    for form, limit in STEP_FORMS.items():
+        monkeypatch.setattr(sim, "_FLOAT_STEP_MAX", limit)
+        out[form] = run()
+    return out
+
+
+def form_cases(msd_model):
+    """Name -> (model, its LPV embedding), for models on each side of the
+    size rule."""
+    def toy(seed, n_x, n_w, n_z):
+        rng = np.random.default_rng(seed)
+        return validate_nlfr(random_nlfr_raw(rng, n_x=n_x, n_u=2, n_y=2, n_w=n_w, n_z=n_z))
+
+    models = {
+        "msd 1,2": (msd_model, (1, 2)),
+        "msd 2,1": (msd_model, (2, 1)),
+        "shared": (shared_calls_model(), (3, 1, 2)),
+        "at the limit": (toy(31, 8, 2, 2), (2, 1)),
+        "past the limit": (toy(32, 6, 3, 4), (4, 3, 2, 1)),
+    }
+    return {name: (m, embed(m, o)) for name, (m, o) in models.items()}
+
+
+def test_step_form_follows_the_size_rule(msd_model):
+    cases = form_cases(msd_model)
+    counts = {name: products(m) for name, (m, _) in cases.items()}
+    assert counts["msd 1,2"] == 64 and counts["shared"] == 96
+    assert counts["at the limit"] == sim._FLOAT_STEP_MAX < counts["past the limit"] == 204
+    u = np.zeros((11, 2))
+    for name, (m, lpv) in cases.items():
+        floats = counts[name] <= sim._FLOAT_STEP_MAX
+        sources = kernel_sources(lambda: [
+            simulate_nlfr(m, u), simulate_lpv_self(lpv, u, x0=matching_start(lpv))
+        ])
+        for source in sources:
+            assert ("o = off[k].tolist()" in source) == floats, name
+            assert ("sa = M @ x + off[k]" in source) != floats, name
+
+
+# sha256 of the NLFR and LPV kernel sources of a model of synth64's size
+# (n_x 64, n_z 6, n_w 4), whose step stays numpy; recorded before the float
+# step existed.  Each sum in its step map has at most one nonzero term, so
+# the H literals in the sources do not depend on the BLAS build.
+GOLDEN_LARGE_KERNEL_SHA256 = [
+    "c06a68f24ab9b724a9c1f2f46b753fcbcf406d98cbdd0fbee7315bd874da277d",
+    "15ad7f135be94fe1690aa40a435a83f1c8c34b43f729b957ce3d98f75ac1f9dd",
+]
+
+
+def test_large_model_kernel_source_is_pinned():
+    n_x, n_u, n_y, n_w, n_z = 64, 2, 2, 4, 6
+    Bw = np.eye(n_x, n_w)
+    Bu = np.zeros((n_x, n_u))
+    Bu[np.arange(n_x), np.arange(n_x) % n_u] = 1.0
+    m = validate_nlfr({
+        "dims": {"n_x": n_x, "n_u": n_u, "n_y": n_y, "n_w": n_w, "n_z": n_z},
+        "A": (-np.eye(n_x)).tolist(), "Bw": Bw.tolist(), "Bu": Bu.tolist(),
+        "Cz": np.eye(n_z, n_x).tolist(), "Cy": np.eye(n_y, n_x).tolist(),
+        "Dzu": np.zeros((n_z, n_u)).tolist(), "Dyw": np.zeros((n_y, n_w)).tolist(),
+        "Dyu": np.zeros((n_y, n_u)).tolist(),
+        "f": ["0.5*sin(z1)*z2 + 0.1*z3^2", "0.2*tanh(z2 - z4)*z5",
+              "0.3*cos(z6)*z1", "0.1*z4*z5*z6"],
+    })
+    assert products(m) == 6656 > sim._FLOAT_STEP_MAX
+    u = np.zeros((11, 2))
+    sources = kernel_sources(lambda: [simulate_nlfr(m, u), simulate_lpv_self(embed(m), u)])
+    assert [
+        hashlib.sha256(source.encode()).hexdigest() for source in sources
+    ] == GOLDEN_LARGE_KERNEL_SHA256
+
+
+@pytest.mark.parametrize("case", ["msd 1,2", "msd 2,1", "shared", "at the limit",
+                                  "past the limit"])
+def test_step_forms_agree_to_rounding(msd_model, case, monkeypatch):
+    m, lpv = form_cases(msd_model)[case]
+    u = multisine(2, 0.0, 5.0, 0.8, 1e-3, 4000, seed=7)
+    x0 = matching_start(lpv)
+    runs = {
+        "nlfr": lambda: simulate_nlfr(m, u),
+        "lpv_self": lambda: simulate_lpv_self(lpv, u, x0=x0),
+    }
+    got = {name: by_form(monkeypatch, run) for name, run in runs.items()}
+    p = got["lpv_self"]["numpy"].w_or_p
+    got["lpv_exogenous"] = by_form(
+        monkeypatch, lambda: simulate_lpv_exogenous(lpv, u, p, x0=x0)
+    )
+    exact = PRESCOTT and case.startswith("msd")
+    for name, t in got.items():
+        a, b = t["numpy"], t["float"]
+        if exact:
+            for series in ("u", "x", "y", "z", "w_or_p"):
+                assert getattr(a, series).tobytes() == getattr(b, series).tobytes(), (
+                    name, series
+                )
+        # p is not compared: a guarded quotient near its band divides the
+        # rounding of z by a small z_i; the record tests pin p against z
+        for series in ("x", "y", "z"):
+            sa, sb = getattr(a, series), getattr(b, series)
+            assert sa.shape == sb.shape
+            scale = 1.0 + float(np.max(np.abs(sa)))
+            assert float(np.max(np.abs(sa - sb))) <= 1e-14 * scale, (name, series)
+
+
+# msd2dof at the CLI defaults, each run on both forms of the step; prints
+# the runs whose trajectories differ in any byte
+SAME_BITS_SCRIPT = """
+from lpvembed import (builtin_example, embed, matching_start, multisine, sim,
+                      simulate_lpv_exogenous, simulate_lpv_self, simulate_nlfr,
+                      validate_nlfr)
+m = validate_nlfr(builtin_example("msd2dof"))
+u = multisine(2, 0.0, 2.0, 1.0, 1e-3, 20000, 0)
+runs = {"nlfr": lambda: simulate_nlfr(m, u)}
+for ordering in ((1, 2), (2, 1)):
+    lpv = embed(m, ordering)
+    x0 = matching_start(lpv)
+    p = simulate_lpv_self(lpv, u, x0=x0).w_or_p
+    runs[f"lpv_self {ordering}"] = lambda lpv=lpv, x0=x0: simulate_lpv_self(lpv, u, x0=x0)
+    runs[f"lpv_exogenous {ordering}"] = (
+        lambda lpv=lpv, x0=x0, p=p: simulate_lpv_exogenous(lpv, u, p, x0=x0))
+differ = []
+for name, run in runs.items():
+    bits = []
+    for limit in (float("inf"), -1):
+        sim._FLOAT_STEP_MAX = limit
+        t = run()
+        bits.append(b"".join(a.tobytes() for a in (t.x, t.y, t.z, t.w_or_p)))
+    if bits[0] != bits[1]:
+        differ.append(name)
+print(len(runs), differ)
+"""
+
+
+@pytest.mark.skipif(not openblas_dynamic_arch(), reason="needs OpenBLAS with DYNAMIC_ARCH")
+def test_step_forms_same_bits_under_prescott_gemv():
+    src = str(Path(sim.__file__).parents[1])
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott",
+               PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", SAME_BITS_SCRIPT],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "5 []\n"
+
+
+def test_divergence_is_the_same_on_both_forms(monkeypatch):
+    u = np.zeros((2101, 1))
+    cases = {
+        step: nlfr_and_lpv(growth_model(10.0, "0.5*sin(z1)"), u, x0)
+        for step, x0 in X0_AT_STEP.items()
+    }
+    cases["nan"] = nlfr_and_lpv(
+        growth_model(10.0, "1e300*z1^2*cos(1e-300*z1) - 1e300*z1^2"), u, 0.3
+    )
+    cases["inf"] = nlfr_and_lpv(growth_model(50.0, "0.5*sin(z1)"), u, 1.0, 3e-2)
+    for case, f in (("after", "sinh(1e-10*z1)"), ("before", "sinh(z1)")):
+        cases[case] = nlfr_and_lpv(
+            growth_model(405.0, f), u[:2001], 1.9783926528831333e-252
+        )
+    for case, runs in cases.items():
+        for name, run in runs.items():
+            got = by_form(monkeypatch, lambda: divergence(run)[:2])
+            assert got["numpy"] == got["float"] == BLOCK_DIVERGENCE[name, case][:2]
+    # w_2 drives no state, so each of its coefficients in Psi is 0; it turns
+    # NaN as in test_divergence_to_nan, and the state must turn NaN with it
+    m = validate_nlfr({
+        "dims": {"n_x": 1, "n_u": 1, "n_y": 1, "n_w": 2, "n_z": 1},
+        "A": [[10.0]], "Bw": [[1.0, 0.0]], "Bu": [[1.0]], "Cz": [[1.0]],
+        "Cy": [[1.0]], "Dzu": [[0.0]], "Dyw": [[0.5, 0.0]], "Dyu": [[0.0]],
+        "f": ["0.5*sin(z1)", "1e300*z1^2*cos(1e-300*z1) - 1e300*z1^2"],
+    })
+    got = by_form(monkeypatch, lambda: divergence(lambda: simulate_nlfr(m, u, x0=[0.3]))[:2])
+    assert got["numpy"] == got["float"] == (1063, "state became NaN at step 1063")
 
 
 # --- NLFR vs LPV equivalence -----------------------------------------------------
