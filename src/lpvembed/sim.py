@@ -91,11 +91,8 @@ _FLOAT_STEP_MAX = 192
 #: Default comparison tolerance on per-channel max absolute output error.
 COMPARE_TOL = 1e-9
 
-#: Most entries of the (n_steps + 1) x n_lines cosine table of a multisine.
-MAX_MULTISINE_TABLE = 25_000_000
-
-#: Time rows of that table built at once, which bounds multisine's memory.
-MULTISINE_BLOCK = 1024
+#: Most samples, n_steps + 1, of a multisine.
+MAX_MULTISINE_SAMPLES = 25_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -540,10 +537,10 @@ class Spectrum:
 def spectrum(traj: Trajectory) -> Spectrum:
     """Discrete Fourier amplitude spectrum of the trajectory's outputs y.
 
-    The final sample is dropped before transforming: on the default grid it
-    duplicates the period start, and dropping it lands a periodic output
-    exactly on the DFT bins.  Magnitudes are one-sided amplitudes (a unit
-    sinusoid on a bin shows magnitude 1 there).
+    The final sample is dropped before transforming: on a multisine input
+    it repeats the period start exactly, and dropping it lands a periodic
+    output exactly on the DFT bins.  Magnitudes are one-sided amplitudes
+    (a unit sinusoid on a bin shows magnitude 1 there).
     """
     data = traj.y[:-1]
     n = data.shape[0]
@@ -575,8 +572,9 @@ def multisine(
     Equal-amplitude cosines on the DFT grid of the n_steps-sample period
     (DC excluded), with uniform random phases from the seeded generator,
     scaled so each channel has RMS equal to ``amplitude`` over one period.
-    Returns an (n_steps + 1, n_u) array; the extra sample continues the
-    periodic signal for endpoint interpolation.
+    Each channel is one inverse real FFT of its lines.  Returns an
+    (n_steps + 1, n_u) array; the extra sample is a copy of the first, the
+    periodic signal's next value, for endpoint interpolation.
     """
     if seed < 0:
         raise InvalidConfig(f"seed must be >= 0, got {seed}")
@@ -586,6 +584,11 @@ def multisine(
             f"band [{f_min}, {f_max}] Hz does not satisfy "
             f"0 <= f_min < f_max < {nyquist} Hz (Nyquist for dt = {dt})"
         )
+    if n_steps + 1 > MAX_MULTISINE_SAMPLES:
+        raise InvalidConfig(
+            f"multisine of {n_steps + 1} samples exceeds "
+            f"{MAX_MULTISINE_SAMPLES} samples"
+        )
     period = n_steps * dt
     k_lo = max(1, math.ceil(f_min * period))
     k_hi = min(math.floor(f_max * period), (n_steps - 1) // 2)
@@ -594,25 +597,18 @@ def multisine(
             f"band [{f_min}, {f_max}] Hz contains no DFT grid lines for a "
             f"{period} s period"
         )
-    n_lines = k_hi - k_lo + 1
-    if (n_steps + 1) * n_lines > MAX_MULTISINE_TABLE:
-        raise InvalidConfig(
-            f"multisine table of {n_steps + 1} samples x {n_lines} lines "
-            f"exceeds {MAX_MULTISINE_TABLE} entries"
-        )
-    k = np.arange(k_lo, k_hi + 1)
     rng = np.random.default_rng(seed)
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=(n_u, k.size))
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=(n_u, k_hi - k_lo + 1))
     if amplitude == 0.0:
         return np.zeros((n_steps + 1, n_u))
     out = np.empty((n_steps + 1, n_u))
-    for start in range(0, n_steps + 1, MULTISINE_BLOCK):
-        t = np.arange(start, min(start + MULTISINE_BLOCK, n_steps + 1)) * dt
-        omega_t = 2.0 * np.pi * np.outer(t, k / period)
-        for j in range(n_u):
-            out[start : start + t.size, j] = np.cos(omega_t + phases[j]).sum(axis=1)
+    # irfft of (n_steps / 2) e^(i phi) on line k is cos(2 pi k n / n_steps + phi)
+    row = np.zeros(n_steps // 2 + 1, dtype=complex)
     for j in range(n_u):
-        out[:, j] *= amplitude / math.sqrt(float(np.mean(out[:n_steps, j] ** 2)))
+        row[k_lo : k_hi + 1] = (n_steps / 2) * np.exp(1j * phases[j])
+        u = np.fft.irfft(row, n=n_steps)
+        out[:n_steps, j] = u * (amplitude / math.sqrt(float(np.mean(u**2))))
+    out[n_steps] = out[0]
     return out
 
 
@@ -621,14 +617,16 @@ def multisine(
 
 def _csv(header: list[str], columns) -> str:
     # rows are formatted one at a time from the 2-D columns, with no stacked
-    # copy of them; repr of a Python float is its shortest round-trip text
+    # copy of them; repr of a Python float is its shortest round-trip text.
+    # The empty last row ends the text with a newline, without copying it
     rows = [",".join(header)]
     for parts in zip(*columns):
         vals = []
         for part in parts:
             vals += part.tolist()
         rows.append(",".join(map(repr, vals)))
-    return "\n".join(rows) + "\n"
+    rows.append("")
+    return "\n".join(rows)
 
 
 def trajectory_csv(traj: Trajectory) -> str:

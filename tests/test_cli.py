@@ -156,6 +156,18 @@ def test_simulate_deterministic_csv(tmp_path, msd_file, capsys):
     assert header == "t,u1,u2,x1,x2,x3,x4,y1,y2,z1,z2,w1"
 
 
+def test_simulate_long_horizon(tmp_path, msd_file, capsys):
+    # 150 001 samples of the default band's 300 lines: the multisine bounds
+    # its samples, not samples times lines
+    code, out, err = run(
+        capsys, "simulate", "--model", str(msd_file), "--out", str(tmp_path),
+        "--t-end", "150",
+    )
+    assert code == 0, err
+    with open(tmp_path / "msd2dof_nlfr_traj.csv", "rb") as f:
+        assert sum(1 for _ in f) == 150_002  # header + 150 001 samples
+
+
 def test_simulate_two_sample_edge(tmp_path, msd_file, capsys):
     # a one-step horizon has no multisine grid line below Nyquist, so the
     # input must come from a file
@@ -717,26 +729,27 @@ def test_golden_artifacts(tmp_path, capsys, monkeypatch):
 # sha256 of the simulation artifacts on msd2dof; the trajectory digests pin
 # the w and p the kernel integrated.  Recorded again when msd2dof's step
 # became float statements, which sum M x and Psi w left to right where
-# OpenBLAS's Haswell gemv did not.
+# OpenBLAS's Haswell gemv did not, and when the multisine input became one
+# inverse FFT per channel, which moved its last bits.
 GOLDEN_SIM_SHA256 = {
     "msd2dof_nlfr_traj.csv":
-        "9c5b5026964a11fa23fdd9b5f796494d2f77cc0925c90091b54423d9dc9bcd9f",
+        "f1b8afdd6a096effb7b49136445602e9c68d5dc98a7e019ffa6ef8d916d6c17c",
     "1,2/msd2dof_nlfr_lpv_traj.csv":
-        "66478cf5db2523a9ad86541519c85ec74a49b8703dd2661881ab1039cdc490b9",
+        "19cf433381fb1906b278d6bef15ac1c48ecb3c3fabc7509e7f6635aab5ded9e0",
     "1,2/compare_report.csv":
-        "0e9cb961d5c864873587bb29d4fab06102307efa3f057f33e8591ad312ef6704",
+        "f1801824d797f0cfa16029f13b2e6152c98f5527794146b3f1b44a4dc5a388dd",
     "1,2/spectrum_nlfr.csv":
-        "1edb0208414a0f8cc8e20e924b15d367534c7bf1ffe3299b77b08f06936d4614",
+        "4ad84fe4f8eb1f1f03530a16c109d5dd960471e9815449de377e434b6d6d05cc",
     "1,2/spectrum_lpv.csv":
-        "ee959b7e7c7366fbb26612b6a551e02b694b60a8865b2471f7ef596695650a68",
+        "a0a163f6f12314753dfa180e335f01fa83ac5646da6de6045750287eb2ddb397",
     "2,1/msd2dof_nlfr_lpv_traj.csv":
-        "e98fedf15dc0b066c0b52c259e387c2528b3d3c24c6a21ab6cae785e6bdc1175",
+        "f9488bb8c4706c6e14e20cb0fb487c9486c1adedf5f01e57603c7c8459e3ddeb",
     "2,1/compare_report.csv":
-        "0e9cb961d5c864873587bb29d4fab06102307efa3f057f33e8591ad312ef6704",
+        "cde08c3db788215cc44da244cf35af43b829f8ebdb46b48c9e880f6726a623d6",
     "2,1/spectrum_nlfr.csv":
-        "1edb0208414a0f8cc8e20e924b15d367534c7bf1ffe3299b77b08f06936d4614",
+        "4ad84fe4f8eb1f1f03530a16c109d5dd960471e9815449de377e434b6d6d05cc",
     "2,1/spectrum_lpv.csv":
-        "ee959b7e7c7366fbb26612b6a551e02b694b60a8865b2471f7ef596695650a68",
+        "f7c8941cb2fbd24e1baff955352ed2d8858c69a63a76c656f78af145b196bb1f",
 }
 
 

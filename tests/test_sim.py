@@ -47,7 +47,7 @@ from lpvembed.expr import (
     GuardedQuotient,
     Term,
 )
-from lpvembed.sim import MAX_MULTISINE_TABLE, Trajectory
+from lpvembed.sim import MAX_MULTISINE_SAMPLES, Trajectory
 
 
 def first_order_raw():
@@ -472,11 +472,12 @@ def test_overflow_in_the_taken_branch_keeps_its_step_and_message():
 # sha256 of x, z and w_or_p of the shared-calls model started at rest, so
 # the first sample takes every derivative branch.  Recorded before the
 # kernel named repeated values, where they pinned that the naming changed no
-# bit, and again when the model's step became float statements
+# bit, again when the model's step became float statements, and again when
+# the multisine input became one inverse FFT per channel
 GOLDEN_SHARED_CALLS_SHA256 = {
-    "nlfr": "528716d273bf3499a700e7fa708e195091135904b5727ba202e9170e984d0ec4",
-    "lpv 1,2,3": "5d7a0eaed8a91170833a285d86567e56a0ceaed4ec0149358c5c88feb59755c7",
-    "lpv 3,1,2": "1bf951c46ef869276c589fb3d6677a0f0a8d6ea6388592627f77fa435aed87b3",
+    "nlfr": "94952f7754d3573cbac88d44018a628442066f603ab0cd4ed738e28e641cdacd",
+    "lpv 1,2,3": "a5ba1a3bc5d9e801cbbc177ab999e05112aacce51dd63baeaffb231953202a8c",
+    "lpv 3,1,2": "649be42c0cdc057cd4706be280660d391cdbbf32d0fc4b6e30f7434ca118af34",
 }
 
 
@@ -1315,6 +1316,9 @@ def test_multisine_deterministic_per_seed():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert a.shape == (1001, 2)
+    # each channel is its own inverse FFT, so its bits do not depend on n_u
+    one = multisine(1, 0.0, 2.0, 1.0, 1e-3, 1000, seed=0)
+    assert np.array_equal(one[:, 0], a[:, 0])
 
 
 def test_multisine_zero_amplitude():
@@ -1499,17 +1503,27 @@ def test_overflowing_step_map_is_typed(simulator, a):
         _runs(model, np.zeros((11, 1)))[simulator]()
 
 
-def test_multisine_table_bound_is_typed():
-    # 10 000 samples x 2 501 grid lines (k = 1..2501 for f_max = 250.15 Hz
-    # over the 9.999 s period): one line more than the bound allows
-    assert 10_000 * 2_500 == MAX_MULTISINE_TABLE
-    with pytest.raises(InvalidConfig, match="multisine table"):
-        multisine(1, 0.0, 250.15, 1.0, 1e-3, 9_999)
+def test_multisine_sample_bound_is_typed(monkeypatch):
+    # one sample past the bound is refused before any array is built: the
+    # 200 MB the output alone would take never shows in the peak
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidConfig, match="exceeds 25000000 samples"):
+            multisine(2, 0.0, 2.0, 1.0, 1e-3, MAX_MULTISINE_SAMPLES)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    # at a bound small enough to build, n_steps + 1 samples at the bound pass
+    monkeypatch.setattr(sim, "MAX_MULTISINE_SAMPLES", 1001)
+    assert multisine(1, 0.0, 2.0, 1.0, 1e-3, 1000).shape == (1001, 1)
+    with pytest.raises(InvalidConfig, match="multisine of 1002 samples"):
+        multisine(1, 0.0, 2.0, 1.0, 1e-3, 1001)
 
 
 def test_multisine_memory_is_bounded():
-    # the CLI's default run: 20 001 samples of 40 lines on 2 inputs; one
-    # whole cosine table would be 6.4 MB, and 19 MB of temporaries
+    # the CLI's default run: 20 001 samples of 40 lines on 2 inputs, held
+    # as the output (320 kB) and one spectrum row and inverse FFT at a time
     tracemalloc.start()
     try:
         multisine(2, 0.0, 2.0, 1.0, 1e-3, 20_000, seed=0)
@@ -1524,16 +1538,101 @@ def test_multisine_negative_seed_is_typed():
         multisine(1, 0.0, 2.0, 1.0, 1e-3, 1000, seed=-1)
 
 
-def test_multisine_blocks_match_one_table(monkeypatch):
-    # each sample sums its own row of cosines, so the block size cannot
-    # change a bit; run lengths around the block edges
-    for n_steps in (1022, 1023, 1024, 2047, 3000):
-        whole = multisine(3, 0.0, 20.0, 1.3, 1e-3, n_steps, seed=n_steps)
-        monkeypatch.setattr(sim, "MULTISINE_BLOCK", 7)
-        assert np.array_equal(
-            multisine(3, 0.0, 20.0, 1.3, 1e-3, n_steps, seed=n_steps), whole
-        )
-        monkeypatch.undo()
+def exact_multisine(f_min, f_max, dt, n_steps, seed):
+    """multisine's first channel at unit RMS, each sample an exactly rounded
+    sum (math.fsum) of its cosines, whose phase k n / n_steps is reduced
+    exactly in integers, so each argument is below 4 pi."""
+    period = n_steps * dt
+    k_lo = max(1, math.ceil(f_min * period))
+    k_hi = min(math.floor(f_max * period), (n_steps - 1) // 2)
+    lines = range(k_lo, k_hi + 1)
+    phases = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, size=(1, len(lines)))
+    # the exact mean square of n_lines unit cosines on distinct DFT lines
+    rms = math.sqrt(len(lines) / 2)
+    return np.array([
+        math.fsum(
+            math.cos(2.0 * math.pi * ((n * k) % n_steps) / n_steps + phase)
+            for k, phase in zip(lines, phases[0].tolist())
+        ) / rms
+        for n in range(n_steps + 1)
+    ])
+
+
+@pytest.mark.parametrize("band", [(0.0, 2.0), (0.1, 5.0)], ids=["0-2Hz", "0.1-5Hz"])
+def test_multisine_matches_exact_sum(band):
+    # the inverse FFT is within 2.3e-15 of the exact sum on both bands (the
+    # sum itself within 2.2e-15 of a 40-digit mpmath reference); summing
+    # cosines of the unreduced arguments 2 pi k t + phi, up to 2 pi k_hi t,
+    # is off by 5.8e-14 and 1.6e-13
+    u = multisine(1, *band, 1.0, 1e-3, 20_000, seed=0)[:, 0]
+    assert float(np.max(np.abs(u - exact_multisine(*band, 1e-3, 20_000, 0)))) <= 1e-14
+
+
+@pytest.mark.parametrize("n_steps", [999, 1000, 20_000])
+def test_multisine_end_sample_repeats_the_first(n_steps):
+    u = multisine(3, 0.0, 20.0, 1.3, 1e-3, n_steps, seed=n_steps)
+    assert u[n_steps].tobytes() == u[0].tobytes()
+
+
+def test_multisine_long_band():
+    # 2 501 lines (k = 1..2501 for f_max = 250.15 Hz over the 9.999 s
+    # period) over 10 000 samples: only the sample count is bounded, not
+    # samples times lines; exactly those lines carry the signal, at equal
+    # amplitude
+    n = 9_999
+    u = multisine(1, 0.0, 250.15, 1.0, 1e-3, n, seed=2)
+    assert u.shape == (n + 1, 1)
+    mags = np.abs(np.fft.rfft(u[:n, 0]))
+    band = mags[1:2502]
+    assert float(np.max(band) - np.min(band)) <= 1e-12 * float(np.max(band))
+    assert float(max(mags[0], np.max(mags[2502:]))) <= 1e-12 * float(np.max(band))
+    assert math.sqrt(float(np.mean(u[:n, 0] ** 2))) == pytest.approx(1.0, rel=1e-14)
+
+
+def synth64_trajectory():
+    """A trajectory of synth64's width, 2 001 rows of 93 columns, filled
+    with seeded normal draws."""
+    rng = np.random.default_rng(64)
+    n = 2001
+    u, x, y, z, p = (rng.standard_normal((n, m)) for m in (2, 64, 2, 6, 18))
+    return Trajectory(1e-3, u, x, y, z, p, "p")
+
+
+def joined_csv(header, columns):
+    """The CSV text as _csv built it before it stopped copying the joined
+    rows: one line per row of columns, and a newline after the last."""
+    rows = [",".join(header)] + [
+        ",".join(repr(v) for c in columns for v in c[r].tolist())
+        for r in range(len(columns[0]))
+    ]
+    return "\n".join(rows) + "\n"
+
+
+def test_csv_text_is_unchanged():
+    t = synth64_trajectory()
+    text = sim.trajectory_csv(t)
+    header = text[: text.index("\n")].split(",")
+    assert header[:4] == ["t", "u1", "u2", "x1"] and header[-1] == "p18"
+    columns = [t.times[:, None], t.u, t.x, t.y, t.z, t.w_or_p]
+    assert text == joined_csv(header, columns)
+    spec = spectrum(t)
+    assert sim.spectrum_csv(spec) == joined_csv(
+        ["freq_hz", "y1", "y2"], [spec.freqs_hz[:, None], spec.magnitude]
+    )
+
+
+def test_csv_peak_memory_is_bounded():
+    # the rows and the text they join into: 2.04 times the 3.8 MB text;
+    # appending the last newline after the join would make a third copy
+    # (3.04 times)
+    t = synth64_trajectory()
+    tracemalloc.start()
+    try:
+        text = sim.trajectory_csv(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * len(text)
 
 
 @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
